@@ -29,6 +29,7 @@ cancellation the alternating subset sum has to manage at high SNR.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -81,9 +82,22 @@ class InterceptValue(NamedTuple):
 
 def _check_gamma(gamma: float) -> float:
     g = float(gamma)
-    if not g > 0.0:
-        raise ValueError(f"SNR must be positive, got {gamma}")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"SNR must be positive and finite, got {gamma}")
     return g
+
+
+@contextmanager
+def _snr_in_range(gamma: float):
+    """Report an overflow, or an E1 argument it left at 0 or inf, as an SNR range error."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, ValueError):
+        raise ValueError(
+            f"SNR {gamma:g} is out of range for these channel gains: "
+            "the closed form over- or underflows"
+        ) from None
 
 
 def _check_pair_index(config: SystemConfig, i: int) -> None:
@@ -116,33 +130,28 @@ def varphi_rjs(config: SystemConfig, i: int, j: int, gamma: float) -> float:
     return 2.0 / (se_j * gamma) + 2.0 * se_i / (sd_i * se_j * gamma)
 
 
-def _rjs_term(config: SystemConfig, i: int, j: int, gamma: float) -> float:
-    """Probability that jammer j fails to protect active pair i."""
-    sd_i = config.pairs[i].sigma2_sd
-    se_i = config.pairs[i].sigma2_se
-    se_j = config.pairs[j].sigma2_se
-    phi = varphi_rjs(config, i, j, gamma)
-    return 2.0 * se_i * e1_scaled(phi) / (sd_i * se_j * gamma)
-
-
 def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under random jammer selection.
 
     For a single pair there is no jammer to pick and the value degrades to
     the non-cooperation probability (see scheme_intercept for the flag).
+    All N(N-1) (i, j) terms share one vectorized e1_scaled call; each term
+    repeats varphi_rjs's arithmetic operation for operation.
     """
     require_valid(config)
     gamma = _check_gamma(gamma)
     n = config.n_pairs
     if n == 1:
         return intercept_noncoop(config)
-    contributions = [
-        config.pairs[i].alpha / (n - 1) * _rjs_term(config, i, j, gamma)
-        for i in range(n)
-        for j in range(n)
-        if j != i
-    ]
-    return math.fsum(contributions)
+    sd = np.array([p.sigma2_sd for p in config.pairs])
+    se = np.array([p.sigma2_se for p in config.pairs])
+    alpha = np.array([p.alpha for p in config.pairs])
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    sd_i, se_i, se_j = sd[i], se[i], se[j]
+    with _snr_in_range(gamma):
+        phi = 2.0 / (se_j * gamma) + 2.0 * se_i / (sd_i * se_j * gamma)
+        terms = 2.0 * se_i * e1_scaled(phi) / (sd_i * se_j * gamma)
+    return math.fsum(alpha[i] / (n - 1) * terms)
 
 
 class SubsetIterator:
@@ -191,30 +200,31 @@ def phi_ojs(config: SystemConfig, i: int, subset: Iterable[int], gamma: float) -
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
     """Alternating subset sum for active pair i under optimal selection.
 
-    Terms are accumulated in order of increasing subset size and summed with
-    exact (fsum) accumulation: at high SNR the individual terms are O(1/gamma)
-    while the total is O(ln(gamma)/gamma), so cancellation is real.
+    Subset k (binary-counter order, as in SubsetIterator) has reciprocal
+    gain sum recip[k] and sign +1 for odd size, -1 for even.  The total is
+    exactly rounded (fsum), so order-independent: at high SNR the individual
+    terms are O(1/gamma) while the total is O(ln(gamma)/gamma), so
+    cancellation is real.
     """
     sd_i = config.pairs[i].sigma2_sd
     se_i = config.pairs[i].sigma2_se
     inv_se = np.array(
         [1.0 / p.sigma2_se for j, p in enumerate(config.pairs) if j != i]
     )
-    m = inv_se.size
-    size = 1 << m
+    size = 1 << inv_se.size
     recip = np.zeros(size)
-    card = np.zeros(size, dtype=np.int64)
-    for b in range(m):
+    sign = np.empty(size)
+    sign[0] = -1.0
+    for b, inv in enumerate(inv_se):
         half = 1 << b
-        recip[half : 2 * half] = recip[:half] + inv_se[b]
-        card[half : 2 * half] = card[:half] + 1
+        recip[half : 2 * half] = recip[:half] + inv
+        sign[half : 2 * half] = -sign[:half]
     recip = recip[1:]
-    card = card[1:]
-    phi = (2.0 * sd_i + 2.0 * se_i) / (sd_i * gamma) * recip
-    sign = np.where(card % 2 == 1, 1.0, -1.0)
-    terms = sign * (2.0 * se_i / (sd_i * gamma)) * recip * e1_scaled(phi)
-    order = np.lexsort((np.arange(1, size), card))
-    return math.fsum(terms[order])
+    with _snr_in_range(gamma):
+        phi = (2.0 * sd_i + 2.0 * se_i) / (sd_i * gamma) * recip
+        terms = sign[1:] * (2.0 * se_i / (sd_i * gamma)) * recip * e1_scaled(phi)
+    # A memoryview yields plain floats: no numpy scalar per term, no list copy.
+    return math.fsum(memoryview(terms))
 
 
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:

@@ -40,10 +40,18 @@ CSV_VERSION_LINE = "# secrecy-sim v1"
 EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5", "fig6", "sweep", "validate")
 
 _MIN_MC_TRIALS = 1000
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Convert dB to linear, refusing results outside the positive finite floats."""
+    try:
+        value = 10.0 ** (db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{db:g} dB is outside the range of positive finite floats")
+    return value
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -55,7 +63,10 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
         if step <= 0 or hi < lo:
             raise ValueError(f"bad grid bounds in {text!r}")
-        count = int(round((hi - lo) / step))
+        span = (hi - lo) / step
+        if not span <= _MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        count = int(round(span))
         values = [lo + k * step for k in range(count + 1)]
         if values[-1] > hi + 1e-9:
             values.pop()
@@ -253,7 +264,7 @@ def run_fig6(args) -> int:
 
 
 def _e1_quadrature_reference(x: float) -> float:
-    """Adaptive-quadrature reference for E1, independent of the series/CF path.
+    """Adaptive-quadrature reference for E1, independent of the exp1 kernel.
 
     Uses exp(x)*E1(x) = integral of exp(-s)/(s+x) over s >= 0 for x >= 1 and
     the substitution t = x*e^v turning E1 into integral of exp(-x*(e^v - 1))

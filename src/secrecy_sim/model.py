@@ -10,6 +10,7 @@ distributions the squared Rayleigh gains follow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -102,8 +103,8 @@ def make_symmetric_config(n: int, mer: float) -> SystemConfig:
     """
     if n < 1:
         raise ValueError(f"number of pairs must be >= 1, got {n}")
-    if not mer > 0.0:
-        raise ValueError(f"MER must be positive, got {mer}")
+    if not 0.0 < mer < math.inf:
+        raise ValueError(f"MER must be positive and finite, got {mer}")
     pair = PairParams(sigma2_sd=float(mer), sigma2_se=1.0, alpha=1.0 / n)
     return SystemConfig(pairs=(pair,) * n)
 

@@ -2,17 +2,21 @@
 
 E1(x) = integral from x to infinity of exp(-t)/t dt, for x > 0.
 
-Two evaluation regimes, standard for this function:
+One vectorized evaluation path serves both functions:
 
-* x <= 1: power series
-      E1(x) = -euler_gamma - ln(x) + sum_{k>=1} (-1)^(k+1) x^k / (k * k!)
-* x > 1: continued fraction (modified Lentz)
-      exp(x) E1(x) = 1 / (x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...))))
+* e1(x) is scipy.special.exp1(x).  It underflows gracefully to 0.0 once
+  exp(-x) leaves the representable range (x beyond ~745).
+* e1_scaled(x) = exp(x)*E1(x), the product the closed-form intercept
+  expressions consume, is exp1(x) * exp(x) for 0 < x <= _TAIL_CUTOFF (700).
+  There exp1 is still a normal float and exp(x) does not overflow.  Beyond
+  the cutoff it is the truncated asymptotic series
 
-The continued fraction natively produces the scaled product exp(x)*E1(x),
-which is what the closed-form intercept expressions consume.  Computing the
-product this way never overflows, no matter how large x gets; the unscaled
-e1(x) simply underflows to 0 once exp(-x) leaves the representable range.
+      exp(x) E1(x) ~ (1/x) * sum_{k=0}^{K} (-1)^k k! / x^k,   K = _TAIL_TERMS,
+
+  evaluated in Horner form, which never overflows.  Its first omitted term
+  is below 1e-20 relative at the cutoff, far under one ulp.
+
+Non-finite and non-positive arguments are rejected with ValueError.
 
 Analytic envelope, used both as a sanity bracket and in the high-SNR
 diversity argument:
@@ -26,14 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 __all__ = ["E1Bounds", "e1", "e1_scaled", "e1_bounds"]
 
-EULER_GAMMA = 0.5772156649015328606
-
-_SERIES_CUTOFF = 1.0
-_CF_MAX_ITER = 400
-_CF_EPS = 1e-15
+_TAIL_CUTOFF = 700.0
+_TAIL_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -55,65 +57,32 @@ class E1Bounds:
         return self.lower <= value <= self.upper
 
 
-def _check_positive(x: np.ndarray) -> None:
-    if x.size and not np.all(x > 0.0):
-        bad = float(np.min(x)) if x.size else float("nan")
-        raise ValueError(f"E1 argument must be positive, got {bad}")
+def _check_domain(x: np.ndarray) -> None:
+    ok = (x > 0.0) & (x < np.inf)
+    if not ok.all():
+        bad = float(x[~ok].flat[0])
+        raise ValueError(f"E1 argument must be positive and finite, got {bad}")
 
 
-def _series_e1(x: np.ndarray) -> np.ndarray:
-    """Unscaled E1 via the alternating power series; valid for 0 < x <= 1."""
-    total = -EULER_GAMMA - np.log(x)
-    term = np.ones_like(x)
-    for k in range(1, 40):
-        term = term * x / k
-        contrib = term / k
-        if k % 2 == 1:
-            total = total + contrib
-        else:
-            total = total - contrib
-        if np.all(contrib < 1e-18):
-            break
-    return total
-
-
-def _lentz_e1_scaled(x: np.ndarray) -> np.ndarray:
-    """Scaled exp(x)*E1(x) via modified Lentz; valid for x > 1."""
-    tiny = 1e-300
-    b = x + 1.0
-    c = np.full_like(x, 1.0 / tiny)
-    d = 1.0 / b
-    f = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
-    for n in range(1, _CF_MAX_ITER + 1):
-        a = -float(n * n)
-        b = b + 2.0
-        d = a * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + a / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = c * d
-        f = np.where(done, f, f * delta)
-        done |= np.abs(delta - 1.0) < _CF_EPS
-        if done.all():
-            return f
-    raise RuntimeError("continued fraction for E1 failed to converge")
+def _asymptotic_e1_scaled(x: np.ndarray) -> np.ndarray:
+    """Truncated asymptotic series for exp(x)*E1(x); for x > _TAIL_CUTOFF."""
+    t = np.ones_like(x)
+    for k in range(_TAIL_TERMS, 0, -1):
+        t = 1.0 - k * t / x
+    return t / x
 
 
 def _e1_scaled_array(x: np.ndarray) -> np.ndarray:
+    head = x <= _TAIL_CUTOFF
     out = np.empty_like(x)
-    small = x <= _SERIES_CUTOFF
-    if small.any():
-        xs = x[small]
-        out[small] = np.exp(xs) * _series_e1(xs)
-    if (~small).any():
-        out[~small] = _lentz_e1_scaled(x[~small])
+    xh = x[head]
+    out[head] = special.exp1(xh) * np.exp(xh)
+    out[~head] = _asymptotic_e1_scaled(x[~head])
     return out
 
 
 def e1(x: float) -> float:
-    """Exponential integral E1(x) for x > 0.
+    """Exponential integral E1(x) for finite x > 0.
 
     Underflows gracefully to 0.0 for arguments beyond ~745 where exp(-x)
     is no longer representable.
@@ -121,15 +90,12 @@ def e1(x: float) -> float:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 0:
         raise TypeError("e1 takes a scalar; use e1_scaled for arrays")
-    arr = arr.reshape(1)
-    _check_positive(arr)
-    if arr[0] <= _SERIES_CUTOFF:
-        return float(_series_e1(arr)[0])
-    return float(math.exp(-arr[0]) * _lentz_e1_scaled(arr)[0])
+    _check_domain(arr)
+    return float(special.exp1(arr))
 
 
 def e1_scaled(x):
-    """exp(x) * E1(x), computed without overflow for any positive x.
+    """exp(x) * E1(x), computed without overflow for any finite positive x.
 
     Accepts a scalar or ndarray.  Strictly decreasing, with
     0.5*ln(1 + 2/x) <= e1_scaled(x) <= ln(1 + 1/x) and x*e1_scaled(x) -> 1
@@ -138,7 +104,7 @@ def e1_scaled(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr)
-    _check_positive(flat)
+    _check_domain(flat)
     out = _e1_scaled_array(flat)
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
@@ -146,8 +112,8 @@ def e1_scaled(x):
 def e1_bounds(x: float) -> E1Bounds:
     """Analytic bracket [0.5 e^-x ln(1+2/x), e^-x ln(1+1/x)] around E1(x)."""
     xf = float(x)
-    if not xf > 0.0:
-        raise ValueError(f"E1 argument must be positive, got {xf}")
+    if not 0.0 < xf < math.inf:
+        raise ValueError(f"E1 argument must be positive and finite, got {xf}")
     damp = math.exp(-xf)
     return E1Bounds(
         lower=0.5 * damp * math.log1p(2.0 / xf),

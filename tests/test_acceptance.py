@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 
 from secrecy_sim import analytic, cli, diversity, simulate
+from secrecy_sim.cli import _e1_quadrature_reference as quadrature_e1
 from secrecy_sim.model import SnrSweep, make_symmetric_config
 from secrecy_sim.special import e1, e1_bounds
-
-from test_special import quadrature_e1
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:

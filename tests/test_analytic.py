@@ -33,6 +33,15 @@ ASYMMETRIC = SystemConfig(
 )
 
 
+def _rjs_term(config, i, j, gamma):
+    """Per-(i, j) RJS term from varphi_rjs and a scalar e1_scaled call."""
+    sd_i = config.pairs[i].sigma2_sd
+    se_i = config.pairs[i].sigma2_se
+    se_j = config.pairs[j].sigma2_se
+    phi = varphi_rjs(config, i, j, gamma)
+    return 2.0 * se_i * e1_scaled(phi) / (sd_i * se_j * gamma)
+
+
 # --- non-cooperation ---------------------------------------------------------
 
 
@@ -95,6 +104,19 @@ def test_rjs_two_pair_reference_value():
     )
 
 
+def test_rjs_matches_per_pair_fsum():
+    # gamma = 1e-3 puts every E1 argument in the asymptotic tail.
+    n = ASYMMETRIC.n_pairs
+    for gamma in (1e-3, 0.5, 10.0, 1e3, 1e6):
+        reference = math.fsum(
+            ASYMMETRIC.pairs[i].alpha / (n - 1) * _rjs_term(ASYMMETRIC, i, j, gamma)
+            for i in range(n)
+            for j in range(n)
+            if j != i
+        )
+        assert intercept_sc_rjs(ASYMMETRIC, gamma) == pytest.approx(reference, rel=1e-15)
+
+
 def test_rjs_symmetric_constant_in_pair_count():
     reference = intercept_sc_rjs(make_symmetric_config(2, 1.0), 10.0)
     for n in range(3, 9):
@@ -111,7 +133,7 @@ def test_rjs_strictly_decreasing_in_snr():
 def test_rjs_matches_integral_oracle():
     for gamma in (0.5, 10.0, 1e3, 1e6):
         for i, j in ((0, 1), (1, 2), (2, 0)):
-            closed = analytic._rjs_term(ASYMMETRIC, i, j, gamma)
+            closed = _rjs_term(ASYMMETRIC, i, j, gamma)
             assert rjs_integral_oracle(ASYMMETRIC, i, j, gamma) == pytest.approx(
                 closed, rel=1e-8
             )

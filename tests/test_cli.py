@@ -296,6 +296,32 @@ def test_rejects_bad_worker_count():
     assert main(["--experiment", "fig2", "--workers", "0"]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--experiment", "fig2", "--gamma-db", "4000", "--trials", "1000"],
+        ["--experiment", "fig2", "--gamma-db", "inf", "--trials", "0"],
+        ["--experiment", "fig2", "--gamma-db", "0:1e300:1e-300", "--trials", "0"],
+        ["--experiment", "fig4", "--mer-db", "-4000", "--trials", "0"],
+        ["--experiment", "fig3", "--symmetric", "N=4", "MER=nan", "--trials", "0"],
+        ["--experiment", "fig2", "--gamma-db", "-3090", "--trials", "0"],
+        ["--experiment", "fig2", "--gamma-db", "3080", "--trials", "0", "--config", "{cfg}"],
+    ],
+)
+def test_rejects_nonfinite_or_overflowing_inputs(flags, tmp_path, capsys):
+    # A finite SNR can still overflow against the channel gains: 3080 dB
+    # times a gain of 2 is inf, and -3090 dB is subnormal, so 2/(gain*SNR)
+    # is inf.
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("1.0 2.0 0.5\n1.0 2.0 0.5\n")
+    flags = [f.format(cfg=cfg) for f in flags]
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "E1" not in err
+
+
 def test_rejects_unknown_scheme():
     assert main(["--experiment", "fig2", "--schemes", "nonc,magic", "--trials", "0"]) == 2
 

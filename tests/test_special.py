@@ -7,33 +7,12 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
-from secrecy_sim.special import E1Bounds, e1, e1_bounds, e1_scaled
+from secrecy_sim.cli import _e1_quadrature_reference as quadrature_e1
+from secrecy_sim.special import _TAIL_CUTOFF, E1Bounds, e1, e1_bounds, e1_scaled
 
 EULER_GAMMA = 0.5772156649015329
-
-
-def quadrature_e1(x: float) -> float:
-    """Independent adaptive-quadrature oracle for E1(x).
-
-    exp(x)*E1(x) = int_0^inf exp(-s)/(s+x) ds for x >= 1; for small x the
-    substitution t = x*e^v gives E1(x) = exp(-x) * int_0^inf
-    exp(-x*(e^v - 1)) dv, which keeps the integrand well-scaled.
-    """
-    if x >= 1.0:
-        scaled, _ = integrate.quad(
-            lambda s: math.exp(-s) / (s + x), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400
-        )
-        return math.exp(-x) * scaled
-
-    def integrand(v: float) -> float:
-        with np.errstate(over="ignore"):
-            t = x * float(np.expm1(v))
-        return math.exp(-t) if t < 745.0 else 0.0
-
-    scaled, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
-    return math.exp(-x) * scaled
+EPS = np.finfo(float).eps
 
 
 def test_e1_at_one():
@@ -122,14 +101,45 @@ def test_bounds_formula():
 
 
 def test_vectorized_scaled_matches_scalar():
-    xs = np.logspace(-5, 4, 53)
+    # The original 1e-5..1e4 grid plus both regimes interleaved in one array,
+    # cutoff and its neighbour included.
+    xs = np.concatenate(
+        (
+            np.logspace(-5, 4, 53),
+            np.logspace(-5, 300, 123),
+            [_TAIL_CUTOFF, np.nextafter(_TAIL_CUTOFF, np.inf)],
+        )
+    )
+    xs = np.random.default_rng(0).permutation(xs)
     vec = e1_scaled(xs)
     assert vec.shape == xs.shape
     assert np.array_equal(vec, np.array([e1_scaled(float(x)) for x in xs]))
+    assert np.array_equal(e1_scaled(xs.reshape(2, -1)), vec.reshape(2, -1))
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300])
-def test_rejects_nonpositive_arguments(bad):
+def test_e1_scaled_strictly_decreasing_across_tail_cutoff():
+    xs = _TAIL_CUTOFF * np.array([1 - 1e-6, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6])
+    values = e1_scaled(xs)
+    assert np.all(np.diff(values) < 0.0)
+
+
+def test_e1_scaled_tail_inside_bracket():
+    # Beyond x ~ 1e8 the bracket is narrower than one ulp, so each computed
+    # endpoint gets a two-ulp rounding allowance.
+    xs = np.append(np.logspace(2, 300, 500), _TAIL_CUTOFF)
+    values = e1_scaled(xs)
+    assert np.all(values >= 0.5 * np.log1p(2.0 / xs) * (1.0 - 2.0 * EPS))
+    assert np.all(values <= np.log1p(1.0 / xs) * (1.0 + 2.0 * EPS))
+
+
+def test_e1_scaled_tail_asymptote():
+    # x*e^x*E1(x) = 1 - 1/x + O(1/x^2); the product x*value adds a rounding
+    # error of at most two ulps of 1.
+    xs = np.logspace(3, 300, 500)
+    assert np.all(np.abs(xs * e1_scaled(xs) - 1.0) <= 2.0 / xs + 2.0 * EPS)
+
+
+def _assert_rejected(bad):
     with pytest.raises(ValueError):
         e1(bad)
     with pytest.raises(ValueError):
@@ -138,6 +148,16 @@ def test_rejects_nonpositive_arguments(bad):
         e1_bounds(bad)
     with pytest.raises(ValueError):
         e1_scaled(np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300])
+def test_rejects_nonpositive_arguments(bad):
+    _assert_rejected(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rejects_nonfinite_arguments(bad):
+    _assert_rejected(bad)
 
 
 def test_e1_rejects_arrays():
