@@ -40,6 +40,7 @@ CSV_VERSION_LINE = "# secrecy-sim v1"
 EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5", "fig6", "sweep", "validate")
 
 _MIN_MC_TRIALS = 1000
+_MAX_WORKERS = 64
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -459,7 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--schemes", default="nonc,rjs,ojs", help="comma list from: nonc,rjs,ojs"
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help=f"Monte Carlo worker threads, 1..{_MAX_WORKERS}; never changes results",
+    )
     return parser
 
 
@@ -468,8 +474,8 @@ def main(argv=None) -> int:
     if 0 < args.trials < _MIN_MC_TRIALS:
         print(f"--trials must be 0 or >= {_MIN_MC_TRIALS}", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
+    if not 1 <= args.workers <= _MAX_WORKERS:
+        print(f"--workers must be between 1 and {_MAX_WORKERS}", file=sys.stderr)
         return 2
     try:
         return _RUNNERS[args.experiment](args)

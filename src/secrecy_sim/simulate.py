@@ -1,8 +1,9 @@
 """First-principles Monte Carlo estimation of intercept probabilities.
 
-Draws squared Rayleigh fading gains (exponentials, via inverse CDF) for the
-active pair and every candidate jammer, applies the per-scheme intercept
-condition directly to the gains, and aggregates a stratified estimate: each
+Draws one uniform per fading gain of the active pair and of every candidate
+jammer, turns those a scheme reads into squared Rayleigh fading gains
+(exponentials, via inverse CDF), applies the per-scheme intercept condition
+directly to the gains, and aggregates a stratified estimate: each
 pair is simulated conditionally with its exact duty-cycle weight, which
 removes the scheduling variance a naive mixture sampler would add.
 
@@ -15,6 +16,7 @@ how many workers run them.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import NONCOOP, SC_OJS, SC_RJS, SCHEMES, SystemConfig, require_valid
+from .model import NONCOOP, SC_OJS, SC_RJS, SCHEMES, PairParams, SystemConfig, require_valid
 
 __all__ = [
     "ChannelDraw",
@@ -38,9 +40,11 @@ __all__ = [
     "coupled_dominance_check",
 ]
 
-# Trials processed per vectorized batch; fixed so that batching is part of
-# the trial-indexing scheme rather than a tuning knob.
-BATCH_TRIALS = 1 << 16
+# Upper bound on one batch's uniform block, so that a worker's memory stays
+# bounded as N grows: 65536 trials for 3 to 6 pairs, fewer for more.  Every
+# trial reads a fixed slot of its pair's stream, so the batch size changes
+# memory and speed, never a result.
+BATCH_BYTES = 4 << 20
 
 _PHILOX_WORDS_PER_BLOCK = 4
 
@@ -118,21 +122,29 @@ def _candidate_means(config: SystemConfig, i: int) -> np.ndarray:
     return np.array([p.sigma2_se for j, p in enumerate(config.pairs) if j != i])
 
 
-def _gains_from_uniforms(
-    config: SystemConfig, i: int, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map a (trials, draws_per_trial) uniform block to exponential gains.
+def _exp_gain(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exponential gain(s) -mean*log1p(-u) of the given mean(s) by inverse CDF.
 
-    Inverse CDF with log1p(-u) so u = 0 cannot produce an infinite gain.
-    Column layout per trial: main gain, eavesdropper gain, one column per
-    candidate jammer, jammer-selection uniform, padding.
+    log1p(-u) keeps u = 0 from producing an infinite gain.  Works in one
+    array, `out` if given (which may be `u` itself), so that a large block
+    costs no temporaries.
     """
-    pair = config.pairs[i]
-    n = config.n_pairs
-    g_sd = -pair.sigma2_sd * np.log1p(-u[:, 0])
-    g_se = -pair.sigma2_se * np.log1p(-u[:, 1])
-    g_je = -_candidate_means(config, i)[None, :] * np.log1p(-u[:, 2 : n + 1])
-    return g_sd, g_se, g_je
+    g = np.negative(u, out=out)
+    np.log1p(g, out=g)
+    return np.multiply(-mean, g, out=g)
+
+
+def _gains_from_uniforms(
+    pair: PairParams, jammer_means: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map a (trials, draws_per_trial) uniform block to all exponential gains.
+
+    Column layout per trial: main gain, eavesdropper gain, one column per
+    candidate jammer (means `jammer_means`, in pair order), jammer-selection
+    uniform, padding.
+    """
+    g_je = _exp_gain(jammer_means, u[:, 2 : len(jammer_means) + 2])
+    return _exp_gain(pair.sigma2_sd, u[:, 0]), _exp_gain(pair.sigma2_se, u[:, 1]), g_je
 
 
 def sample_draw(config: SystemConfig, i: int, rng: Generator) -> ChannelDraw:
@@ -141,7 +153,7 @@ def sample_draw(config: SystemConfig, i: int, rng: Generator) -> ChannelDraw:
     if not 0 <= i < config.n_pairs:
         raise IndexError(f"pair index {i} out of range")
     u = rng.random((1, draws_per_trial(config.n_pairs)))
-    g_sd, g_se, g_je = _gains_from_uniforms(config, i, u)
+    g_sd, g_se, g_je = _gains_from_uniforms(config.pairs[i], _candidate_means(config, i), u)
     return ChannelDraw(float(g_sd[0]), float(g_se[0]), tuple(float(g) for g in g_je[0]))
 
 
@@ -150,17 +162,21 @@ def event_noncoop(draw: ChannelDraw) -> bool:
     return draw.g_sd < draw.g_se
 
 
-def event_sc(draw: ChannelDraw, jammer: int, gamma: float) -> bool:
-    """Intercept under source cooperation with the given jammer.
+def _sc_intercept(g_je, gamma: float, g_sd, g_se):
+    """Source-cooperation intercept condition g_je*gamma + 2 < 2*g_se/g_sd.
 
-    Condition g_je*gamma + 2 < 2*g_se/g_sd, evaluated in product form so a
-    zero main gain counts as intercept (zero main capacity) and exact
-    equality counts as no intercept.
+    Evaluated in product form so a zero main gain counts as intercept (zero
+    main capacity) and exact equality counts as no intercept.  Takes scalars
+    or broadcasting arrays.
     """
+    return g_je * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
+
+
+def event_sc(draw: ChannelDraw, jammer: int, gamma: float) -> bool:
+    """Intercept under source cooperation with the given jammer."""
     if not gamma > 0.0:
         raise ValueError(f"SNR must be positive, got {gamma}")
-    gj = draw.g_je[jammer]
-    return gj * gamma * draw.g_sd + 2.0 * draw.g_sd < 2.0 * draw.g_se
+    return _sc_intercept(draw.g_je[jammer], gamma, draw.g_sd, draw.g_se)
 
 
 def select_jammer_random(candidates, rng: Generator):
@@ -181,31 +197,52 @@ def select_jammer_optimal(draw: ChannelDraw) -> int:
 
 
 def _batch_events(
-    config: SystemConfig,
-    i: int,
+    pair: PairParams,
+    jammer_means: np.ndarray,
     scheme: str,
     gamma: float,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Boolean intercept indicators for one uniform batch of one pair."""
-    n = config.n_pairs
-    g_sd, g_se, g_je = _gains_from_uniforms(config, i, u)
-    if scheme == NONCOOP or n == 1:
+    """Boolean intercept indicators for one uniform batch of one pair.
+
+    Transforms only the uniforms the scheme reads: nonc the two main
+    columns, rjs the picked jammer's column, ojs the jammer columns of rows
+    where 2*g_sd < 2*g_se.  On every other row no jammer can give an
+    intercept, since g_je*gamma*g_sd is >= 0 (or NaN) and rounded addition
+    is monotone.  Each gain read is computed as `_gains_from_uniforms`
+    computes it, so the events equal those of the all-columns transform.
+    """
+    g_sd = _exp_gain(pair.sigma2_sd, u[:, 0])
+    g_se = _exp_gain(pair.sigma2_se, u[:, 1])
+    m = len(jammer_means)
+    if scheme == NONCOOP or m == 0:
         return g_sd < g_se
     if scheme == SC_RJS:
-        m = n - 1
-        pick = np.minimum((u[:, n + 1] * m).astype(np.int64), m - 1)
-        gj = g_je[np.arange(g_je.shape[0]), pick]
-    elif scheme == SC_OJS:
-        gj = g_je.max(axis=1)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return gj * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
+        pick = np.minimum((u[:, m + 2] * m).astype(np.int64), m - 1)
+        flat = np.arange(2, u.size, u.shape[1]) + pick
+        g_j = _exp_gain(jammer_means.take(pick), u.ravel().take(flat))
+        return _sc_intercept(g_j, gamma, g_sd, g_se)
+    if scheme == SC_OJS:
+        live = np.flatnonzero(2.0 * g_sd < 2.0 * g_se)
+        g_je = u[live, 2 : m + 2]
+        _exp_gain(jammer_means, g_je, out=g_je)
+        # Column by column: numpy reduces a short contiguous axis slowly.
+        g_j = functools.reduce(np.maximum, g_je.T)
+        events = np.zeros(len(u), dtype=bool)
+        events[live] = _sc_intercept(g_j, gamma, g_sd[live], g_se[live])
+        return events
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _batch_ranges(trials_per_pair: int):
-    for start in range(0, trials_per_pair, BATCH_TRIALS):
-        yield start, min(start + BATCH_TRIALS, trials_per_pair)
+def _batch_trials(n_pairs: int) -> int:
+    """Trials per batch: as many as fit in BATCH_BYTES of uniforms, at least one."""
+    return max(1, BATCH_BYTES // (draws_per_trial(n_pairs) * 8))
+
+
+def _batch_ranges(trials_per_pair: int, n_pairs: int):
+    step = _batch_trials(n_pairs)
+    for start in range(0, trials_per_pair, step):
+        yield start, min(start + step, trials_per_pair)
 
 
 def _as_rng_spec(rng) -> RngSpec:
@@ -241,14 +278,17 @@ def estimate_intercept(
     n = config.n_pairs
     per_pair = -(-trials // n)
     degraded = scheme != NONCOOP and n == 1
+    means = [_candidate_means(config, i) for i in range(n)]
 
     def run_batch(pair: int, start: int, stop: int) -> int:
         gen = spec.pair_generator(pair, n, start_trial=start)
         u = gen.random((stop - start, draws_per_trial(n)))
-        return int(_batch_events(config, pair, scheme, gamma, u).sum())
+        events = _batch_events(config.pairs[pair], means[pair], scheme, gamma, u)
+        return int(np.count_nonzero(events))
 
-    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair)]
+    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, n)]
     successes = [0] * n
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(lambda t: run_batch(*t), tasks))
@@ -296,12 +336,13 @@ def coupled_dominance_check(
     per_pair = -(-trials // n)
     violations = 0
     for i in range(n):
-        for start, stop in _batch_ranges(per_pair):
+        means = _candidate_means(config, i)
+        for start, stop in _batch_ranges(per_pair, n):
             gen = spec.pair_generator(i, n, start_trial=start)
             u = gen.random((stop - start, draws_per_trial(n)))
-            g_sd, g_se, g_je = _gains_from_uniforms(config, i, u)
+            g_sd, g_se, g_je = _gains_from_uniforms(config.pairs[i], means, u)
             e_nonc = g_sd < g_se
-            e_sc = g_je * gamma * g_sd[:, None] + 2.0 * g_sd[:, None] < 2.0 * g_se[:, None]
+            e_sc = _sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
             rows = np.arange(e_sc.shape[0])
             e_ojs = e_sc[rows, np.argmax(g_je, axis=1)]
             violations += int(np.count_nonzero(e_ojs & ~e_sc.all(axis=1)))

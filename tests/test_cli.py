@@ -292,8 +292,15 @@ def test_rejects_small_nonzero_trials():
     assert main(["--experiment", "fig2", "--trials", "500"]) == 2
 
 
-def test_rejects_bad_worker_count():
+def test_rejects_bad_worker_count(capsys, tmp_path):
     assert main(["--experiment", "fig2", "--workers", "0"]) == 2
+    capsys.readouterr()
+    # refused before any thread could start
+    assert main(["--experiment", "fig2", "--workers", "1000000", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "--workers must be between 1 and 64\n"
+    out = tmp_path / "fig2.csv"
+    flags = ["--experiment", "fig2", "--workers", "64", "--trials", "0", "--out", str(out)]
+    assert main(flags) == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from secrecy_sim.analytic import intercept_noncoop, intercept_sc_ojs, intercept_sc_rjs
-from secrecy_sim.model import PairParams, SystemConfig, make_symmetric_config
+from secrecy_sim import simulate
+from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.simulate import (
-    BATCH_TRIALS,
     ChannelDraw,
     RngSpec,
+    _batch_events,
+    _batch_trials,
+    _candidate_means,
     coupled_dominance_check,
     draws_per_trial,
     estimate_intercept,
@@ -28,6 +31,32 @@ from secrecy_sim.simulate import (
 def _draws(config, pair, count, seed=0):
     gen = RngSpec(seed).pair_generator(pair, config.n_pairs)
     return [sample_draw(config, pair, gen) for _ in range(count)]
+
+
+def _random_config(rng, n):
+    """N pairs with gains 10^U(-3, 3) and random duty cycles summing to 1."""
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 2))
+    weights = rng.uniform(0.5, 1.5, size=n)
+    alphas = weights / weights.sum()
+    return SystemConfig(pairs=tuple(PairParams(sd, se, a) for (sd, se), a in zip(gains, alphas)))
+
+
+def _reference_events(config, i, scheme, gamma, u):
+    """Intercept events from every gain of the block, then the max or the pick."""
+    pair, n = config.pairs[i], config.n_pairs
+    means = np.array([p.sigma2_se for j, p in enumerate(config.pairs) if j != i])
+    g_sd = -pair.sigma2_sd * np.log1p(-u[:, 0])
+    g_se = -pair.sigma2_se * np.log1p(-u[:, 1])
+    g_je = -means[None, :] * np.log1p(-u[:, 2 : n + 1])
+    if scheme == "nonc" or n == 1:
+        return g_sd < g_se
+    if scheme == "rjs":
+        m = n - 1
+        pick = np.minimum((u[:, n + 1] * m).astype(np.int64), m - 1)
+        gj = g_je[np.arange(len(u)), pick]
+    else:
+        gj = g_je.max(axis=1)
+    return gj * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
 
 
 # --- stream layout and sampling ----------------------------------------------
@@ -197,7 +226,7 @@ def test_estimator_is_deterministic():
 
 def test_estimator_worker_count_invariance():
     cfg = make_symmetric_config(3, 2.0)
-    trials = BATCH_TRIALS * 3 + 1234  # force several batches per pair
+    trials = cfg.n_pairs * (3 * _batch_trials(cfg.n_pairs) + 1234)  # 4 batches per pair
     single = estimate_intercept(cfg, "ojs", 10.0, trials, 9, workers=1)
     multi = estimate_intercept(cfg, "ojs", 10.0, trials, 9, workers=4)
     assert single == multi
@@ -205,7 +234,7 @@ def test_estimator_worker_count_invariance():
 
 def test_estimator_batching_matches_single_pass():
     cfg = make_symmetric_config(2, 1.0)
-    trials = BATCH_TRIALS + 5000
+    trials = cfg.n_pairs * (3 * _batch_trials(cfg.n_pairs) + 5000)  # 4 batches per pair
     per_pair = -(-trials // cfg.n_pairs)
     est = estimate_intercept(cfg, "nonc", 1.0, trials, 11)
     hits = []
@@ -217,6 +246,72 @@ def test_estimator_batching_matches_single_pass():
         hits.append(int((g_sd < g_se).sum()))
     expected = math.fsum(0.5 * h / per_pair for h in hits)
     assert est.p_hat == expected
+
+
+@pytest.mark.parametrize("scheme", ["rjs", "ojs"])
+def test_wide_system_batches_match_single_block(scheme):
+    # 64 pairs: one batch holds fewer trials than a pair runs, so every
+    # pair spans three batches, split over two workers
+    cfg = _random_config(np.random.default_rng(64), 64)
+    n, gamma = cfg.n_pairs, 30.0
+    per_pair = 2 * _batch_trials(n) + 321
+    one = estimate_intercept(cfg, scheme, gamma, n * per_pair, 5, workers=1)
+    two = estimate_intercept(cfg, scheme, gamma, n * per_pair, 5, workers=2)
+    assert one == two
+    hits = []
+    for i in range(n):
+        u = RngSpec(5).pair_generator(i, n).random((per_pair, draws_per_trial(n)))
+        hits.append(int(_reference_events(cfg, i, scheme, gamma, u).sum()))
+    assert one.p_hat == math.fsum(p.alpha * h / per_pair for p, h in zip(cfg.pairs, hits))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 14, 23, 40, 64, 79])
+def test_batch_events_match_all_columns_reference(n):
+    # the kernel transforms only the uniforms each scheme reads; its events
+    # must equal those of transforming every column, bit for bit
+    rng = np.random.default_rng(7000 + n)
+    for gamma in (1e-4, 10.0 ** rng.uniform(-4.0, 8.0), 1e8):
+        cfg = _random_config(rng, n)
+        i = int(rng.integers(n))
+        u = rng.random((3000, draws_per_trial(n)))
+        u[rng.random(u.shape) < 0.01] = 0.0
+        # a third of the rows sit at the non-cooperative boundary: g_se
+        # within a relative 1e-16..1e-2 of g_sd, on either side
+        pair = cfg.pairs[i]
+        rel = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-16.0, -2.0, 1000)
+        g_se = -pair.sigma2_sd * np.log1p(-u[:1000, 0]) * (1.0 + rel)
+        u[:1000, 1] = np.minimum(-np.expm1(-g_se / pair.sigma2_se), np.nextafter(1.0, 0.0))
+        for scheme in SCHEMES:
+            expected = _reference_events(cfg, i, scheme, gamma, u)
+            got = _batch_events(pair, _candidate_means(cfg, i), scheme, gamma, u)
+            assert np.array_equal(got, expected), (scheme, gamma)
+
+
+def test_estimator_clamps_workers_to_task_count(monkeypatch):
+    pool_sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    cfg = make_symmetric_config(3, 1.0)
+    est = estimate_intercept(cfg, "rjs", 10.0, 300, 5, workers=1_000_000)
+    assert pool_sizes == [3]  # one batch per pair
+    trials = cfg.n_pairs * (2 * _batch_trials(cfg.n_pairs) + 1)
+    estimate_intercept(cfg, "rjs", 10.0, trials, 5, workers=4)
+    assert pool_sizes == [3, 4]
+    assert est == estimate_intercept(cfg, "rjs", 10.0, 300, 5, workers=1)
+    assert pool_sizes == [3, 4]
 
 
 def test_noncoop_estimates_do_not_read_gamma():
