@@ -10,14 +10,12 @@ experiment harness.
 from .analytic import (
     InterceptValue,
     QuadratureError,
-    SubsetIterator,
     intercept_noncoop,
     intercept_sc_ojs,
     intercept_sc_ojs_oracle,
     intercept_sc_rjs,
     intercept_sc_rjs_oracle,
     ojs_integral_oracle,
-    phi_ojs,
     rjs_integral_oracle,
     scheme_intercept,
     varphi_rjs,
@@ -37,16 +35,10 @@ from .model import (
     validate,
 )
 from .simulate import (
-    ChannelDraw,
     InterceptEstimate,
     RngSpec,
     coupled_dominance_check,
     estimate_intercept,
-    event_noncoop,
-    event_sc,
-    sample_draw,
-    select_jammer_optimal,
-    select_jammer_random,
 )
 from .special import E1Bounds, e1, e1_bounds, e1_scaled
 

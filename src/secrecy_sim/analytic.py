@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -42,13 +42,11 @@ __all__ = [
     "OJS_EXACT_MAX_PAIRS",
     "QuadratureError",
     "InterceptValue",
-    "SubsetIterator",
     "intercept_noncoop",
     "varphi_rjs",
     "intercept_sc_rjs",
     "rjs_integral_oracle",
     "intercept_sc_rjs_oracle",
-    "phi_ojs",
     "intercept_sc_ojs",
     "ojs_integral_oracle",
     "intercept_sc_ojs_oracle",
@@ -154,57 +152,15 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     return math.fsum(alpha[i] / (n - 1) * terms)
 
 
-class SubsetIterator:
-    """Non-empty subsets of candidate jammer indices, in binary-counter order.
-
-    Subset k (k = 1 .. 2^M - 1 over M candidates) contains candidate b iff
-    bit b of k is set, so the order is deterministic and exhaustive.
-    """
-
-    def __init__(self, candidates: Sequence[int]):
-        self.candidates = tuple(candidates)
-
-    def __len__(self) -> int:
-        return (1 << len(self.candidates)) - 1
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        m = len(self.candidates)
-        for mask in range(1, 1 << m):
-            yield tuple(self.candidates[b] for b in range(m) if (mask >> b) & 1)
-
-
-def phi_ojs(config: SystemConfig, i: int, subset: Iterable[int], gamma: float) -> float:
-    """Exponential-integral argument for a subset of candidate jammers.
-
-    Equals 2*(sigma2_sd_i + sigma2_se_i)/(sigma2_sd_i * gamma) times the sum
-    of reciprocal jammer-to-eavesdropper gains over the subset; for a
-    singleton subset it coincides with varphi_rjs.
-    """
-    gamma = _check_gamma(gamma)
-    _check_pair_index(config, i)
-    members = tuple(subset)
-    if not members:
-        raise ValueError("jammer subset must be non-empty")
-    if len(set(members)) != len(members):
-        raise ValueError("jammer subset contains duplicate indices")
-    for j in members:
-        _check_pair_index(config, j)
-        if j == i:
-            raise ValueError("jammer subset must exclude the active pair")
-    sd_i = config.pairs[i].sigma2_sd
-    se_i = config.pairs[i].sigma2_se
-    recip = math.fsum(1.0 / config.pairs[j].sigma2_se for j in members)
-    return (2.0 * sd_i + 2.0 * se_i) / (sd_i * gamma) * recip
-
-
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
     """Alternating subset sum for active pair i under optimal selection.
 
-    Subset k (binary-counter order, as in SubsetIterator) has reciprocal
-    gain sum recip[k] and sign +1 for odd size, -1 for even.  The total is
-    exactly rounded (fsum), so order-independent: at high SNR the individual
-    terms are O(1/gamma) while the total is O(ln(gamma)/gamma), so
-    cancellation is real.
+    Subset k (binary-counter order: candidate b is in subset k iff bit b of k
+    is set) has reciprocal gain sum recip[k] and sign +1 for odd size, -1 for
+    even.  The total is exactly rounded (fsum), so order-independent: at
+    high SNR the individual terms are O(1/gamma) while the total is
+    O(ln(gamma)/gamma), so cancellation is real.  tests/ojs_subsets.py
+    holds the explicit-subset slow path that checks this sum independently.
     """
     sd_i = config.pairs[i].sigma2_sd
     se_i = config.pairs[i].sigma2_se

@@ -14,9 +14,11 @@ Config file grammar (--config), one statement per line, '#' comments:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -27,7 +29,6 @@ from .model import (
     SC_OJS,
     SC_RJS,
     SCHEMES,
-    SystemConfig,
     load_config,
     make_symmetric_config,
 )
@@ -36,8 +37,6 @@ from .special import e1, e1_bounds
 __all__ = ["main"]
 
 CSV_VERSION_LINE = "# secrecy-sim v1"
-
-EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5", "fig6", "sweep", "validate")
 
 _MIN_MC_TRIALS = 1000
 _MAX_WORKERS = 64
@@ -88,22 +87,15 @@ def _parse_symmetric(tokens: list[str]) -> tuple[int, float]:
             raise ValueError(f"expected N=.. or MER=.., got {tok!r}")
     if n is None or mer is None:
         raise ValueError("--symmetric needs both N=.. and MER=..")
+    if n < 1 or not 0.0 < mer < math.inf:
+        raise ValueError(
+            f"--symmetric needs N >= 1 and a positive finite MER, got N={n} MER={mer:g}"
+        )
     return n, mer
 
 
 def _parse_seed(text: str) -> int:
     return int(text, 0)
-
-
-def _resolve_config(args) -> SystemConfig:
-    if args.config and args.symmetric:
-        raise ValueError("--config and --symmetric are mutually exclusive")
-    if args.config:
-        return load_config(args.config)
-    if args.symmetric:
-        n, mer = _parse_symmetric(args.symmetric)
-        return make_symmetric_config(n, mer)
-    return make_symmetric_config(4, 1.0)
 
 
 def _selected_schemes(args) -> list[str]:
@@ -152,115 +144,72 @@ def _scheme_cells(config, scheme, gamma, args) -> dict:
     return cell
 
 
-def _mc_fields(args) -> list[str]:
-    return ["p_mc", "mc_stderr"] if args.trials > 0 else []
+@dataclass(frozen=True)
+class _Grid:
+    """One experiment: its swept axes, outermost first, and default grids.
 
-
-def _gamma_grid(args, default: str) -> list[float]:
-    return _parse_grid(args.gamma_db if args.gamma_db else default)
-
-
-def _mer_grid(args, default: str) -> list[float]:
-    return _parse_grid(args.mer_db if args.mer_db else default)
-
-
-def run_fig2(args) -> int:
-    """Intercept probability versus SNR for all schemes."""
-    config = _resolve_config(args)
-    rows = []
-    for gamma_db in _gamma_grid(args, "0:40:2"):
-        gamma = _db_to_linear(gamma_db)
-        for scheme in _selected_schemes(args):
-            rows.append({"gamma_db": _fmt_axis(gamma_db)} | _scheme_cells(config, scheme, gamma, args))
-    _write_csv(args.out, ["gamma_db", "scheme", "p_analytic"] + _mc_fields(args), rows)
-    return 0
-
-
-def run_sweep(args) -> int:
-    return run_fig2(args)
-
-
-def _symmetric_mer(args) -> float:
-    if args.symmetric:
-        return _parse_symmetric(args.symmetric)[1]
-    return 1.0
-
-
-def _require_no_config_file(args, experiment: str) -> None:
-    if args.config:
-        raise ValueError(f"{experiment} sweeps the pair count; use --symmetric, not --config")
-
-
-def run_fig3(args) -> int:
-    """Intercept probability versus number of pairs at fixed SNR."""
-    _require_no_config_file(args, "fig3")
-    gamma = _db_to_linear(_gamma_grid(args, "10")[0])
-    mer = _symmetric_mer(args)
-    rows = []
-    for n in range(1, 9):
-        config = make_symmetric_config(n, mer)
-        for scheme in _selected_schemes(args):
-            rows.append({"n": str(n)} | _scheme_cells(config, scheme, gamma, args))
-    _write_csv(args.out, ["n", "scheme", "p_analytic"] + _mc_fields(args), rows)
-    return 0
-
-
-def run_fig4(args) -> int:
-    """Intercept probability versus MER at fixed SNR.
-
-    Defaults to -10 dB SNR: in that regime the jamming-to-noise ratio is
-    small, so the three schemes' curves converge relatively at high MER as
-    well as absolutely.  At larger SNR the cooperative schemes keep a
-    roughly constant relative advantage (ratio ~ 2*e1_scaled(2/gamma)/gamma)
-    however large the MER gets; pass --gamma-db to sweep that regime.
+    Axes are drawn from "mer_db", "n" (pairs 1..8) and "gamma_db".  Without
+    a "gamma_db" axis the SNR is fixed at the first value of the SNR grid.
     """
-    if args.config:
-        raise ValueError("fig4 sweeps the MER; use --symmetric N=.., not --config")
-    n = _parse_symmetric(args.symmetric)[0] if args.symmetric else 4
-    gamma = _db_to_linear(_gamma_grid(args, "-10")[0])
+
+    axes: tuple[str, ...]
+    gamma_db: str
+    mer_db: str | None = None
+
+
+_GRIDS = {
+    "fig2": _Grid(axes=("gamma_db",), gamma_db="0:40:2"),
+    "fig3": _Grid(axes=("n",), gamma_db="10"),
+    # -10 dB SNR: there the jamming-to-noise ratio is small, so the three
+    # schemes' curves converge relatively at high MER as well as absolutely.
+    # At larger SNR the cooperative schemes keep a roughly constant relative
+    # advantage (ratio ~ 2*e1_scaled(2/gamma)/gamma) however large the MER
+    # gets; pass --gamma-db to sweep that regime.
+    "fig4": _Grid(axes=("mer_db",), gamma_db="-10", mer_db="-10:30:2"),
+    "fig5": _Grid(axes=("mer_db", "gamma_db"), gamma_db="0:40:2", mer_db="-5:5:10"),
+    "fig6": _Grid(axes=("mer_db", "n"), gamma_db="10", mer_db="-5:5:10"),
+}
+_GRIDS["sweep"] = _GRIDS["fig2"]
+
+
+def run_grid(args) -> int:
+    """Every selected scheme at every point of the experiment's axis product.
+
+    The system comes from --config or --symmetric when the SNR is the only
+    axis; otherwise each point is a symmetric system whose pair count and
+    MER come from the swept axes, the rest from --symmetric (default N=4,
+    MER=1).  A flag the experiment would ignore is refused.
+    """
+    grid = _GRIDS[args.experiment]
+    ignored = {
+        "--config": args.config and grid.axes != ("gamma_db",),
+        "--symmetric": args.symmetric and {"n", "mer_db"} <= set(grid.axes),
+        "--mer-db": args.mer_db and "mer_db" not in grid.axes,
+    }
+    for flag, given in ignored.items():
+        if given:
+            raise ValueError(f"{args.experiment} does not read {flag}")
+    if args.config and args.symmetric:
+        raise ValueError("--config and --symmetric are mutually exclusive")
+    n, mer = _parse_symmetric(args.symmetric) if args.symmetric else (4, 1.0)
+    fixed = load_config(args.config) if args.config else None
+    grids = {"gamma_db": args.gamma_db or grid.gamma_db, "mer_db": args.mer_db or grid.mer_db}
+    first_gamma_db = _parse_grid(grids["gamma_db"])[0]
+    axes = [range(1, 9) if axis == "n" else _parse_grid(grids[axis]) for axis in grid.axes]
+    schemes = _selected_schemes(args)
     rows = []
-    for mer_db in _mer_grid(args, "-10:30:2"):
-        config = make_symmetric_config(n, _db_to_linear(mer_db))
-        for scheme in _selected_schemes(args):
-            rows.append({"mer_db": _fmt_axis(mer_db)} | _scheme_cells(config, scheme, gamma, args))
-    _write_csv(args.out, ["mer_db", "scheme", "p_analytic"] + _mc_fields(args), rows)
-    return 0
-
-
-def run_fig5(args) -> int:
-    """Intercept probability versus SNR for several MER values."""
-    if args.config:
-        raise ValueError("fig5 sweeps the MER; use --symmetric N=.., not --config")
-    n = _parse_symmetric(args.symmetric)[0] if args.symmetric else 4
-    rows = []
-    for mer_db in _mer_grid(args, "-5:5:10"):
-        config = make_symmetric_config(n, _db_to_linear(mer_db))
-        for gamma_db in _gamma_grid(args, "0:40:2"):
-            gamma = _db_to_linear(gamma_db)
-            for scheme in _selected_schemes(args):
-                rows.append(
-                    {"mer_db": _fmt_axis(mer_db), "gamma_db": _fmt_axis(gamma_db)}
-                    | _scheme_cells(config, scheme, gamma, args)
-                )
-    _write_csv(args.out, ["mer_db", "gamma_db", "scheme", "p_analytic"] + _mc_fields(args), rows)
-    return 0
-
-
-def run_fig6(args) -> int:
-    """Intercept probability versus number of pairs for several MER values."""
-    _require_no_config_file(args, "fig6")
-    gamma = _db_to_linear(_gamma_grid(args, "10")[0])
-    rows = []
-    for mer_db in _mer_grid(args, "-5:5:10"):
-        mer = _db_to_linear(mer_db)
-        for n in range(1, 9):
-            config = make_symmetric_config(n, mer)
-            for scheme in _selected_schemes(args):
-                rows.append(
-                    {"mer_db": _fmt_axis(mer_db), "n": str(n)}
-                    | _scheme_cells(config, scheme, gamma, args)
-                )
-    _write_csv(args.out, ["mer_db", "n", "scheme", "p_analytic"] + _mc_fields(args), rows)
+    for point in itertools.product(*axes):
+        at = dict(zip(grid.axes, point))
+        gamma = _db_to_linear(at.get("gamma_db", first_gamma_db))
+        config = fixed
+        if config is None:
+            point_mer = _db_to_linear(at["mer_db"]) if "mer_db" in at else mer
+            config = make_symmetric_config(at.get("n", n), point_mer)
+        axis_cells = {axis: _fmt_axis(value) for axis, value in at.items()}
+        for scheme in schemes:
+            rows.append(axis_cells | _scheme_cells(config, scheme, gamma, args))
+    mc_fields = ["p_mc", "mc_stderr"] if args.trials > 0 else []
+    _write_csv(args.out, [*grid.axes, "scheme", "p_analytic", *mc_fields], rows)
     return 0
 
 
@@ -417,23 +366,12 @@ def run_validate(args) -> int:
     return 0
 
 
-_RUNNERS = {
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "sweep": run_sweep,
-    "validate": run_validate,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secrecy-sim",
         description="Intercept-probability sweeps for spectrum sharing under cooperative jamming.",
     )
-    parser.add_argument("--experiment", required=True, choices=EXPERIMENTS)
+    parser.add_argument("--experiment", required=True, choices=[*_GRIDS, "validate"])
     parser.add_argument("--config", help="path to a pair-list config file")
     parser.add_argument(
         "--symmetric",
@@ -478,7 +416,9 @@ def main(argv=None) -> int:
         print(f"--workers must be between 1 and {_MAX_WORKERS}", file=sys.stderr)
         return 2
     try:
-        return _RUNNERS[args.experiment](args)
+        if args.experiment == "validate":
+            return run_validate(args)
+        return run_grid(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

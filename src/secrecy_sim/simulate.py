@@ -27,15 +27,9 @@ from numpy.random import Generator, Philox
 from .model import NONCOOP, SC_OJS, SC_RJS, SCHEMES, PairParams, SystemConfig, require_valid
 
 __all__ = [
-    "ChannelDraw",
     "InterceptEstimate",
     "RngSpec",
     "draws_per_trial",
-    "sample_draw",
-    "event_noncoop",
-    "select_jammer_random",
-    "select_jammer_optimal",
-    "event_sc",
     "estimate_intercept",
     "coupled_dominance_check",
 ]
@@ -90,15 +84,6 @@ class RngSpec:
 
 
 @dataclass(frozen=True)
-class ChannelDraw:
-    """One joint realization of squared fading gains for an active pair."""
-
-    g_sd: float
-    g_se: float
-    g_je: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class InterceptEstimate:
     """Monte Carlo estimate with its binomial standard error."""
 
@@ -147,21 +132,6 @@ def _gains_from_uniforms(
     return _exp_gain(pair.sigma2_sd, u[:, 0]), _exp_gain(pair.sigma2_se, u[:, 1]), g_je
 
 
-def sample_draw(config: SystemConfig, i: int, rng: Generator) -> ChannelDraw:
-    """Draw one trial's gains, consuming exactly one aligned stream slot."""
-    require_valid(config)
-    if not 0 <= i < config.n_pairs:
-        raise IndexError(f"pair index {i} out of range")
-    u = rng.random((1, draws_per_trial(config.n_pairs)))
-    g_sd, g_se, g_je = _gains_from_uniforms(config.pairs[i], _candidate_means(config, i), u)
-    return ChannelDraw(float(g_sd[0]), float(g_se[0]), tuple(float(g) for g in g_je[0]))
-
-
-def event_noncoop(draw: ChannelDraw) -> bool:
-    """Intercept under non-cooperation: eavesdropper gain beats main gain."""
-    return draw.g_sd < draw.g_se
-
-
 def _sc_intercept(g_je, gamma: float, g_sd, g_se):
     """Source-cooperation intercept condition g_je*gamma + 2 < 2*g_se/g_sd.
 
@@ -170,30 +140,6 @@ def _sc_intercept(g_je, gamma: float, g_sd, g_se):
     or broadcasting arrays.
     """
     return g_je * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
-
-
-def event_sc(draw: ChannelDraw, jammer: int, gamma: float) -> bool:
-    """Intercept under source cooperation with the given jammer."""
-    if not gamma > 0.0:
-        raise ValueError(f"SNR must be positive, got {gamma}")
-    return _sc_intercept(draw.g_je[jammer], gamma, draw.g_sd, draw.g_se)
-
-
-def select_jammer_random(candidates, rng: Generator):
-    """Equiprobable pick from `candidates`, using no channel information."""
-    options = list(candidates)
-    if not options:
-        raise ValueError("no candidate jammers to select from")
-    u = float(rng.random())
-    idx = min(int(u * len(options)), len(options) - 1)
-    return options[idx]
-
-
-def select_jammer_optimal(draw: ChannelDraw) -> int:
-    """Index of the strongest jammer-to-eavesdropper gain; ties to lowest."""
-    if not draw.g_je:
-        raise ValueError("no candidate jammers to select from")
-    return int(np.argmax(draw.g_je))
 
 
 def _batch_events(

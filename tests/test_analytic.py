@@ -9,20 +9,20 @@ from secrecy_sim import analytic
 from secrecy_sim.analytic import (
     OJS_EXACT_MAX_PAIRS,
     QuadratureError,
-    SubsetIterator,
     intercept_noncoop,
     intercept_sc_ojs,
     intercept_sc_ojs_oracle,
     intercept_sc_rjs,
     intercept_sc_rjs_oracle,
     ojs_integral_oracle,
-    phi_ojs,
     rjs_integral_oracle,
     scheme_intercept,
     varphi_rjs,
 )
 from secrecy_sim.model import PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.special import e1_scaled
+
+from ojs_subsets import SubsetIterator, phi_ojs
 
 ASYMMETRIC = SystemConfig(
     pairs=(

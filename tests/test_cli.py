@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from secrecy_sim import analytic
-from secrecy_sim.analytic import SubsetIterator, phi_ojs
 from secrecy_sim.cli import _parse_grid, _parse_symmetric, build_parser, main
 from secrecy_sim.special import e1_scaled
+
+from ojs_subsets import SubsetIterator, phi_ojs
 
 
 def _rows(path):
@@ -209,6 +211,45 @@ def test_golden_csv_bytes(tmp_path):
     )
 
 
+# SHA-256 of each experiment's CSV, Monte Carlo columns included, recorded
+# before the experiments shared one grid runner.
+_PINNED_CSV = {
+    "fig2": (
+        ["--gamma-db", "0:10:5"],
+        "a304a1f6a76e517466e8acd6f7466586dc115da44324e484f4aef231017c00ba",
+    ),
+    "fig3": (
+        ["--gamma-db", "5:15:5"],
+        "67367bf290fa235a8d2646b69f5ca8e25b22099d08324abc39ea1984cf5f3c48",
+    ),
+    "fig4": (
+        ["--mer-db=-10:10:10", "--symmetric", "N=3", "MER=1"],
+        "35c8cdfc663e19b911d251d4813a72fd32d76dd7c14cf99ba56d17a3450bf235",
+    ),
+    "fig5": (
+        ["--mer-db=-5:5:10", "--gamma-db", "0:10:10"],
+        "e8634699c47d9284c38ba45e410bec4505de1a65869de1f1346433a22a9a2cb0",
+    ),
+    "fig6": (
+        ["--mer-db", "0", "--gamma-db", "20"],
+        "3d58b57bf66dfb55719a4b6accc1d924cf735c55aa7c72cdd241d2965619b711",
+    ),
+    "sweep": (
+        ["--gamma-db", "0:10:5", "--symmetric", "N=3", "MER=2"],
+        "5fccef97f417848f7d39edc1c98a9461c13d58a8a15192139aeddcba8a5cb531",
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_PINNED_CSV))
+def test_every_experiment_csv_bytes_pinned(experiment, tmp_path):
+    flags, digest = _PINNED_CSV[experiment]
+    out = tmp_path / f"{experiment}.csv"
+    argv = ["--experiment", experiment, *flags, "--trials", "1000", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_output_defaults_to_stdout(capsys):
     rc = main(["--experiment", "sweep", "--trials", "0", "--gamma-db", "0", "--schemes", "nonc"])
     assert rc == 0
@@ -314,6 +355,15 @@ def test_rejects_bad_worker_count(capsys, tmp_path):
         ["--experiment", "fig3", "--symmetric", "N=4", "MER=nan", "--trials", "0"],
         ["--experiment", "fig2", "--gamma-db", "-3090", "--trials", "0"],
         ["--experiment", "fig2", "--gamma-db", "3080", "--trials", "0", "--config", "{cfg}"],
+        # values an experiment does not read are refused, not ignored
+        ["--experiment", "fig3", "--symmetric", "N=0", "MER=1", "--trials", "0"],
+        ["--experiment", "fig4", "--symmetric", "N=4", "MER=nan", "--trials", "0"],
+        ["--experiment", "fig5", "--symmetric", "N=4", "MER=nan", "--trials", "0"],
+        ["--experiment", "fig6", "--symmetric", "N=0", "MER=1", "--trials", "0"],
+        ["--experiment", "fig6", "--symmetric", "N=4", "MER=1", "--trials", "0"],
+        ["--experiment", "fig2", "--mer-db", "-4000", "--trials", "0"],
+        ["--experiment", "fig3", "--mer-db", "-4000", "--trials", "0"],
+        ["--experiment", "sweep", "--mer-db", "-4000", "--trials", "0"],
     ],
 )
 def test_rejects_nonfinite_or_overflowing_inputs(flags, tmp_path, capsys):

@@ -6,31 +6,64 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from secrecy_sim.analytic import intercept_noncoop, intercept_sc_ojs, intercept_sc_rjs
 from secrecy_sim import simulate
 from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.simulate import (
-    ChannelDraw,
     RngSpec,
     _batch_events,
     _batch_trials,
     _candidate_means,
+    _gains_from_uniforms,
+    _sc_intercept,
     coupled_dominance_check,
     draws_per_trial,
     estimate_intercept,
-    event_noncoop,
-    event_sc,
-    sample_draw,
-    select_jammer_optimal,
-    select_jammer_random,
 )
 
+UNIT_PAIR = PairParams(1.0, 1.0, 0.25)
 
-def _draws(config, pair, count, seed=0):
-    gen = RngSpec(seed).pair_generator(pair, config.n_pairs)
-    return [sample_draw(config, pair, gen) for _ in range(count)]
+
+def _block(seed, pair, n, trials, start_trial=0):
+    gen = RngSpec(seed).pair_generator(pair, n, start_trial=start_trial)
+    return gen.random((trials, draws_per_trial(n)))
+
+
+def _unit_gain_rows(rows, n):
+    """Uniforms whose unit-mean gains are the given (g_sd, g_se, *g_je) rows."""
+    gains = np.asarray(rows, dtype=float)
+    u = np.zeros((len(gains), draws_per_trial(n)))
+    u[:, : gains.shape[1]] = -np.expm1(-gains)
+    return u
+
+
+def _events(u, m, scheme, gamma):
+    """Kernel events for a unit-mean active pair with m unit-mean candidate jammers."""
+    return _batch_events(UNIT_PAIR, np.ones(m), scheme, gamma, u)
+
+
+def _rjs_picks(u, m):
+    """The jammer the rjs kernel picks in each row of `u`, read off its events.
+
+    In a copy of the block jammer k gets zero gain, every other jammer a
+    huge one, and g_se > g_sd, so the rjs event holds exactly where k is
+    picked.  Only the jammer and gain columns change; the pick column does
+    not.
+    """
+    picks = np.full(len(u), -1)
+    for k in range(m):
+        v = u.copy()
+        v[:, 0], v[:, 1] = 0.5, 0.9
+        v[:, 2 : m + 2] = np.nextafter(1.0, 0.0)
+        v[:, 2 + k] = 0.0
+        hit = _events(v, m, "rjs", 1e6)
+        assert not (hit & (picks >= 0)).any()
+        picks[hit] = k
+    assert (picks >= 0).all()
+    return picks
 
 
 def _random_config(rng, n):
@@ -76,27 +109,30 @@ def test_rng_spec_rejects_out_of_range_seed():
 
 
 def test_pair_streams_differ_and_reproduce():
-    cfg = make_symmetric_config(3, 1.0)
-    a = _draws(cfg, 0, 3, seed=5)
-    b = _draws(cfg, 1, 3, seed=5)
-    again = _draws(cfg, 0, 3, seed=5)
-    assert a == again
-    assert a != b
+    a = _block(5, 0, 3, 3)
+    assert np.array_equal(a, _block(5, 0, 3, 3))
+    assert not np.array_equal(a, _block(5, 1, 3, 3))
+    assert not np.array_equal(a, _block(6, 0, 3, 3))
 
 
 def test_advance_to_trial_matches_sequential_consumption():
-    cfg = make_symmetric_config(4, 1.0)
-    sequential = _draws(cfg, 2, 6, seed=99)
-    gen = RngSpec(99).pair_generator(2, cfg.n_pairs, start_trial=4)
-    assert sample_draw(cfg, 2, gen) == sequential[4]
+    n = 4
+    gen = RngSpec(99).pair_generator(2, n)
+    sequential = np.vstack([gen.random((1, draws_per_trial(n))) for _ in range(6)])
+    assert np.array_equal(sequential, _block(99, 2, n, 6))
+    assert np.array_equal(_block(99, 2, n, 2, start_trial=4), sequential[4:])
 
 
-def test_sample_draw_shapes_and_positivity():
+def test_gains_shapes_and_positivity():
     cfg = make_symmetric_config(5, 2.0)
-    draw = _draws(cfg, 1, 1)[0]
-    assert len(draw.g_je) == cfg.n_pairs - 1
-    assert draw.g_sd >= 0.0 and draw.g_se >= 0.0
-    assert all(g >= 0.0 for g in draw.g_je)
+    u = _block(0, 1, cfg.n_pairs, 1000)
+    u[0] = 0.0
+    g_sd, g_se, g_je = _gains_from_uniforms(cfg.pairs[1], _candidate_means(cfg, 1), u)
+    assert g_sd.shape == g_se.shape == (1000,)
+    assert g_je.shape == (1000, cfg.n_pairs - 1)
+    for g in (g_sd, g_se, g_je):
+        assert np.isfinite(g).all() and (g >= 0.0).all()
+    assert g_sd[0] == g_se[0] == 0.0 and not g_je[0].any()
 
 
 def test_sample_marginals_match_exponential_distribution():
@@ -119,97 +155,148 @@ def test_symmetric_gains_tie_probability():
     assert abs(est.p_hat - 0.5) <= 3.0 * est.std_err
 
 
-# --- events -------------------------------------------------------------------
+# --- events ----------------------------------------------------------------
 
 
 def test_event_noncoop_examples():
-    assert event_noncoop(ChannelDraw(2.0, 1.0, (0.5,))) is False
-    assert event_noncoop(ChannelDraw(1.0, 2.0, (0.5,))) is True
-    assert event_noncoop(ChannelDraw(1.0, 1.0, (0.5,))) is False
+    u = _unit_gain_rows([(2.0, 1.0, 0.5), (1.0, 2.0, 0.5)], 2)
+    u = np.vstack([u, u[:1]])
+    u[2, 1] = u[2, 0]  # equal gains
+    assert _events(u, 1, "nonc", 10.0).tolist() == [False, True, False]
 
 
 def test_event_sc_boundary_and_examples():
-    assert event_sc(ChannelDraw(1.0, 1.0, (0.0,)), 0, 10.0) is False
-    assert event_sc(ChannelDraw(0.1, 1.0, (0.01,)), 0, 10.0) is True
+    assert not _sc_intercept(0.0, 10.0, 1.0, 1.0)
+    assert _sc_intercept(0.01, 10.0, 0.1, 1.0)
     for gamma in (0.1, 10.0, 1e6):
-        assert event_sc(ChannelDraw(2.0, 1.0, (0.3, 0.1)), 1, gamma) is False
+        assert not _sc_intercept(0.1, gamma, 2.0, 1.0)
+    # exact equality of the main and eavesdropper gains, with zero jamming,
+    # is no intercept for any scheme
+    u = _block(3, 0, 4, 500)
+    u[:, 1] = u[:, 0]
+    u[:, 2:5] = 0.0
+    for scheme in SCHEMES:
+        assert not _events(u, 3, scheme, 10.0).any()
 
 
 def test_event_sc_zero_main_gain_counts_as_intercept():
-    assert event_sc(ChannelDraw(0.0, 1.0, (5.0,)), 0, 10.0) is True
+    assert _sc_intercept(5.0, 10.0, 0.0, 1.0)
+    u = _block(4, 0, 4, 500)
+    u[:, 0] = 0.0
+    u[:, 1] = np.maximum(u[:, 1], 1e-12)
+    for scheme in SCHEMES:
+        assert _events(u, 3, scheme, 1e6).all()
 
 
 def test_event_sc_rejects_bad_gamma():
-    with pytest.raises(ValueError):
-        event_sc(ChannelDraw(1.0, 1.0, (1.0,)), 0, 0.0)
+    cfg = make_symmetric_config(2, 1.0)
+    for gamma in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            estimate_intercept(cfg, "rjs", gamma, 100, 0)
+        with pytest.raises(ValueError):
+            coupled_dominance_check(cfg, gamma, 100, 0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.floats(min_value=0.0, max_value=50.0),
-    st.floats(min_value=0.0, max_value=50.0),
-    st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            hnp.arrays(
+                np.float64,
+                st.tuples(st.integers(min_value=1, max_value=20), st.just(draws_per_trial(m + 1))),
+                elements=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+        )
+    ),
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=6, max_size=6),
     st.floats(min_value=1e-6, max_value=1e6),
 )
-def test_event_inclusion_chain_on_arbitrary_draws(g_sd, g_se, g_je, gamma):
-    draw = ChannelDraw(g_sd, g_se, tuple(g_je))
-    best = select_jammer_optimal(draw)
-    if event_sc(draw, best, gamma):
-        assert all(event_sc(draw, j, gamma) for j in range(len(g_je)))
-    for j in range(len(g_je)):
-        if event_sc(draw, j, gamma):
-            assert event_noncoop(draw)
+def test_event_inclusion_chain_on_arbitrary_draws(block, means, gamma):
+    m, u = block
+    jammer_means = np.array(means[:m])
+    pair = PairParams(1.0, 1.0, 0.5)
+    g_sd, g_se, g_je = _gains_from_uniforms(pair, jammer_means, u)
+    e_nonc = g_sd < g_se
+    e_sc = _sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
+    e_best = e_sc[np.arange(len(u)), g_je.argmax(axis=1)]
+    assert not (e_best & ~e_sc.all(axis=1)).any()
+    assert not (e_sc & ~e_nonc[:, None]).any()
+    nonc, rjs, ojs = (_batch_events(pair, jammer_means, s, gamma, u) for s in SCHEMES)
+    assert not (ojs & ~rjs).any() and not (rjs & ~nonc).any()
 
 
 # --- jammer selection -----------------------------------------------------
 
 
 def test_select_jammer_optimal_examples():
-    assert select_jammer_optimal(ChannelDraw(1.0, 1.0, (0.2, 1.7, 0.9))) == 1
-    assert select_jammer_optimal(ChannelDraw(1.0, 1.0, (0.4,))) == 0
-    with pytest.raises(ValueError):
-        select_jammer_optimal(ChannelDraw(1.0, 1.0, ()))
+    # at gamma = 2 with g_sd = 1 and g_se = 2, a jammer gain of 1 or more
+    # stops the intercept, so in the first row only the strongest jammer
+    # (1.7) can decide the event
+    rows = [(1.0, 2.0, 0.2, 1.7, 0.9), (1.0, 2.0, 0.2, 0.3, 0.9)]
+    assert _events(_unit_gain_rows(rows, 4), 3, "ojs", 2.0).tolist() == [False, True]
+    for g_j in (0.2, 0.9, 1.7):
+        single = _events(_unit_gain_rows([(1.0, 2.0, g_j)], 2), 1, "ojs", 2.0)
+        assert single.tolist() == [g_j < 1.0]
 
 
 def test_select_jammer_optimal_permutation_equivariance():
-    gains = (0.3, 2.2, 0.9, 1.4)
-    for perm in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)):
-        shuffled = tuple(gains[p] for p in perm)
-        chosen = select_jammer_optimal(ChannelDraw(1.0, 1.0, shuffled))
-        assert shuffled[chosen] == max(gains)
+    rng = np.random.default_rng(11)
+    n = 6
+    u = _block(8, 0, n, 4000)
+    means = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
+    pair = PairParams(1.0, 2.0, 1.0 / n)
+    base = _batch_events(pair, means, "ojs", 10.0, u)
+    for perm in (np.arange(n - 1)[::-1], rng.permutation(n - 1), rng.permutation(n - 1)):
+        shuffled = u.copy()
+        shuffled[:, 2 : n + 1] = u[:, 2 + perm]
+        assert np.array_equal(_batch_events(pair, means[perm], "ojs", 10.0, shuffled), base)
 
 
-def test_select_jammer_optimal_tie_breaks_low_index():
-    assert select_jammer_optimal(ChannelDraw(1.0, 1.0, (0.7, 0.7, 0.1))) == 0
+def test_tied_strongest_jammers_give_same_ojs_event():
+    u = _block(12, 0, 4, 4000)
+    u[:, 3] = u[:, 2]
+    u[:, 4] = u[:, 2] * 0.5
+    events = _events(u, 3, "ojs", 10.0)
+    g_sd, g_se, g_je = _gains_from_uniforms(UNIT_PAIR, np.ones(3), u)
+    assert np.array_equal(events, _sc_intercept(g_je[:, 0], 10.0, g_sd, g_se))
+    for tied in (2, 3):
+        one_left = u.copy()
+        one_left[:, tied] = 0.0
+        assert np.array_equal(_events(one_left, 3, "ojs", 10.0), events)
+    assert events.any() and not events.all()
 
 
 def test_select_jammer_random_uniform():
-    gen = RngSpec(42).pair_generator(0, 4)
-    counts = [0, 0, 0]
-    for _ in range(300_000):
-        counts[select_jammer_random([0, 1, 2], gen)] += 1
-    sigma = math.sqrt(300_000 * (1 / 3) * (2 / 3))
-    for c in counts:
-        assert abs(c - 100_000) <= 3.0 * sigma
+    # equally spaced pick uniforms must spread exactly evenly over the
+    # candidates, and the extreme uniforms must pick the first and last
+    for m in (2, 3, 5, 7):
+        u = _block(42, 0, m + 1, 300 * m + 2)
+        u[:-2, m + 2] = (np.arange(300 * m) + 0.5) / (300 * m)
+        u[-2:, m + 2] = 0.0, np.nextafter(1.0, 0.0)
+        picks = _rjs_picks(u, m)
+        assert (np.bincount(picks[:-2], minlength=m) == 300).all()
+        assert picks[-2:].tolist() == [0, m - 1]
 
 
 def test_select_jammer_random_single_candidate():
-    gen = RngSpec(0).pair_generator(0, 2)
-    assert all(select_jammer_random(["only"], gen) == "only" for _ in range(100))
-    with pytest.raises(ValueError):
-        select_jammer_random([], gen)
+    # with one candidate the random pick is the optimal one
+    u = _block(0, 0, 2, 5000)
+    assert np.array_equal(_events(u, 1, "rjs", 10.0), _events(u, 1, "ojs", 10.0))
+    assert (_rjs_picks(u, 1) == 0).all()
+    # with none, both cooperative schemes fall back to the noncoop event
+    for scheme in ("rjs", "ojs"):
+        assert np.array_equal(_events(u, 0, scheme, 10.0), _events(u, 0, "nonc", 10.0))
 
 
 def test_select_jammer_random_independent_of_gains():
-    # contingency of selected index vs strongest-gain index must look
+    # contingency of the picked jammer vs the strongest jammer must look
     # independent: chi-square test not rejecting at alpha = 0.01
     cfg = make_symmetric_config(4, 1.0)
-    gen = RngSpec(2024).pair_generator(0, cfg.n_pairs)
+    u = _block(2024, 0, cfg.n_pairs, 30_000)
+    _, _, g_je = _gains_from_uniforms(cfg.pairs[0], _candidate_means(cfg, 0), u)
     table = np.zeros((3, 3), dtype=int)
-    for _ in range(30_000):
-        draw = sample_draw(cfg, 0, gen)
-        chosen = select_jammer_random(range(3), gen)
-        table[chosen, select_jammer_optimal(draw)] += 1
+    np.add.at(table, (_rjs_picks(u, 3), g_je.argmax(axis=1)), 1)
     _, p_value, _, _ = stats.chi2_contingency(table)
     assert p_value > 0.01
 
