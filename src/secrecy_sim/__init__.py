@@ -16,11 +16,9 @@ from .analytic import (
     intercept_sc_rjs,
     intercept_sc_rjs_oracle,
     ojs_integral_oracle,
-    rjs_integral_oracle,
     scheme_intercept,
-    varphi_rjs,
 )
-from .diversity import DiversityFit, fit_diversity, local_slopes
+from .diversity import DiversityFit, fit_diversity
 from .model import (
     NONCOOP,
     SC_OJS,

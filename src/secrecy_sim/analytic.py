@@ -43,9 +43,7 @@ __all__ = [
     "QuadratureError",
     "InterceptValue",
     "intercept_noncoop",
-    "varphi_rjs",
     "intercept_sc_rjs",
-    "rjs_integral_oracle",
     "intercept_sc_rjs_oracle",
     "intercept_sc_ojs",
     "ojs_integral_oracle",
@@ -247,12 +245,36 @@ def _quad_unit_interval(integrand, gamma: float, scales_z: Iterable[float]) -> f
     return result / gamma
 
 
+def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:
+    """Quadrature of pair i's intercept probability past every listed jammer.
+
+    Integrates the product over `jammers` of [1 - exp(-(2z-2)/(sigma2_se_j*
+    gamma))] against the density of Z = g_se/g_sd over z in [1, inf).  One
+    jammer gives the per-(i, j) RJS term, every candidate the OJS bracket.
+    """
+    sd = config.pairs[i].sigma2_sd
+    se = config.pairs[i].sigma2_se
+    se_jammers = [config.pairs[j].sigma2_se for j in jammers]
+
+    def integrand(u: float, w: float) -> float:
+        # p_Z(z) * dz/du = sd*se / (sd + se*w)^2 with w = 1/z.
+        density = sd * se / (sd + se * w) ** 2
+        if w == 0.0:
+            return density
+        product = 1.0
+        for se_j in se_jammers:
+            product *= -math.expm1(-2.0 * u / (w * se_j * gamma))
+        return density * product
+
+    scales = [1.0 + se_j * gamma / 2.0 for se_j in se_jammers]
+    scales.append(1.0 + se / sd)
+    return _quad_unit_interval(integrand, gamma, scales)
+
+
 def rjs_integral_oracle(config: SystemConfig, i: int, j: int, gamma: float) -> float:
     """Direct quadrature of the per-(i, j) intercept probability term.
 
-    Integrates [1 - exp(-(2z-2)/(sigma2_se_j*gamma))] against the density of
-    Z = g_se/g_sd over z in [1, inf); independent of the E1-based closed
-    form it validates.
+    Independent of the E1-based closed form it validates.
     """
     require_valid(config)
     gamma = _check_gamma(gamma)
@@ -260,19 +282,7 @@ def rjs_integral_oracle(config: SystemConfig, i: int, j: int, gamma: float) -> f
     _check_pair_index(config, j)
     if i == j:
         raise ValueError("active pair cannot jam itself")
-    sd = config.pairs[i].sigma2_sd
-    se = config.pairs[i].sigma2_se
-    se_j = config.pairs[j].sigma2_se
-
-    def integrand(u: float, w: float) -> float:
-        # p_Z(z) * dz/du = sd*se / (sd + se*w)^2 with w = 1/z.
-        density = sd * se / (sd + se * w) ** 2
-        if w == 0.0:
-            return density
-        return density * -math.expm1(-2.0 * u / (w * se_j * gamma))
-
-    scales = [1.0 + se_j * gamma / 2.0, 1.0 + se / sd]
-    return _quad_unit_interval(integrand, gamma, scales)
+    return _jammed_oracle(config, i, [j], gamma)
 
 
 def ojs_integral_oracle(config: SystemConfig, i: int, gamma: float) -> float:
@@ -287,22 +297,7 @@ def ojs_integral_oracle(config: SystemConfig, i: int, gamma: float) -> float:
     _check_pair_index(config, i)
     if config.n_pairs < 2:
         raise ValueError("optimal selection needs at least one candidate jammer")
-    sd = config.pairs[i].sigma2_sd
-    se = config.pairs[i].sigma2_se
-    se_others = [p.sigma2_se for j, p in enumerate(config.pairs) if j != i]
-
-    def integrand(u: float, w: float) -> float:
-        density = sd * se / (sd + se * w) ** 2
-        if w == 0.0:
-            return density
-        product = 1.0
-        for se_j in se_others:
-            product *= -math.expm1(-2.0 * u / (w * se_j * gamma))
-        return density * product
-
-    scales = [1.0 + se_j * gamma / 2.0 for se_j in se_others]
-    scales.append(1.0 + se / sd)
-    return _quad_unit_interval(integrand, gamma, scales)
+    return _jammed_oracle(config, i, [j for j in range(config.n_pairs) if j != i], gamma)
 
 
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:

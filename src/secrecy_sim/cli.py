@@ -41,6 +41,7 @@ CSV_VERSION_LINE = "# secrecy-sim v1"
 _MIN_MC_TRIALS = 1000
 _MAX_WORKERS = 64
 _MAX_GRID_POINTS = 1_000_000
+_ALL_SCHEMES = ",".join(SCHEMES)
 
 
 def _db_to_linear(db: float) -> float:
@@ -172,6 +173,13 @@ _GRIDS = {
 _GRIDS["sweep"] = _GRIDS["fig2"]
 
 
+def _refuse_unread(args, ignored: dict) -> None:
+    """Refuse the first flag that was given although the experiment ignores it."""
+    for flag, given in ignored.items():
+        if given:
+            raise ValueError(f"{args.experiment} does not read {flag}")
+
+
 def run_grid(args) -> int:
     """Every selected scheme at every point of the experiment's axis product.
 
@@ -181,14 +189,11 @@ def run_grid(args) -> int:
     MER=1).  A flag the experiment would ignore is refused.
     """
     grid = _GRIDS[args.experiment]
-    ignored = {
+    _refuse_unread(args, {
         "--config": args.config and grid.axes != ("gamma_db",),
         "--symmetric": args.symmetric and {"n", "mer_db"} <= set(grid.axes),
         "--mer-db": args.mer_db and "mer_db" not in grid.axes,
-    }
-    for flag, given in ignored.items():
-        if given:
-            raise ValueError(f"{args.experiment} does not read {flag}")
+    })
     if args.config and args.symmetric:
         raise ValueError("--config and --symmetric are mutually exclusive")
     n, mer = _parse_symmetric(args.symmetric) if args.symmetric else (4, 1.0)
@@ -351,6 +356,13 @@ def _validate_checks(args) -> list[dict]:
 
 
 def run_validate(args) -> int:
+    _refuse_unread(args, {
+        "--config": args.config,
+        "--symmetric": args.symmetric,
+        "--gamma-db": args.gamma_db,
+        "--mer-db": args.mer_db,
+        "--schemes": args.schemes != _ALL_SCHEMES,
+    })
     checks = _validate_checks(args)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--mer-db", help="MER grid 'lo:hi:step' in dB, or one value")
     parser.add_argument(
-        "--schemes", default="nonc,rjs,ojs", help="comma list from: nonc,rjs,ojs"
+        "--schemes", default=_ALL_SCHEMES, help="comma list from: nonc,rjs,ojs"
     )
     parser.add_argument(
         "--workers",

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import analytic, simulate
+from . import analytic
 from .model import SnrSweep, SystemConfig
 
-__all__ = ["DEFAULT_WINDOW", "DiversityFit", "local_slopes", "fit_diversity"]
+__all__ = ["DEFAULT_WINDOW", "DiversityFit", "fit_diversity"]
 
 # High-SNR fit window where the ln(gamma) bias (~1/ln gamma ~ 0.08) is small
 # enough to separate diversity one from diversity zero by a wide margin.
@@ -44,55 +43,12 @@ class DiversityFit:
         return -self.slope
 
 
-def local_slopes(curve: Sequence[tuple[float, float]]) -> list[float]:
-    """Finite-difference slopes of ln(probability) vs ln(gamma).
-
-    Requires at least two points, strictly increasing gammas, and strictly
-    positive probabilities (a zero probability has no log-log slope).
-    """
-    if len(curve) < 2:
-        raise ValueError("need at least two curve points")
-    gammas = [float(g) for g, _ in curve]
-    probs = [float(p) for _, p in curve]
-    if any(b <= a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gammas must be strictly increasing")
-    if any(not p > 0.0 for p in probs):
-        raise ValueError("probabilities must be positive for log-log slopes")
-    return [
-        (math.log(probs[k + 1]) - math.log(probs[k]))
-        / (math.log(gammas[k + 1]) - math.log(gammas[k]))
-        for k in range(len(curve) - 1)
-    ]
-
-
-def fit_diversity(
-    scheme: str,
-    config: SystemConfig,
-    window: SnrSweep,
-    source: str = "analytic",
-    *,
-    trials: int = 1_000_000,
-    rng=0,
-    workers: int = 1,
-) -> DiversityFit:
-    """Least-squares diversity estimate over the given SNR window.
-
-    `source` selects the closed form ("analytic") or the Monte Carlo
-    estimator ("simulated"); the analytic source is preferred, since
-    sampling noise swamps log-log slopes unless trial counts are enormous.
-    """
+def fit_diversity(scheme: str, config: SystemConfig, window: SnrSweep) -> DiversityFit:
+    """Least-squares diversity estimate from the closed form over the SNR window."""
     gammas = window.gamma_values
     if len(gammas) < 2:
         raise ValueError("diversity fit needs at least two SNR points")
-    if source == "analytic":
-        probs = [analytic.scheme_intercept(config, scheme, g).value for g in gammas]
-    elif source == "simulated":
-        probs = [
-            simulate.estimate_intercept(config, scheme, g, trials, rng, workers).p_hat
-            for g in gammas
-        ]
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    probs = [analytic.scheme_intercept(config, scheme, g).value for g in gammas]
     if any(not (p > 0.0 and math.isfinite(p)) for p in probs):
         raise ValueError("window contains zero or non-finite probabilities")
     x = np.log(np.asarray(gammas))

@@ -119,19 +119,6 @@ def _exp_gain(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(-mean, g, out=g)
 
 
-def _gains_from_uniforms(
-    pair: PairParams, jammer_means: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map a (trials, draws_per_trial) uniform block to all exponential gains.
-
-    Column layout per trial: main gain, eavesdropper gain, one column per
-    candidate jammer (means `jammer_means`, in pair order), jammer-selection
-    uniform, padding.
-    """
-    g_je = _exp_gain(jammer_means, u[:, 2 : len(jammer_means) + 2])
-    return _exp_gain(pair.sigma2_sd, u[:, 0]), _exp_gain(pair.sigma2_se, u[:, 1]), g_je
-
-
 def _sc_intercept(g_je, gamma: float, g_sd, g_se):
     """Source-cooperation intercept condition g_je*gamma + 2 < 2*g_se/g_sd.
 
@@ -155,8 +142,8 @@ def _batch_events(
     columns, rjs the picked jammer's column, ojs the jammer columns of rows
     where 2*g_sd < 2*g_se.  On every other row no jammer can give an
     intercept, since g_je*gamma*g_sd is >= 0 (or NaN) and rounded addition
-    is monotone.  Each gain read is computed as `_gains_from_uniforms`
-    computes it, so the events equal those of the all-columns transform.
+    is monotone.  Each gain read is computed as transforming every column
+    would compute it, so the events equal those of the all-columns transform.
     """
     g_sd = _exp_gain(pair.sigma2_sd, u[:, 0])
     g_se = _exp_gain(pair.sigma2_se, u[:, 1])
@@ -197,6 +184,41 @@ def _as_rng_spec(rng) -> RngSpec:
     return RngSpec(int(rng))
 
 
+def _run_batches(config: SystemConfig, gamma: float, trials: int, rng, workers: int, count):
+    """Sum `count(pair, jammer_means, u)` over every uniform batch of every pair.
+
+    `u` is one batch's (rows, draws_per_trial) block of the pair's stream,
+    which `count` may overwrite.  Each pair runs ceil(trials / N) trials;
+    returns the per-pair sums and that trial count.
+    """
+    require_valid(config)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"SNR must be positive and finite, got {gamma}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    spec = _as_rng_spec(rng)
+    n = config.n_pairs
+    per_pair = -(-trials // n)
+    means = [_candidate_means(config, i) for i in range(n)]
+
+    def run_batch(pair: int, start: int, stop: int) -> int:
+        gen = spec.pair_generator(pair, n, start_trial=start)
+        u = gen.random((stop - start, draws_per_trial(n)))
+        return count(config.pairs[pair], means[pair], u)
+
+    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, n)]
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(lambda t: run_batch(*t), tasks))
+    else:
+        counts = [run_batch(*t) for t in tasks]
+    sums = [0] * n
+    for (i, _, _), c in zip(tasks, counts):
+        sums[i] += c
+    return sums, per_pair
+
+
 def estimate_intercept(
     config: SystemConfig,
     scheme: str,
@@ -213,36 +235,13 @@ def estimate_intercept(
     cooperation scheme with a single pair degrades to non-cooperation events
     and flags the estimate.
     """
-    require_valid(config)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not gamma > 0.0:
-        raise ValueError(f"SNR must be positive, got {gamma}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    spec = _as_rng_spec(rng)
+    successes, per_pair = _run_batches(
+        config, gamma, trials, rng, workers,
+        lambda pair, means, u: int(np.count_nonzero(_batch_events(pair, means, scheme, gamma, u))),
+    )
     n = config.n_pairs
-    per_pair = -(-trials // n)
-    degraded = scheme != NONCOOP and n == 1
-    means = [_candidate_means(config, i) for i in range(n)]
-
-    def run_batch(pair: int, start: int, stop: int) -> int:
-        gen = spec.pair_generator(pair, n, start_trial=start)
-        u = gen.random((stop - start, draws_per_trial(n)))
-        events = _batch_events(config.pairs[pair], means[pair], scheme, gamma, u)
-        return int(np.count_nonzero(events))
-
-    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, n)]
-    successes = [0] * n
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda t: run_batch(*t), tasks))
-    else:
-        counts = [run_batch(*t) for t in tasks]
-    for (i, _, _), c in zip(tasks, counts):
-        successes[i] += c
-
     rates = [successes[i] / per_pair for i in range(n)]
     p_hat = math.fsum(config.pairs[i].alpha * rates[i] for i in range(n))
     variance = math.fsum(
@@ -255,8 +254,33 @@ def estimate_intercept(
         std_err=math.sqrt(max(variance, 0.0)),
         scheme=scheme,
         gamma=gamma,
-        degraded=degraded,
+        degraded=scheme != NONCOOP and n == 1,
     )
+
+
+def _chain_violations(
+    gamma: float, pair: PairParams, jammer_means: np.ndarray, u: np.ndarray
+) -> int:
+    """Rows of one batch where the event-inclusion chain fails, counted per link.
+
+    Transforms the jammer columns in place and tests one column at a time,
+    so the batch builds no (trials, N-1) temporary.  The strongest jammer's
+    event is the condition at the row maximum, which equals the condition at
+    the argmax column since the condition is elementwise.
+    """
+    g_sd = _exp_gain(pair.sigma2_sd, u[:, 0])
+    g_se = _exp_gain(pair.sigma2_se, u[:, 1])
+    g_je = u[:, 2 : len(jammer_means) + 2]
+    _exp_gain(jammer_means, g_je, out=g_je)
+    every = np.ones(len(u), dtype=bool)
+    some = np.zeros(len(u), dtype=bool)
+    for col in g_je.T:
+        e = _sc_intercept(col, gamma, g_sd, g_se)
+        every &= e
+        some |= e
+    strongest = functools.reduce(np.maximum, g_je.T)
+    e_ojs = _sc_intercept(strongest, gamma, g_sd, g_se)
+    return int(np.count_nonzero(e_ojs & ~every) + np.count_nonzero(some & ~(g_sd < g_se)))
 
 
 def coupled_dominance_check(
@@ -268,29 +292,10 @@ def coupled_dominance_check(
     optimal (strongest) jammer must imply intercept with every candidate
     jammer, and intercept with any jammer must imply the non-cooperation
     intercept.  Returns the number of violating draws; 0 means the chain
-    held everywhere.
+    held everywhere.  Runs on one worker.
     """
-    require_valid(config)
     if config.n_pairs < 2:
         raise ValueError("dominance check needs at least two pairs")
-    if not gamma > 0.0:
-        raise ValueError(f"SNR must be positive, got {gamma}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    spec = _as_rng_spec(rng)
-    n = config.n_pairs
-    per_pair = -(-trials // n)
-    violations = 0
-    for i in range(n):
-        means = _candidate_means(config, i)
-        for start, stop in _batch_ranges(per_pair, n):
-            gen = spec.pair_generator(i, n, start_trial=start)
-            u = gen.random((stop - start, draws_per_trial(n)))
-            g_sd, g_se, g_je = _gains_from_uniforms(config.pairs[i], means, u)
-            e_nonc = g_sd < g_se
-            e_sc = _sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
-            rows = np.arange(e_sc.shape[0])
-            e_ojs = e_sc[rows, np.argmax(g_je, axis=1)]
-            violations += int(np.count_nonzero(e_ojs & ~e_sc.all(axis=1)))
-            violations += int(np.count_nonzero((e_sc & ~e_nonc[:, None]).any(axis=1)))
-    return violations
+    count = functools.partial(_chain_violations, gamma)
+    counts, _ = _run_batches(config, gamma, trials, rng, 1, count)
+    return sum(counts)

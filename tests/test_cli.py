@@ -364,6 +364,15 @@ def test_rejects_bad_worker_count(capsys, tmp_path):
         ["--experiment", "fig2", "--mer-db", "-4000", "--trials", "0"],
         ["--experiment", "fig3", "--mer-db", "-4000", "--trials", "0"],
         ["--experiment", "sweep", "--mer-db", "-4000", "--trials", "0"],
+        ["--experiment", "validate", "--config", "{cfg}"],
+        ["--experiment", "validate", "--symmetric", "N=4", "MER=1"],
+        ["--experiment", "validate", "--gamma-db", "10"],
+        ["--experiment", "validate", "--mer-db", "0"],
+        ["--experiment", "validate", "--schemes", "nonc"],
+        [
+            "--experiment", "validate", "--mer-db", "nan", "--symmetric", "N=0", "MER=nan",
+            "--gamma-db", "inf", "--schemes", "magic", "--config", "/nonexistent",
+        ],
     ],
 )
 def test_rejects_nonfinite_or_overflowing_inputs(flags, tmp_path, capsys):

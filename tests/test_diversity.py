@@ -6,45 +6,18 @@ import numpy as np
 import pytest
 
 from secrecy_sim.analytic import intercept_sc_ojs, intercept_sc_rjs
-from secrecy_sim.diversity import DiversityFit, fit_diversity, local_slopes
-from secrecy_sim.model import SnrSweep, make_symmetric_config
+from secrecy_sim.diversity import DiversityFit, fit_diversity
+from secrecy_sim.model import PairParams, SnrSweep, SystemConfig, make_symmetric_config
 
 WINDOW = SnrSweep.log_spaced(1e5, 1e6, 9)
 
 
-def test_local_slopes_pure_power_law():
-    curve = [(g, 3.0 / g) for g in np.logspace(1, 5, 9)]
-    for slope in local_slopes(curve):
-        assert slope == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_local_slopes_constant_curve():
-    curve = [(g, 0.25) for g in np.logspace(1, 5, 9)]
-    for slope in local_slopes(curve):
-        assert slope == pytest.approx(0.0, abs=1e-14)
-
-
-def test_local_slopes_log_over_gamma_two_point_value():
-    curve = [(1e5, math.log(1e5) / 1e5), (1e6, math.log(1e6) / 1e6)]
-    (slope,) = local_slopes(curve)
-    assert slope == pytest.approx(-1.0 + math.log(math.log(1e6) / math.log(1e5)) / math.log(10.0), rel=1e-12)
-    assert slope == pytest.approx(-0.9208, abs=1e-4)
-
-
-def test_local_slopes_input_validation():
-    with pytest.raises(ValueError):
-        local_slopes([(1.0, 0.5)])
-    with pytest.raises(ValueError):
-        local_slopes([(1.0, 0.5), (1.0, 0.4)])
-    with pytest.raises(ValueError):
-        local_slopes([(1.0, 0.5), (2.0, 0.0)])
-
-
 def test_sc_local_slopes_inside_unit_band_and_approach_minus_one():
     cfg = make_symmetric_config(4, 1.0)
+    g = np.logspace(2, 8, 13)
     for curve_fn in (intercept_sc_rjs, intercept_sc_ojs):
-        curve = [(g, curve_fn(cfg, g)) for g in np.logspace(2, 8, 13)]
-        slopes = local_slopes(curve)
+        p = np.array([curve_fn(cfg, x) for x in g])
+        slopes = np.diff(np.log(p)) / np.diff(np.log(g))
         assert all(-1.0 < s < 0.0 for s in slopes)
         for a, b in zip(slopes, slopes[1:]):
             assert b < a  # monotone approach to -1
@@ -99,23 +72,14 @@ def test_fit_reports_window_and_residual():
     assert isinstance(fit, DiversityFit)
 
 
-def test_fit_diversity_simulated_source_runs():
-    cfg = make_symmetric_config(2, 1.0)
-    window = SnrSweep((1.0, 10.0, 100.0))
-    fit = fit_diversity("rjs", cfg, window, source="simulated", trials=100_000, rng=6)
-    assert math.isfinite(fit.diversity)
-    assert fit.points == 3
-
-
-def test_fit_diversity_simulated_zero_probability_errors():
-    cfg = make_symmetric_config(2, 1.0)
+def test_fit_diversity_zero_probability_errors():
+    # every duty cycle zero: the non-cooperation probability is exactly 0
+    cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 0.0),) * 2)
     with pytest.raises(ValueError, match="zero or non-finite"):
-        fit_diversity("rjs", cfg, WINDOW, source="simulated", trials=1000, rng=0)
+        fit_diversity("nonc", cfg, WINDOW)
 
 
 def test_fit_diversity_input_validation():
     cfg = make_symmetric_config(2, 1.0)
     with pytest.raises(ValueError):
         fit_diversity("rjs", cfg, SnrSweep((10.0,)))
-    with pytest.raises(ValueError, match="unknown source"):
-        fit_diversity("rjs", cfg, WINDOW, source="tea-leaves")

@@ -17,7 +17,8 @@ from secrecy_sim.simulate import (
     _batch_events,
     _batch_trials,
     _candidate_means,
-    _gains_from_uniforms,
+    _chain_violations,
+    _exp_gain,
     _sc_intercept,
     coupled_dominance_check,
     draws_per_trial,
@@ -74,13 +75,16 @@ def _random_config(rng, n):
     return SystemConfig(pairs=tuple(PairParams(sd, se, a) for (sd, se), a in zip(gains, alphas)))
 
 
+def _all_gains(pair, jammer_means, u):
+    """Every gain of a uniform block: main, eavesdropper, one column per jammer."""
+    g_je = -jammer_means[None, :] * np.log1p(-u[:, 2 : len(jammer_means) + 2])
+    return -pair.sigma2_sd * np.log1p(-u[:, 0]), -pair.sigma2_se * np.log1p(-u[:, 1]), g_je
+
+
 def _reference_events(config, i, scheme, gamma, u):
     """Intercept events from every gain of the block, then the max or the pick."""
-    pair, n = config.pairs[i], config.n_pairs
-    means = np.array([p.sigma2_se for j, p in enumerate(config.pairs) if j != i])
-    g_sd = -pair.sigma2_sd * np.log1p(-u[:, 0])
-    g_se = -pair.sigma2_se * np.log1p(-u[:, 1])
-    g_je = -means[None, :] * np.log1p(-u[:, 2 : n + 1])
+    n = config.n_pairs
+    g_sd, g_se, g_je = _all_gains(config.pairs[i], _candidate_means(config, i), u)
     if scheme == "nonc" or n == 1:
         return g_sd < g_se
     if scheme == "rjs":
@@ -125,9 +129,16 @@ def test_advance_to_trial_matches_sequential_consumption():
 
 def test_gains_shapes_and_positivity():
     cfg = make_symmetric_config(5, 2.0)
+    means = _candidate_means(cfg, 1)
     u = _block(0, 1, cfg.n_pairs, 1000)
     u[0] = 0.0
-    g_sd, g_se, g_je = _gains_from_uniforms(cfg.pairs[1], _candidate_means(cfg, 1), u)
+    g_sd, g_se, g_je = _all_gains(cfg.pairs[1], means, u)
+    assert np.array_equal(_exp_gain(cfg.pairs[1].sigma2_sd, u[:, 0]), g_sd)
+    assert np.array_equal(_exp_gain(cfg.pairs[1].sigma2_se, u[:, 1]), g_se)
+    # in place, on a strided view of the block, as the dominance check does
+    in_place = u[:, 2 : cfg.n_pairs + 1]
+    assert _exp_gain(means, in_place, out=in_place) is in_place
+    assert np.array_equal(u[:, 2 : cfg.n_pairs + 1], g_je)
     assert g_sd.shape == g_se.shape == (1000,)
     assert g_je.shape == (1000, cfg.n_pairs - 1)
     for g in (g_sd, g_se, g_je):
@@ -190,7 +201,7 @@ def test_event_sc_zero_main_gain_counts_as_intercept():
 
 def test_event_sc_rejects_bad_gamma():
     cfg = make_symmetric_config(2, 1.0)
-    for gamma in (0.0, -1.0, math.nan):
+    for gamma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             estimate_intercept(cfg, "rjs", gamma, 100, 0)
         with pytest.raises(ValueError):
@@ -216,12 +227,13 @@ def test_event_inclusion_chain_on_arbitrary_draws(block, means, gamma):
     m, u = block
     jammer_means = np.array(means[:m])
     pair = PairParams(1.0, 1.0, 0.5)
-    g_sd, g_se, g_je = _gains_from_uniforms(pair, jammer_means, u)
+    g_sd, g_se, g_je = _all_gains(pair, jammer_means, u)
     e_nonc = g_sd < g_se
     e_sc = _sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
     e_best = e_sc[np.arange(len(u)), g_je.argmax(axis=1)]
     assert not (e_best & ~e_sc.all(axis=1)).any()
     assert not (e_sc & ~e_nonc[:, None]).any()
+    assert _chain_violations(gamma, pair, jammer_means, u.copy()) == 0
     nonc, rjs, ojs = (_batch_events(pair, jammer_means, s, gamma, u) for s in SCHEMES)
     assert not (ojs & ~rjs).any() and not (rjs & ~nonc).any()
 
@@ -258,7 +270,7 @@ def test_tied_strongest_jammers_give_same_ojs_event():
     u[:, 3] = u[:, 2]
     u[:, 4] = u[:, 2] * 0.5
     events = _events(u, 3, "ojs", 10.0)
-    g_sd, g_se, g_je = _gains_from_uniforms(UNIT_PAIR, np.ones(3), u)
+    g_sd, g_se, g_je = _all_gains(UNIT_PAIR, np.ones(3), u)
     assert np.array_equal(events, _sc_intercept(g_je[:, 0], 10.0, g_sd, g_se))
     for tied in (2, 3):
         one_left = u.copy()
@@ -294,7 +306,7 @@ def test_select_jammer_random_independent_of_gains():
     # independent: chi-square test not rejecting at alpha = 0.01
     cfg = make_symmetric_config(4, 1.0)
     u = _block(2024, 0, cfg.n_pairs, 30_000)
-    _, _, g_je = _gains_from_uniforms(cfg.pairs[0], _candidate_means(cfg, 0), u)
+    _, _, g_je = _all_gains(cfg.pairs[0], _candidate_means(cfg, 0), u)
     table = np.zeros((3, 3), dtype=int)
     np.add.at(table, (_rjs_picks(u, 3), g_je.argmax(axis=1)), 1)
     _, p_value, _, _ = stats.chi2_contingency(table)
@@ -541,3 +553,60 @@ def test_dominance_seed_independent():
 def test_dominance_rejects_single_pair():
     with pytest.raises(ValueError):
         coupled_dominance_check(make_symmetric_config(1, 1.0), 10.0, 100, 0)
+
+
+def _reference_violations(cfg, gamma, trials, seed):
+    """The chain check on every gain of each pair's whole block at once."""
+    n = cfg.n_pairs
+    per_pair = -(-trials // n)
+    violations = 0
+    for i in range(n):
+        u = RngSpec(seed).pair_generator(i, n).random((per_pair, draws_per_trial(n)))
+        g_sd, g_se, g_je = _all_gains(cfg.pairs[i], _candidate_means(cfg, i), u)
+        e_sc = simulate._sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
+        e_best = e_sc[np.arange(per_pair), g_je.argmax(axis=1)]
+        violations += int(np.count_nonzero(e_best & ~e_sc.all(axis=1)))
+        violations += int(np.count_nonzero((e_sc & ~(g_sd < g_se)[:, None]).any(axis=1)))
+    return violations
+
+
+def _flipped_comparison(g_je, gamma, g_sd, g_se):
+    return g_je * gamma * g_sd + 2.0 * g_sd > 2.0 * g_se
+
+
+def _doubled_eavesdropper_gain(g_je, gamma, g_sd, g_se):
+    return g_je * gamma * g_sd + 2.0 * g_sd < 4.0 * g_se
+
+
+def _negated_jamming(g_je, gamma, g_sd, g_se):
+    return 2.0 * g_sd - g_je * gamma * g_sd < 2.0 * g_se
+
+
+def _dropped_gamma(g_je, gamma, g_sd, g_se):
+    return g_je * g_sd + 2.0 * g_sd < 2.0 * g_se
+
+
+@pytest.mark.parametrize(
+    "condition,chain_holds",
+    [
+        (_sc_intercept, True),
+        # dropping gamma sets it to 1, under which the chain still holds
+        (_dropped_gamma, True),
+        (_flipped_comparison, False),
+        (_doubled_eavesdropper_gain, False),
+        (_negated_jamming, False),
+    ],
+)
+def test_dominance_check_counts_mutant_violations(condition, chain_holds, monkeypatch):
+    # the check tests one jammer column at a time on gains it transformed in
+    # place; under any intercept condition it must count exactly what the
+    # all-columns form counts, and it can only read 0 where the chain holds
+    monkeypatch.setattr(simulate, "_sc_intercept", condition)
+    rng = np.random.default_rng(2026)
+    for n, per_pair in ((2, _batch_trials(2) + 77), (3, 4000), (5, 3000), (64, 300)):
+        cfg = _random_config(rng, n)
+        gamma = 10.0 ** rng.uniform(-2.0, 4.0)
+        seed = int(rng.integers(2**32))
+        expected = _reference_violations(cfg, gamma, n * per_pair, seed)
+        assert coupled_dominance_check(cfg, gamma, n * per_pair, seed) == expected
+        assert (expected == 0) == chain_holds, (n, expected)
