@@ -23,7 +23,12 @@ alternating sum over non-empty candidate subsets of the same term shape.
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
 The oracles are all-positive integrals, so they are immune to the
-cancellation the alternating subset sum has to manage at high SNR.
+cancellation the alternating subset sum has to manage at high SNR.  They
+integrate over s = ln X, where X is the eavesdropper's excess over the main
+channel scaled to a standard log-logistic law, so the integrand's knees sit
+at s = 0 and s = ln kappa_j (kappa_j is proportional to gamma) and the integral keeps
+its shape at any SNR.  The oracles accept every gamma at which each kappa_j
+is positive and finite, and refuse the rest as an SNR range error.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ __all__ = [
 # pair) is refused; callers must fall back to ojs_integral_oracle.
 OJS_EXACT_MAX_PAIRS = 20
 
-_QUAD_EPSABS = 1e-12
 _QUAD_EPSREL = 1e-10
 _QUAD_LIMIT = 300
 
@@ -83,6 +87,12 @@ def _check_gamma(gamma: float) -> float:
     return g
 
 
+def _snr_range_error(gamma: float, what: str) -> ValueError:
+    return ValueError(
+        f"SNR {gamma:g} is out of range for these channel gains: {what} over- or underflows"
+    )
+
+
 @contextmanager
 def _snr_in_range(gamma: float):
     """Report an overflow, or an E1 argument it left at 0 or inf, as an SNR range error."""
@@ -90,10 +100,7 @@ def _snr_in_range(gamma: float):
         with np.errstate(over="raise"):
             yield
     except (FloatingPointError, ValueError):
-        raise ValueError(
-            f"SNR {gamma:g} is out of range for these channel gains: "
-            "the closed form over- or underflows"
-        ) from None
+        raise _snr_range_error(gamma, "the closed form") from None
 
 
 def _check_pair_index(config: SystemConfig, i: int) -> None:
@@ -207,68 +214,51 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     )
 
 
-def _quad_unit_interval(integrand, gamma: float, scales_z: Iterable[float]) -> float:
-    """Integrate over z in [1, inf) via z = 1 + u/(1-u), u in [0, 1).
+def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:
+    """Quadrature of pair i's intercept probability past every listed jammer.
 
-    `integrand` receives (u, w) with w = 1 - u and must already include the
-    dz/du = 1/w^2 Jacobian in stable form.  The integrand is scaled by gamma
-    before integration so that the requested absolute tolerance keeps pace
-    with the 1/gamma decay of the cooperative-scheme probabilities.
-
-    `scales_z` lists the z values where the integrand changes character
-    (jamming-exponential knees, density roll-off).  They are mapped to
-    u-breakpoints, since the substitution squeezes large-z features into a
-    thin layer at u = 1 that blind subdivision can fail to resolve.
+    Given Z = g_se/g_sd > 1 (probability se/(sd + se)), the excess X = (Z -
+    1)*sd/(sd + se) has P(X > x) = 1/(1 + x), so s = ln X is standard
+    logistic.  Jammer j then fails to cover the event with probability 1 -
+    exp(-exp(s - ln kappa_j)), kappa_j = sd*gamma*se_j/(2*(sd + se)), and the
+    product over `jammers` is integrated against the logistic density.  One
+    jammer gives the per-(i, j) RJS term, every candidate the OJS bracket.
+    Every feature sits at a knee {0, ln kappa_j} whatever gamma is, so the
+    knees are the breakpoints; the range stops 50 past the outer ones, where
+    the logistic or jamming tails left out are of order e^-50 of the value.
     """
-    points = set()
-    for z in scales_z:
-        # Geometric blanket: products of several knee factors build up over
-        # multiple decades below the knee, so a single breakpoint per scale
-        # leaves subintervals whose error estimate can be fooled.
-        for factor in (1e-4, 1e-3, 1e-2, 1e-1, 0.3, 1.0, 3.0, 10.0, 100.0):
-            zf = 1.0 + factor * (z - 1.0)
-            u = (zf - 1.0) / zf
-            if 1e-14 < u < 1.0 - 1e-14:
-                points.add(u)
+    sd = config.pairs[i].sigma2_sd
+    se = config.pairs[i].sigma2_se
+    kappas = [sd * gamma * config.pairs[j].sigma2_se / (2.0 * (sd + se)) for j in jammers]
+    if not all(0.0 < k < math.inf for k in kappas):
+        raise _snr_range_error(gamma, "the jamming scale")
+    log_kappas = [math.log(k) for k in kappas]
+    knees = sorted({0.0, *log_kappas})
+
+    def integrand(s: float) -> float:
+        # logistic density e/(1 + e)^2 with e = exp(-|s|): no overflow at any s
+        e = math.exp(-abs(s))
+        value = e / (1.0 + e) ** 2
+        for log_kappa in log_kappas:
+            t = s - log_kappa
+            # beyond 700 the factor rounds to 1 and exp(t) nears overflow
+            if t <= 700.0:
+                value *= -math.expm1(-math.exp(t))
+        return value
+
     result, abserr, info, *rest = integrate.quad(
-        lambda u: gamma * integrand(u, 1.0 - u),
-        0.0,
-        1.0,
-        epsabs=_QUAD_EPSABS,
+        integrand,
+        knees[0] - 50.0,
+        knees[-1] + 50.0,
+        epsabs=0.0,
         epsrel=_QUAD_EPSREL,
         limit=_QUAD_LIMIT,
-        points=sorted(points) or None,
+        points=knees,
         full_output=1,
     )
     if rest:
         raise QuadratureError(f"quadrature did not converge: {rest[0]}")
-    return result / gamma
-
-
-def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:
-    """Quadrature of pair i's intercept probability past every listed jammer.
-
-    Integrates the product over `jammers` of [1 - exp(-(2z-2)/(sigma2_se_j*
-    gamma))] against the density of Z = g_se/g_sd over z in [1, inf).  One
-    jammer gives the per-(i, j) RJS term, every candidate the OJS bracket.
-    """
-    sd = config.pairs[i].sigma2_sd
-    se = config.pairs[i].sigma2_se
-    se_jammers = [config.pairs[j].sigma2_se for j in jammers]
-
-    def integrand(u: float, w: float) -> float:
-        # p_Z(z) * dz/du = sd*se / (sd + se*w)^2 with w = 1/z.
-        density = sd * se / (sd + se * w) ** 2
-        if w == 0.0:
-            return density
-        product = 1.0
-        for se_j in se_jammers:
-            product *= -math.expm1(-2.0 * u / (w * se_j * gamma))
-        return density * product
-
-    scales = [1.0 + se_j * gamma / 2.0 for se_j in se_jammers]
-    scales.append(1.0 + se / sd)
-    return _quad_unit_interval(integrand, gamma, scales)
+    return se / (sd + se) * result
 
 
 def rjs_integral_oracle(config: SystemConfig, i: int, j: int, gamma: float) -> float:

@@ -259,7 +259,7 @@ def _check_e1_quadrature(args) -> list[dict]:
 
 
 def _check_oracles_and_ordering(args) -> list[dict]:
-    gammas = np.logspace(-1, 6, 7)
+    gammas = np.logspace(-1, 12, 14)
     worst_rjs = 0.0
     worst_ojs = 0.0
     ordering_ok = True

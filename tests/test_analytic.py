@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -154,7 +155,7 @@ def test_rjs_term_ratio_approaches_log_limit():
         rjs_integral_oracle(cfg, 0, 1, g) * g / math.log(g) for g in (1e2, 1e4, 1e6)
     ]
     assert ratios[0] < ratios[1] < ratios[2] < 2.0
-    # closed form carries the trend to SNRs beyond the oracle's range
+    # the closed form carries the trend on to higher SNRs
     far = [intercept_sc_rjs(cfg, g) * g / math.log(g) for g in (1e8, 1e12, 1e15)]
     assert ratios[2] < far[0] < far[1] < far[2] < 2.0
 
@@ -378,3 +379,86 @@ def test_high_snr_scaling_constants():
     limit = 2.0 * (6.0 * math.log(2.0) - 3.0 * math.log(3.0))
     for value in o:
         assert value == pytest.approx(limit, rel=1e-4)
+
+
+# --- oracle domain and accuracy ---------------------------------------------
+
+
+def _spread_config(n):
+    """N pairs with gains 10^U(-2, 2) from numpy default_rng(0), equal duty cycles."""
+    gains = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, size=(n, 2))
+    return SystemConfig(tuple(PairParams(float(sd), float(se), 1.0 / n) for sd, se in gains))
+
+
+@pytest.mark.parametrize(
+    "scheme, config, gamma",
+    [
+        ("ojs", _spread_config(10), 1e8),
+        ("rjs", make_symmetric_config(4, 1.0), 1e12),
+        ("ojs", make_symmetric_config(4, 1.0), 1e12),
+        ("ojs", make_symmetric_config(4, 1.0), 1e300),
+        ("ojs", _spread_config(40), 10.0),
+    ],
+    ids=["ojs-spread10-1e8", "rjs-sym4-1e12", "ojs-sym4-1e12", "ojs-sym4-1e300", "ojs-spread40"],
+)
+def test_oracle_high_snr_and_wide_system_cases(scheme, config, gamma):
+    oracle = {"rjs": intercept_sc_rjs_oracle, "ojs": intercept_sc_ojs_oracle}[scheme]
+    value = oracle(config, gamma)
+    if config.n_pairs <= OJS_EXACT_MAX_PAIRS:
+        closed = {"rjs": intercept_sc_rjs, "ojs": intercept_sc_ojs}[scheme]
+        # abs=0: pytest.approx otherwise passes anything within 1e-12, which
+        # would let an oracle that returns 0.0 at high SNR through
+        assert value == pytest.approx(closed(config, gamma), rel=1e-8, abs=0.0)
+    else:
+        assert 0.0 < value <= intercept_noncoop(config)
+
+
+def test_oracles_refuse_out_of_range_snr():
+    cfg = SystemConfig(pairs=(PairParams(1e3, 1e3, 0.5),) * 2)
+    with pytest.raises(ValueError, match="out of range for these channel gains"):
+        intercept_sc_rjs(cfg, 1e305)
+    for oracle in (intercept_sc_rjs_oracle, intercept_sc_ojs_oracle):
+        with pytest.raises(ValueError, match="out of range for these channel gains"):
+            oracle(cfg, 1e305)
+
+
+def _mp_bracket(mp, config, i, jammers, gamma):
+    """Subset sum of pair i's intercept probability past `jammers`, in mpmath."""
+    sd = mp.mpf(config.pairs[i].sigma2_sd)
+    se = mp.mpf(config.pairs[i].sigma2_se)
+    gamma = mp.mpf(gamma)
+    total = mp.mpf(0)
+    for size in range(1, len(jammers) + 1):
+        for subset in itertools.combinations(jammers, size):
+            recip = mp.fsum(1 / mp.mpf(config.pairs[j].sigma2_se) for j in subset)
+            phi = 2 * (sd + se) / (sd * gamma) * recip
+            total += (-1) ** (size + 1) * 2 * se / (sd * gamma) * recip * mp.exp(phi) * mp.e1(phi)
+    return total
+
+
+@pytest.mark.parametrize("gamma", [1e8, 1e9, 1e12, 1e300])
+@pytest.mark.parametrize(
+    "config",
+    [make_symmetric_config(3, 1.0), make_symmetric_config(4, 1.0),
+     make_symmetric_config(8, 1.0), ASYMMETRIC],
+    ids=["sym3", "sym4", "sym8", "asym"],
+)
+def test_oracles_match_mpmath_at_high_snr(config, gamma):
+    mp = pytest.importorskip("mpmath")
+    n = config.n_pairs
+    with mp.workdps(50):
+        rjs = mp.fsum(
+            config.pairs[i].alpha / (n - 1) * _mp_bracket(mp, config, i, [j], gamma)
+            for i in range(n)
+            for j in range(n)
+            if j != i
+        )
+        ojs = mp.fsum(
+            config.pairs[i].alpha * _mp_bracket(mp, config, i, [j for j in range(n) if j != i], gamma)
+            for i in range(n)
+        )
+    # every per-pair quadrature is asked for _QUAD_EPSREL and all terms are
+    # positive, so the assembled value is held to the same relative error
+    tol = analytic._QUAD_EPSREL
+    assert intercept_sc_rjs_oracle(config, gamma) == pytest.approx(float(rjs), rel=tol, abs=0.0)
+    assert intercept_sc_ojs_oracle(config, gamma) == pytest.approx(float(ojs), rel=tol, abs=0.0)
