@@ -15,7 +15,6 @@ from .analytic import (
     intercept_sc_ojs_oracle,
     intercept_sc_rjs,
     intercept_sc_rjs_oracle,
-    ojs_integral_oracle,
     scheme_intercept,
 )
 from .diversity import DiversityFit, fit_diversity
@@ -34,7 +33,6 @@ from .model import (
 )
 from .simulate import (
     InterceptEstimate,
-    RngSpec,
     coupled_dominance_check,
     estimate_intercept,
 )

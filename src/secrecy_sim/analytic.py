@@ -51,13 +51,12 @@ __all__ = [
     "intercept_sc_rjs",
     "intercept_sc_rjs_oracle",
     "intercept_sc_ojs",
-    "ojs_integral_oracle",
     "intercept_sc_ojs_oracle",
     "scheme_intercept",
 ]
 
 # Above this pair count the exact alternating sum (2^(N-1) - 1 subsets per
-# pair) is refused; callers must fall back to ojs_integral_oracle.
+# pair) is refused; callers must fall back to intercept_sc_ojs_oracle.
 OJS_EXACT_MAX_PAIRS = 20
 
 _QUAD_EPSREL = 1e-10
@@ -103,11 +102,6 @@ def _snr_in_range(gamma: float):
         raise _snr_range_error(gamma, "the closed form") from None
 
 
-def _check_pair_index(config: SystemConfig, i: int) -> None:
-    if not 0 <= i < config.n_pairs:
-        raise IndexError(f"pair index {i} out of range for {config.n_pairs} pairs")
-
-
 def intercept_noncoop(config: SystemConfig) -> float:
     """Intercept probability without cooperation; independent of SNR."""
     require_valid(config)
@@ -116,30 +110,13 @@ def intercept_noncoop(config: SystemConfig) -> float:
     )
 
 
-def varphi_rjs(config: SystemConfig, i: int, j: int, gamma: float) -> float:
-    """Exponential-integral argument for active pair i jammed by source j.
-
-    Equals 2/(sigma2_se_j * gamma) + 2*sigma2_se_i/(sigma2_sd_i *
-    sigma2_se_j * gamma); scales as 1/gamma.
-    """
-    gamma = _check_gamma(gamma)
-    _check_pair_index(config, i)
-    _check_pair_index(config, j)
-    if i == j:
-        raise ValueError("active pair cannot jam itself")
-    sd_i = config.pairs[i].sigma2_sd
-    se_i = config.pairs[i].sigma2_se
-    se_j = config.pairs[j].sigma2_se
-    return 2.0 / (se_j * gamma) + 2.0 * se_i / (sd_i * se_j * gamma)
-
-
 def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under random jammer selection.
 
     For a single pair there is no jammer to pick and the value degrades to
     the non-cooperation probability (see scheme_intercept for the flag).
-    All N(N-1) (i, j) terms share one vectorized e1_scaled call; each term
-    repeats varphi_rjs's arithmetic operation for operation.
+    All N(N-1) (i, j) terms share one vectorized e1_scaled call, each at the
+    E1 argument phi of the module docstring.
     """
     require_valid(config)
     gamma = _check_gamma(gamma)
@@ -195,7 +172,7 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     the same scheme, so that case delegates to intercept_sc_rjs; a single
     pair degrades to non-cooperation.  Refuses more than
     OJS_EXACT_MAX_PAIRS pairs (exponential subset count); use
-    ojs_integral_oracle beyond that.
+    intercept_sc_ojs_oracle beyond that.
     """
     require_valid(config)
     gamma = _check_gamma(gamma)
@@ -207,7 +184,7 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     if n > OJS_EXACT_MAX_PAIRS:
         raise ValueError(
             f"exact subset sum limited to {OJS_EXACT_MAX_PAIRS} pairs; "
-            "use ojs_integral_oracle for larger systems"
+            "use intercept_sc_ojs_oracle for larger systems"
         )
     return math.fsum(
         config.pairs[i].alpha * _ojs_pair_bracket(config, i, gamma) for i in range(n)
@@ -261,35 +238,6 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
     return se / (sd + se) * result
 
 
-def rjs_integral_oracle(config: SystemConfig, i: int, j: int, gamma: float) -> float:
-    """Direct quadrature of the per-(i, j) intercept probability term.
-
-    Independent of the E1-based closed form it validates.
-    """
-    require_valid(config)
-    gamma = _check_gamma(gamma)
-    _check_pair_index(config, i)
-    _check_pair_index(config, j)
-    if i == j:
-        raise ValueError("active pair cannot jam itself")
-    return _jammed_oracle(config, i, [j], gamma)
-
-
-def ojs_integral_oracle(config: SystemConfig, i: int, gamma: float) -> float:
-    """Direct quadrature of the optimal-selection bracket for pair i.
-
-    The integrand is the all-positive product over every candidate jammer,
-    so this reference value is immune to the alternating-sum cancellation of
-    the closed form.
-    """
-    require_valid(config)
-    gamma = _check_gamma(gamma)
-    _check_pair_index(config, i)
-    if config.n_pairs < 2:
-        raise ValueError("optimal selection needs at least one candidate jammer")
-    return _jammed_oracle(config, i, [j for j in range(config.n_pairs) if j != i], gamma)
-
-
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system RJS intercept probability assembled from quadrature."""
     require_valid(config)
@@ -298,7 +246,7 @@ def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     if n == 1:
         return intercept_noncoop(config)
     return math.fsum(
-        config.pairs[i].alpha / (n - 1) * rjs_integral_oracle(config, i, j, gamma)
+        config.pairs[i].alpha / (n - 1) * _jammed_oracle(config, i, [j], gamma)
         for i in range(n)
         for j in range(n)
         if j != i
@@ -312,7 +260,8 @@ def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     if config.n_pairs == 1:
         return intercept_noncoop(config)
     return math.fsum(
-        config.pairs[i].alpha * ojs_integral_oracle(config, i, gamma)
+        config.pairs[i].alpha
+        * _jammed_oracle(config, i, [j for j in range(config.n_pairs) if j != i], gamma)
         for i in range(config.n_pairs)
     )
 

@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if 0 < args.trials < _MIN_MC_TRIALS:
+    if args.trials != 0 and args.trials < _MIN_MC_TRIALS:
         print(f"--trials must be 0 or >= {_MIN_MC_TRIALS}", file=sys.stderr)
         return 2
     if not 1 <= args.workers <= _MAX_WORKERS:

@@ -7,17 +7,18 @@ directly to the gains, and aggregates a stratified estimate: each
 pair is simulated conditionally with its exact duty-cycle weight, which
 removes the scheduling variance a naive mixture sampler would add.
 
-Reproducibility contract: streams come from a counter-based generator
-(Philox) keyed by (seed, pair index), with each trial occupying a fixed,
-block-aligned slot of the stream.  The estimate is therefore a pure function
-of (seed, config, scheme, gamma, trials) no matter how trials are batched or
-how many workers run them.
+Reproducibility contract: the seed is an integer in [0, 2**64).  The stream
+for pair i is the counter-based generator Philox keyed by (seed, i), and
+trial t of that stream starts at counter block t * draws_per_trial(N) / 4.
+The estimate is therefore a pure function of (seed, config, scheme, gamma,
+trials) no matter how trials are batched or how many workers run them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ from .model import NONCOOP, SC_OJS, SC_RJS, SCHEMES, PairParams, SystemConfig, r
 
 __all__ = [
     "InterceptEstimate",
-    "RngSpec",
     "draws_per_trial",
     "estimate_intercept",
     "coupled_dominance_check",
@@ -55,32 +55,14 @@ def draws_per_trial(n_pairs: int) -> int:
     return blocks * _PHILOX_WORDS_PER_BLOCK
 
 
-@dataclass(frozen=True)
-class RngSpec:
-    """Seed plus the stream-derivation rule for reproducible parallel runs.
-
-    Stream for pair i is Philox keyed by (seed, i); trial t of that stream
-    starts at counter block t * draws_per_trial(N) / 4.  Identical
-    (seed, config, gamma, trials) give bit-identical estimates for any
-    batching or worker count.
-    """
-
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    def pair_generator(
-        self, pair_index: int, n_pairs: int, start_trial: int = 0
-    ) -> Generator:
-        """Generator positioned at `start_trial` of the pair's stream."""
-        key = np.array([self.seed, pair_index], dtype=np.uint64)
-        bit_gen = Philox(key=key)
-        if start_trial:
-            blocks = start_trial * draws_per_trial(n_pairs) // _PHILOX_WORDS_PER_BLOCK
-            bit_gen.advance(blocks)
-        return Generator(bit_gen)
+def _pair_generator(seed: int, pair_index: int, n_pairs: int, start_trial: int) -> Generator:
+    """Generator positioned at trial `start_trial` of pair `pair_index`'s stream."""
+    key = np.array([seed, pair_index], dtype=np.uint64)
+    bit_gen = Philox(key=key)
+    if start_trial:
+        blocks = start_trial * draws_per_trial(n_pairs) // _PHILOX_WORDS_PER_BLOCK
+        bit_gen.advance(blocks)
+    return Generator(bit_gen)
 
 
 @dataclass(frozen=True)
@@ -178,13 +160,7 @@ def _batch_ranges(trials_per_pair: int, n_pairs: int):
         yield start, min(start + step, trials_per_pair)
 
 
-def _as_rng_spec(rng) -> RngSpec:
-    if isinstance(rng, RngSpec):
-        return rng
-    return RngSpec(int(rng))
-
-
-def _run_batches(config: SystemConfig, gamma: float, trials: int, rng, workers: int, count):
+def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, workers: int, count):
     """Sum `count(pair, jammer_means, u)` over every uniform batch of every pair.
 
     `u` is one batch's (rows, draws_per_trial) block of the pair's stream,
@@ -196,13 +172,15 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng, workers: 
         raise ValueError(f"SNR must be positive and finite, got {gamma}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    spec = _as_rng_spec(rng)
+    seed = operator.index(rng)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     n = config.n_pairs
     per_pair = -(-trials // n)
     means = [_candidate_means(config, i) for i in range(n)]
 
     def run_batch(pair: int, start: int, stop: int) -> int:
-        gen = spec.pair_generator(pair, n, start_trial=start)
+        gen = _pair_generator(seed, pair, n, start)
         u = gen.random((stop - start, draws_per_trial(n)))
         return count(config.pairs[pair], means[pair], u)
 
@@ -224,7 +202,7 @@ def estimate_intercept(
     scheme: str,
     gamma: float,
     trials: int,
-    rng,
+    rng: int,
     workers: int = 1,
 ) -> InterceptEstimate:
     """Stratified Monte Carlo estimate of the intercept probability.
@@ -233,7 +211,7 @@ def estimate_intercept(
     per-pair frequencies with their exact duty-cycle weights; the standard
     error is propagated from the per-pair binomial variances.  Requesting a
     cooperation scheme with a single pair degrades to non-cooperation events
-    and flags the estimate.
+    and flags the estimate.  `rng` is the integer seed, in [0, 2**64).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -284,7 +262,7 @@ def _chain_violations(
 
 
 def coupled_dominance_check(
-    config: SystemConfig, gamma: float, trials: int, rng
+    config: SystemConfig, gamma: float, trials: int, rng: int
 ) -> int:
     """Count violations of the per-draw event-inclusion chain on shared draws.
 

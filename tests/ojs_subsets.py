@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from secrecy_sim.analytic import _check_gamma, _check_pair_index
 from secrecy_sim.model import SystemConfig
 
 
@@ -39,17 +38,21 @@ def phi_ojs(config: SystemConfig, i: int, subset: Iterable[int], gamma: float) -
 
     Equals 2*(sigma2_sd_i + sigma2_se_i)/(sigma2_sd_i * gamma) times the sum
     of reciprocal jammer-to-eavesdropper gains over the subset; for a
-    singleton subset it coincides with varphi_rjs.
+    singleton subset {j} it is the RJS argument for pair i jammed by j.
     """
-    gamma = _check_gamma(gamma)
-    _check_pair_index(config, i)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"SNR must be positive and finite, got {gamma}")
+    n = config.n_pairs
+    if not 0 <= i < n:
+        raise IndexError(f"pair index {i} out of range for {n} pairs")
     members = tuple(subset)
     if not members:
         raise ValueError("jammer subset must be non-empty")
     if len(set(members)) != len(members):
         raise ValueError("jammer subset contains duplicate indices")
     for j in members:
-        _check_pair_index(config, j)
+        if not 0 <= j < n:
+            raise IndexError(f"pair index {j} out of range for {n} pairs")
         if j == i:
             raise ValueError("jammer subset must exclude the active pair")
     sd_i = config.pairs[i].sigma2_sd

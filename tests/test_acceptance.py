@@ -179,7 +179,7 @@ def test_criterion_8_symmetric_collapses():
     rjs_ref = analytic.intercept_sc_rjs(make_symmetric_config(2, 1.0), 10.0)
     rjs_same = all(
         analytic.intercept_sc_rjs(make_symmetric_config(n, 1.0), 10.0)
-        == pytest.approx(rjs_ref, rel=1e-14)
+        == pytest.approx(rjs_ref, rel=1e-14, abs=0.0)
         for n in range(2, 9)
     )
     ojs_monotone = True

@@ -1,0 +1,22 @@
+from __future__ import annotations
+
+import importlib
+
+import secrecy_sim
+from secrecy_sim import analytic
+
+MODULES = ("analytic", "cli", "diversity", "model", "simulate", "special")
+
+
+def test_public_names_exist_and_star_import():
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    for name in MODULES:
+        module = importlib.import_module(f"secrecy_sim.{name}")
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, (name, missing)
+        namespace = {}
+        exec(f"from secrecy_sim.{name} import *", namespace)
+        assert set(module.__all__) <= namespace.keys()
+    for gone in ("varphi_rjs", "rjs_integral_oracle", "ojs_integral_oracle", "RngSpec"):
+        assert not hasattr(secrecy_sim, gone)
+        assert not hasattr(analytic, gone)

@@ -103,7 +103,7 @@ def test_fig3_pair_count_sweep(tmp_path):
     by = {(r["n"], r["scheme"]): float(r["p_analytic"]) for r in rows}
     assert by[("1", "rjs")] == by[("1", "nonc")] == by[("1", "ojs")]
     rjs = [by[(str(n), "rjs")] for n in range(2, 9)]
-    assert all(v == pytest.approx(rjs[0], rel=1e-14) for v in rjs)
+    assert all(v == pytest.approx(rjs[0], rel=1e-14, abs=0.0) for v in rjs)
     ojs = [by[(str(n), "ojs")] for n in range(2, 9)]
     assert all(b <= a for a, b in zip(ojs, ojs[1:]))
     assert by[("8", "ojs")] <= by[("2", "ojs")]
@@ -117,7 +117,7 @@ def test_fig4_mer_sweep(tmp_path):
     for r in rows:
         if r["scheme"] == "nonc":
             mer = 10.0 ** (float(r["mer_db"]) / 10.0)
-            assert float(r["p_analytic"]) == pytest.approx(1.0 / (1.0 + mer), rel=1e-12)
+            assert float(r["p_analytic"]) == pytest.approx(1.0 / (1.0 + mer), rel=1e-12, abs=0.0)
     by = {(r["mer_db"], r["scheme"]): float(r["p_analytic"]) for r in rows}
     for mer_db in {r["mer_db"] for r in rows}:
         assert by[(mer_db, "ojs")] <= by[(mer_db, "rjs")] <= by[(mer_db, "nonc")]
@@ -164,7 +164,7 @@ def test_fig6_pair_sweep_per_mer(tmp_path):
         nonc = [by[(mer_db, str(n), "nonc")] for n in range(2, 9)]
         rjs = [by[(mer_db, str(n), "rjs")] for n in range(2, 9)]
         assert len(set(nonc)) == 1
-        assert all(v == pytest.approx(rjs[0], rel=1e-14) for v in rjs)
+        assert all(v == pytest.approx(rjs[0], rel=1e-14, abs=0.0) for v in rjs)
         ojs = [by[(mer_db, str(n), "ojs")] for n in range(2, 9)]
         assert all(b <= a for a, b in zip(ojs, ojs[1:]))
         ratio = by[(mer_db, "8", "ojs")] / by[(mer_db, "4", "ojs")]
@@ -190,7 +190,7 @@ def test_sweep_with_config_file(tmp_path):
     expected = analytic.intercept_sc_rjs(
         SystemConfig(pairs=(PairParams(2.0, 1.0, 0.5), PairParams(1.0, 1.0, 0.5))), 10.0
     )
-    assert float(rows[0]["p_analytic"]) == pytest.approx(expected, rel=1e-12)
+    assert float(rows[0]["p_analytic"]) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_golden_csv_bytes(tmp_path):
@@ -329,8 +329,10 @@ def test_validate_catches_sign_flip_mutation(monkeypatch, capsys):
 # --- argument errors --------------------------------------------------------
 
 
-def test_rejects_small_nonzero_trials():
-    assert main(["--experiment", "fig2", "--trials", "500"]) == 2
+def test_rejects_small_nonzero_trials(capsys):
+    for trials in ("500", "-1", "-5"):
+        assert main(["--experiment", "fig2", "--trials", trials]) == 2
+        assert capsys.readouterr().err == "--trials must be 0 or >= 1000\n"
 
 
 def test_rejects_bad_worker_count(capsys, tmp_path):
@@ -430,4 +432,4 @@ def test_symmetric_flag_changes_system(tmp_path):
     )
     assert rc == 0
     _, rows = _rows(out)
-    assert float(rows[0]["p_analytic"]) == pytest.approx(1.0 / 11.0, rel=1e-12)
+    assert float(rows[0]["p_analytic"]) == pytest.approx(1.0 / 11.0, rel=1e-12, abs=0.0)

@@ -13,12 +13,12 @@ from secrecy_sim.analytic import intercept_noncoop, intercept_sc_ojs, intercept_
 from secrecy_sim import simulate
 from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.simulate import (
-    RngSpec,
     _batch_events,
     _batch_trials,
     _candidate_means,
     _chain_violations,
     _exp_gain,
+    _pair_generator,
     _sc_intercept,
     coupled_dominance_check,
     draws_per_trial,
@@ -29,7 +29,7 @@ UNIT_PAIR = PairParams(1.0, 1.0, 0.25)
 
 
 def _block(seed, pair, n, trials, start_trial=0):
-    gen = RngSpec(seed).pair_generator(pair, n, start_trial=start_trial)
+    gen = _pair_generator(seed, pair, n, start_trial)
     return gen.random((trials, draws_per_trial(n)))
 
 
@@ -104,12 +104,22 @@ def test_draws_per_trial_block_aligned(n, expected):
     assert draws_per_trial(n) == expected
 
 
-def test_rng_spec_rejects_out_of_range_seed():
-    with pytest.raises(ValueError):
-        RngSpec(-1)
-    with pytest.raises(ValueError):
-        RngSpec(2**64)
-    RngSpec(2**64 - 1)
+def test_rejects_out_of_range_seed():
+    cfg = make_symmetric_config(2, 1.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            estimate_intercept(cfg, "nonc", 1.0, 100, seed)
+    assert estimate_intercept(cfg, "nonc", 1.0, 100, 2**64 - 1).trials == 100
+
+
+def test_rejects_non_integer_seed():
+    # a float or a digit string is not silently truncated or parsed
+    cfg = make_symmetric_config(2, 1.0)
+    for seed in (42.7, "42"):
+        with pytest.raises(TypeError):
+            estimate_intercept(cfg, "nonc", 1.0, 1000, seed)
+        with pytest.raises(TypeError):
+            coupled_dominance_check(cfg, 10.0, 1000, seed)
 
 
 def test_pair_streams_differ_and_reproduce():
@@ -121,7 +131,7 @@ def test_pair_streams_differ_and_reproduce():
 
 def test_advance_to_trial_matches_sequential_consumption():
     n = 4
-    gen = RngSpec(99).pair_generator(2, n)
+    gen = _pair_generator(99, 2, n, 0)
     sequential = np.vstack([gen.random((1, draws_per_trial(n))) for _ in range(6)])
     assert np.array_equal(sequential, _block(99, 2, n, 6))
     assert np.array_equal(_block(99, 2, n, 2, start_trial=4), sequential[4:])
@@ -149,8 +159,7 @@ def test_gains_shapes_and_positivity():
 def test_sample_marginals_match_exponential_distribution():
     cfg = SystemConfig(pairs=(PairParams(1.0, 2.0, 0.5), PairParams(1.0, 3.0, 0.5)))
     n = 10**6
-    gen = RngSpec(1234).pair_generator(0, cfg.n_pairs)
-    u = gen.random((n, draws_per_trial(cfg.n_pairs)))
+    u = _block(1234, 0, cfg.n_pairs, n)
     g_sd = -1.0 * np.log1p(-u[:, 0])
     g_se = -2.0 * np.log1p(-u[:, 1])
     assert g_sd.mean() == pytest.approx(1.0, abs=0.004)
@@ -338,8 +347,7 @@ def test_estimator_batching_matches_single_pass():
     est = estimate_intercept(cfg, "nonc", 1.0, trials, 11)
     hits = []
     for i in range(cfg.n_pairs):
-        gen = RngSpec(11).pair_generator(i, cfg.n_pairs)
-        u = gen.random((per_pair, draws_per_trial(cfg.n_pairs)))
+        u = _block(11, i, cfg.n_pairs, per_pair)
         g_sd = -np.log1p(-u[:, 0])
         g_se = -np.log1p(-u[:, 1])
         hits.append(int((g_sd < g_se).sum()))
@@ -359,7 +367,7 @@ def test_wide_system_batches_match_single_block(scheme):
     assert one == two
     hits = []
     for i in range(n):
-        u = RngSpec(5).pair_generator(i, n).random((per_pair, draws_per_trial(n)))
+        u = _block(5, i, n, per_pair)
         hits.append(int(_reference_events(cfg, i, scheme, gamma, u).sum()))
     assert one.p_hat == math.fsum(p.alpha * h / per_pair for p, h in zip(cfg.pairs, hits))
 
@@ -480,13 +488,6 @@ def test_estimator_degraded_single_pair():
     assert nonc.degraded is False
 
 
-def test_estimator_accepts_rng_spec_instance():
-    cfg = make_symmetric_config(2, 1.0)
-    a = estimate_intercept(cfg, "nonc", 1.0, 50_000, RngSpec(17))
-    b = estimate_intercept(cfg, "nonc", 1.0, 50_000, 17)
-    assert a == b
-
-
 def test_estimator_rejects_bad_inputs():
     cfg = make_symmetric_config(2, 1.0)
     with pytest.raises(ValueError):
@@ -515,7 +516,7 @@ def test_heterogeneous_five_pair_triangle():
         (intercept_sc_rjs(cfg, gamma), intercept_sc_rjs_oracle(cfg, gamma), "rjs"),
         (intercept_sc_ojs(cfg, gamma), intercept_sc_ojs_oracle(cfg, gamma), "ojs"),
     ):
-        assert closed == pytest.approx(oracle, rel=1e-8)
+        assert closed == pytest.approx(oracle, rel=1e-8, abs=0.0)
         est = estimate_intercept(cfg, scheme, gamma, 800_000, 3)
         assert abs(est.p_hat - closed) <= 3.0 * est.std_err
 
@@ -561,7 +562,7 @@ def _reference_violations(cfg, gamma, trials, seed):
     per_pair = -(-trials // n)
     violations = 0
     for i in range(n):
-        u = RngSpec(seed).pair_generator(i, n).random((per_pair, draws_per_trial(n)))
+        u = _block(seed, i, n, per_pair)
         g_sd, g_se, g_je = _all_gains(cfg.pairs[i], _candidate_means(cfg, i), u)
         e_sc = simulate._sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
         e_best = e_sc[np.arange(per_pair), g_je.argmax(axis=1)]

@@ -17,13 +17,13 @@ EPS = np.finfo(float).eps
 
 def test_e1_at_one():
     assert e1(1.0) == pytest.approx(0.219384, abs=1e-6)
-    assert e1(1.0) == pytest.approx(quadrature_e1(1.0), rel=1e-12)
+    assert e1(1.0) == pytest.approx(quadrature_e1(1.0), rel=1e-12, abs=0.0)
 
 
 def test_e1_matches_quadrature_oracle_across_range():
     for x in np.logspace(-8, math.log10(700.0), 60):
         ref = quadrature_e1(float(x))
-        assert e1(float(x)) == pytest.approx(ref, rel=1e-12)
+        assert e1(float(x)) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_e1_matches_scipy_exp1():
@@ -42,7 +42,7 @@ def test_e1_inside_analytic_bracket_at_0_4():
 def test_small_x_behavior():
     for x in (1e-6, 1e-8):
         series = -EULER_GAMMA - math.log(x) + x - x * x / 4.0
-        assert e1(x) == pytest.approx(series, rel=1e-12)
+        assert e1(x) == pytest.approx(series, rel=1e-12, abs=0.0)
         assert e1(x) + math.log(x) == pytest.approx(-EULER_GAMMA, abs=2 * x)
 
 
@@ -53,25 +53,25 @@ def test_e1_underflows_gracefully():
 
 def test_e1_scaled_at_one():
     assert e1_scaled(1.0) == pytest.approx(0.596347, abs=1e-5)
-    assert e1_scaled(1.0) == pytest.approx(math.e * quadrature_e1(1.0), rel=1e-12)
+    assert e1_scaled(1.0) == pytest.approx(math.e * quadrature_e1(1.0), rel=1e-12, abs=0.0)
 
 
 def test_e1_scaled_asymptotic_series_at_1000():
     x = 1000.0
     series = (1.0 / x) * (1.0 - 1.0 / x + 2.0 / x**2 - 6.0 / x**3)
-    assert e1_scaled(x) == pytest.approx(series, rel=1e-9)
+    assert e1_scaled(x) == pytest.approx(series, rel=1e-9, abs=0.0)
 
 
 def test_e1_scaled_no_overflow_for_huge_arguments():
     for x in (1e3, 1e6, 1e12, 1e300):
         value = e1_scaled(x)
         assert math.isfinite(value)
-        assert value == pytest.approx(1.0 / x, rel=1e-2)
+        assert value == pytest.approx(1.0 / x, rel=1e-2, abs=0.0)
 
 
 def test_scaled_unscaled_consistency():
     for x in (0.1, 1.0, 10.0):
-        assert e1_scaled(x) * math.exp(-x) == pytest.approx(e1(x), rel=1e-12)
+        assert e1_scaled(x) * math.exp(-x) == pytest.approx(e1(x), rel=1e-12, abs=0.0)
 
 
 def test_x_times_scaled_tends_to_one():
@@ -96,8 +96,8 @@ def test_bounds_at_large_argument():
 
 def test_bounds_formula():
     b = e1_bounds(0.5)
-    assert b.lower == pytest.approx(0.5 * math.exp(-0.5) * math.log(5.0), rel=1e-15)
-    assert b.upper == pytest.approx(math.exp(-0.5) * math.log(3.0), rel=1e-15)
+    assert b.lower == pytest.approx(0.5 * math.exp(-0.5) * math.log(5.0), rel=1e-15, abs=0.0)
+    assert b.upper == pytest.approx(math.exp(-0.5) * math.log(3.0), rel=1e-15, abs=0.0)
 
 
 def test_vectorized_scaled_matches_scalar():
