@@ -35,6 +35,7 @@ from .simulate import (
     InterceptEstimate,
     coupled_dominance_check,
     estimate_intercept,
+    estimate_intercepts,
 )
 from .special import E1Bounds, e1, e1_bounds, e1_scaled
 

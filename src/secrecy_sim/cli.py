@@ -104,6 +104,8 @@ def _selected_schemes(args) -> list[str]:
     for name in names:
         if name not in SCHEMES:
             raise ValueError(f"unknown scheme {name!r} (choose from {', '.join(SCHEMES)})")
+    if not names:
+        raise ValueError("--schemes names no scheme")
     # Canonical order keeps output sorting deterministic.
     return [s for s in SCHEMES if s in names]
 
@@ -129,20 +131,6 @@ def _write_csv(out_path: str | None, fieldnames: list[str], rows: list[dict]) ->
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
-
-
-def _scheme_cells(config, scheme, gamma, args) -> dict:
-    cell = {
-        "scheme": scheme,
-        "p_analytic": _fmt_prob(analytic.scheme_intercept(config, scheme, gamma).value),
-    }
-    if args.trials > 0:
-        est = simulate.estimate_intercept(
-            config, scheme, gamma, args.trials, args.seed, workers=args.workers
-        )
-        cell["p_mc"] = _fmt_prob(est.p_hat)
-        cell["mc_stderr"] = _fmt_err(est.std_err)
-    return cell
 
 
 @dataclass(frozen=True)
@@ -211,8 +199,20 @@ def run_grid(args) -> int:
             point_mer = _db_to_linear(at["mer_db"]) if "mer_db" in at else mer
             config = make_symmetric_config(at.get("n", n), point_mer)
         axis_cells = {axis: _fmt_axis(value) for axis, value in at.items()}
-        for scheme in schemes:
-            rows.append(axis_cells | _scheme_cells(config, scheme, gamma, args))
+        cells = [
+            axis_cells | {
+                "scheme": scheme,
+                "p_analytic": _fmt_prob(analytic.scheme_intercept(config, scheme, gamma).value),
+            }
+            for scheme in schemes
+        ]
+        if args.trials > 0:
+            estimates = simulate.estimate_intercepts(
+                config, schemes, gamma, args.trials, args.seed, workers=args.workers
+            )
+            for cell, est in zip(cells, estimates):
+                cell |= {"p_mc": _fmt_prob(est.p_hat), "mc_stderr": _fmt_err(est.std_err)}
+        rows.extend(cells)
     mc_fields = ["p_mc", "mc_stderr"] if args.trials > 0 else []
     _write_csv(args.out, [*grid.axes, "scheme", "p_analytic", *mc_fields], rows)
     return 0
@@ -298,10 +298,10 @@ def _check_mc_consistency(args) -> list[dict]:
             for mer in (0.5, 1.0, 2.0):
                 config = make_symmetric_config(n, mer)
                 for gamma in (1.0, 10.0, 100.0):
-                    for scheme in SCHEMES:
-                        est = simulate.estimate_intercept(
-                            config, scheme, gamma, trials, seed, workers=args.workers
-                        )
+                    estimates = simulate.estimate_intercepts(
+                        config, SCHEMES, gamma, trials, seed, workers=args.workers
+                    )
+                    for scheme, est in zip(SCHEMES, estimates):
                         ref = analytic.scheme_intercept(config, scheme, gamma).value
                         if abs(est.p_hat - ref) > 3.0 * max(est.std_err, 1e-300):
                             misses.append((n, mer, gamma, scheme))

@@ -12,6 +12,11 @@ for pair i is the counter-based generator Philox keyed by (seed, i), and
 trial t of that stream starts at counter block t * draws_per_trial(N) / 4.
 The estimate is therefore a pure function of (seed, config, scheme, gamma,
 trials) no matter how trials are batched or how many workers run them.
+
+The schemes share draws by construction: the layout does not depend on the
+scheme, so every scheme reads the same gains for a given seed, and
+`estimate_intercepts` draws each batch once and evaluates every requested
+scheme on it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +37,7 @@ __all__ = [
     "InterceptEstimate",
     "draws_per_trial",
     "estimate_intercept",
+    "estimate_intercepts",
     "coupled_dominance_check",
 ]
 
@@ -114,39 +121,45 @@ def _sc_intercept(g_je, gamma: float, g_sd, g_se):
 def _batch_events(
     pair: PairParams,
     jammer_means: np.ndarray,
-    scheme: str,
+    schemes: Sequence[str],
     gamma: float,
     u: np.ndarray,
-) -> np.ndarray:
-    """Boolean intercept indicators for one uniform batch of one pair.
+) -> list[np.ndarray]:
+    """Boolean intercept indicators of each scheme for one uniform batch of one pair.
 
-    Transforms only the uniforms the scheme reads: nonc the two main
-    columns, rjs the picked jammer's column, ojs the jammer columns of rows
-    where 2*g_sd < 2*g_se.  On every other row no jammer can give an
-    intercept, since g_je*gamma*g_sd is >= 0 (or NaN) and rounded addition
-    is monotone.  Each gain read is computed as transforming every column
-    would compute it, so the events equal those of the all-columns transform.
+    Computes g_sd and g_se once; the nonc event is g_sd < g_se.  On a row
+    where it fails no jammer can give an intercept, since g_je*gamma*g_sd is
+    >= 0 (or NaN) and rounded doubling and addition are monotone, so rjs
+    transforms the picked jammer's column and ojs every jammer column only
+    on the rows where nonc holds.  Each gain read is computed as
+    transforming every column would compute it, so the events equal those
+    of the all-columns transform.  Returns one array per entry of
+    `schemes`, in order; `u` is left as it was.
     """
     g_sd = _exp_gain(pair.sigma2_sd, u[:, 0])
     g_se = _exp_gain(pair.sigma2_se, u[:, 1])
+    events = {NONCOOP: g_sd < g_se}
     m = len(jammer_means)
-    if scheme == NONCOOP or m == 0:
-        return g_sd < g_se
-    if scheme == SC_RJS:
-        pick = np.minimum((u[:, m + 2] * m).astype(np.int64), m - 1)
-        flat = np.arange(2, u.size, u.shape[1]) + pick
-        g_j = _exp_gain(jammer_means.take(pick), u.ravel().take(flat))
-        return _sc_intercept(g_j, gamma, g_sd, g_se)
-    if scheme == SC_OJS:
-        live = np.flatnonzero(2.0 * g_sd < 2.0 * g_se)
-        g_je = u[live, 2 : m + 2]
-        _exp_gain(jammer_means, g_je, out=g_je)
-        # Column by column: numpy reduces a short contiguous axis slowly.
-        g_j = functools.reduce(np.maximum, g_je.T)
-        events = np.zeros(len(u), dtype=bool)
-        events[live] = _sc_intercept(g_j, gamma, g_sd[live], g_se[live])
-        return events
-    raise ValueError(f"unknown scheme {scheme!r}")
+    jammed = [s for s in (SC_RJS, SC_OJS) if s in schemes]
+    if m == 0:
+        events |= dict.fromkeys(jammed, events[NONCOOP])
+    elif jammed:
+        live = np.flatnonzero(events[NONCOOP])
+        g_sd, g_se = g_sd[live], g_se[live]
+        jammer_gain = {}
+        if SC_RJS in jammed:
+            pick = np.minimum((u[live, m + 2] * m).astype(np.int64), m - 1)
+            flat = live * u.shape[1] + 2 + pick
+            jammer_gain[SC_RJS] = _exp_gain(jammer_means.take(pick), u.ravel().take(flat))
+        if SC_OJS in jammed:
+            g_je = u[live, 2 : m + 2]
+            _exp_gain(jammer_means, g_je, out=g_je)
+            # Column by column: numpy reduces a short contiguous axis slowly.
+            jammer_gain[SC_OJS] = functools.reduce(np.maximum, g_je.T)
+        for scheme, g_j in jammer_gain.items():
+            events[scheme] = np.zeros(len(u), dtype=bool)
+            events[scheme][live] = _sc_intercept(g_j, gamma, g_sd, g_se)
+    return [events[s] for s in schemes]
 
 
 def _batch_trials(n_pairs: int) -> int:
@@ -164,8 +177,9 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     """Sum `count(pair, jammer_means, u)` over every uniform batch of every pair.
 
     `u` is one batch's (rows, draws_per_trial) block of the pair's stream,
-    which `count` may overwrite.  Each pair runs ceil(trials / N) trials;
-    returns the per-pair sums and that trial count.
+    which `count` may overwrite; `count` returns a number or a numpy count
+    vector.  Each pair runs ceil(trials / N) trials; returns the per-pair
+    sums and that trial count.
     """
     require_valid(config)
     if not 0.0 < gamma < math.inf:
@@ -175,11 +189,14 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     seed = operator.index(rng)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     n = config.n_pairs
     per_pair = -(-trials // n)
     means = [_candidate_means(config, i) for i in range(n)]
 
-    def run_batch(pair: int, start: int, stop: int) -> int:
+    def run_batch(pair: int, start: int, stop: int):
         gen = _pair_generator(seed, pair, n, start)
         u = gen.random((stop - start, draws_per_trial(n)))
         return count(config.pairs[pair], means[pair], u)
@@ -197,6 +214,58 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     return sums, per_pair
 
 
+def estimate_intercepts(
+    config: SystemConfig,
+    schemes: Sequence[str],
+    gamma: float,
+    trials: int,
+    rng: int,
+    workers: int = 1,
+) -> list[InterceptEstimate]:
+    """Stratified Monte Carlo estimates of the intercept probability of each scheme.
+
+    Runs ceil(trials / N) conditional trials for every pair and combines the
+    per-pair frequencies with their exact duty-cycle weights; the standard
+    error is propagated from the per-pair binomial variances.  Every scheme
+    is evaluated on the same uniform batches, each drawn once, so the
+    estimates are those of separate `estimate_intercept` calls.  Returns
+    one estimate per entry of `schemes`, in order.  Requesting a
+    cooperation scheme with a single pair degrades to non-cooperation
+    events and flags the estimate.  `rng` is the integer seed, in
+    [0, 2**64).
+    """
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+    successes, per_pair = _run_batches(
+        config, gamma, trials, rng, workers,
+        lambda pair, means, u: np.array(
+            [np.count_nonzero(e) for e in _batch_events(pair, means, schemes, gamma, u)]
+        ),
+    )
+    n = config.n_pairs
+    estimates = []
+    for k, scheme in enumerate(schemes):
+        rates = [int(successes[i][k]) / per_pair for i in range(n)]
+        p_hat = math.fsum(config.pairs[i].alpha * rates[i] for i in range(n))
+        variance = math.fsum(
+            config.pairs[i].alpha ** 2 * rates[i] * (1.0 - rates[i]) / per_pair
+            for i in range(n)
+        )
+        estimates.append(InterceptEstimate(
+            p_hat=p_hat,
+            trials=per_pair * n,
+            std_err=math.sqrt(max(variance, 0.0)),
+            scheme=scheme,
+            gamma=gamma,
+            degraded=scheme != NONCOOP and n == 1,
+        ))
+    return estimates
+
+
 def estimate_intercept(
     config: SystemConfig,
     scheme: str,
@@ -205,35 +274,8 @@ def estimate_intercept(
     rng: int,
     workers: int = 1,
 ) -> InterceptEstimate:
-    """Stratified Monte Carlo estimate of the intercept probability.
-
-    Runs ceil(trials / N) conditional trials for every pair and combines the
-    per-pair frequencies with their exact duty-cycle weights; the standard
-    error is propagated from the per-pair binomial variances.  Requesting a
-    cooperation scheme with a single pair degrades to non-cooperation events
-    and flags the estimate.  `rng` is the integer seed, in [0, 2**64).
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    successes, per_pair = _run_batches(
-        config, gamma, trials, rng, workers,
-        lambda pair, means, u: int(np.count_nonzero(_batch_events(pair, means, scheme, gamma, u))),
-    )
-    n = config.n_pairs
-    rates = [successes[i] / per_pair for i in range(n)]
-    p_hat = math.fsum(config.pairs[i].alpha * rates[i] for i in range(n))
-    variance = math.fsum(
-        config.pairs[i].alpha ** 2 * rates[i] * (1.0 - rates[i]) / per_pair
-        for i in range(n)
-    )
-    return InterceptEstimate(
-        p_hat=p_hat,
-        trials=per_pair * n,
-        std_err=math.sqrt(max(variance, 0.0)),
-        scheme=scheme,
-        gamma=gamma,
-        degraded=scheme != NONCOOP and n == 1,
-    )
+    """Stratified Monte Carlo estimate of one scheme; see `estimate_intercepts`."""
+    return estimate_intercepts(config, (scheme,), gamma, trials, rng, workers)[0]
 
 
 def _chain_violations(

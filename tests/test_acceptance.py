@@ -64,8 +64,8 @@ def test_criterion_2_closed_form_vs_monte_carlo():
         misses = []
         for n, mer, gamma in grid:
             config = make_symmetric_config(n, mer)
-            for scheme in ("rjs", "ojs"):
-                est = simulate.estimate_intercept(config, scheme, gamma, 10**6, seed)
+            estimates = simulate.estimate_intercepts(config, ("rjs", "ojs"), gamma, 10**6, seed)
+            for scheme, est in zip(("rjs", "ojs"), estimates):
                 ref = analytic.scheme_intercept(config, scheme, gamma).value
                 if abs(est.p_hat - ref) > 3.0 * max(est.std_err, 1e-300):
                     misses.append((n, mer, gamma, scheme))

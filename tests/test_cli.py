@@ -394,6 +394,13 @@ def test_rejects_unknown_scheme():
     assert main(["--experiment", "fig2", "--schemes", "nonc,magic", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("schemes", ["", ",", " , "])
+def test_rejects_empty_scheme_list(schemes, capsys):
+    for trials in ("0", "1000"):
+        assert main(["--experiment", "fig2", "--schemes", schemes, "--trials", trials]) == 2
+        assert "--schemes names no scheme" in capsys.readouterr().err
+
+
 def test_rejects_config_and_symmetric_together(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("1 1 1\n", encoding="utf-8")

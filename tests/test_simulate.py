@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from secrecy_sim.simulate import (
     coupled_dominance_check,
     draws_per_trial,
     estimate_intercept,
+    estimate_intercepts,
 )
 
 UNIT_PAIR = PairParams(1.0, 1.0, 0.25)
@@ -43,7 +45,7 @@ def _unit_gain_rows(rows, n):
 
 def _events(u, m, scheme, gamma):
     """Kernel events for a unit-mean active pair with m unit-mean candidate jammers."""
-    return _batch_events(UNIT_PAIR, np.ones(m), scheme, gamma, u)
+    return _batch_events(UNIT_PAIR, np.ones(m), (scheme,), gamma, u)[0]
 
 
 def _rjs_picks(u, m):
@@ -243,7 +245,7 @@ def test_event_inclusion_chain_on_arbitrary_draws(block, means, gamma):
     assert not (e_best & ~e_sc.all(axis=1)).any()
     assert not (e_sc & ~e_nonc[:, None]).any()
     assert _chain_violations(gamma, pair, jammer_means, u.copy()) == 0
-    nonc, rjs, ojs = (_batch_events(pair, jammer_means, s, gamma, u) for s in SCHEMES)
+    nonc, rjs, ojs = _batch_events(pair, jammer_means, SCHEMES, gamma, u)
     assert not (ojs & ~rjs).any() and not (rjs & ~nonc).any()
 
 
@@ -267,11 +269,11 @@ def test_select_jammer_optimal_permutation_equivariance():
     u = _block(8, 0, n, 4000)
     means = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
     pair = PairParams(1.0, 2.0, 1.0 / n)
-    base = _batch_events(pair, means, "ojs", 10.0, u)
+    base = _batch_events(pair, means, ("ojs",), 10.0, u)[0]
     for perm in (np.arange(n - 1)[::-1], rng.permutation(n - 1), rng.permutation(n - 1)):
         shuffled = u.copy()
         shuffled[:, 2 : n + 1] = u[:, 2 + perm]
-        assert np.array_equal(_batch_events(pair, means[perm], "ojs", 10.0, shuffled), base)
+        assert np.array_equal(_batch_events(pair, means[perm], ("ojs",), 10.0, shuffled)[0], base)
 
 
 def test_tied_strongest_jammers_give_same_ojs_event():
@@ -372,6 +374,69 @@ def test_wide_system_batches_match_single_block(scheme):
     assert one.p_hat == math.fsum(p.alpha * h / per_pair for p, h in zip(cfg.pairs, hits))
 
 
+def _estimate_from_hits(cfg, scheme, gamma, hits, per_pair):
+    """The stratified estimate the package should build from per-pair hit counts."""
+    rates = [h / per_pair for h in hits]
+    alphas = [p.alpha for p in cfg.pairs]
+    variance = math.fsum(a * a * r * (1.0 - r) / per_pair for a, r in zip(alphas, rates))
+    return simulate.InterceptEstimate(
+        p_hat=math.fsum(a * r for a, r in zip(alphas, rates)),
+        trials=per_pair * cfg.n_pairs,
+        std_err=math.sqrt(max(variance, 0.0)),
+        scheme=scheme,
+        gamma=gamma,
+        degraded=scheme != "nonc" and cfg.n_pairs == 1,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 64])
+def test_shared_block_estimates_match_reference_and_single_scheme(n, monkeypatch):
+    # every scheme is evaluated on one draw of each batch; in any subset and
+    # order each estimate must equal the all-columns reference on the raw
+    # stream and the single-scheme call, field for field.  Small batches put
+    # two batch boundaries inside every pair's trials.
+    monkeypatch.setattr(simulate, "BATCH_BYTES", 1 << 14)
+    rng = np.random.default_rng(9000 + n)
+    cfg = _random_config(rng, n)
+    gamma = 10.0 ** rng.uniform(-4.0, 8.0)
+    step = _batch_trials(n)
+    per_pair = 2 * step + int(rng.integers(1, step + 1))
+    trials = n * per_pair - int(rng.integers(n))
+    seed = int(rng.integers(2**64, dtype=np.uint64))
+    blocks = [_block(seed, i, n, per_pair) for i in range(n)]
+    reference = {
+        scheme: _estimate_from_hits(cfg, scheme, gamma, [
+            int(_reference_events(cfg, i, scheme, gamma, u).sum()) for i, u in enumerate(blocks)
+        ], per_pair)
+        for scheme in SCHEMES
+    }
+    for scheme in SCHEMES:
+        for workers in (1, 2):
+            assert estimate_intercept(cfg, scheme, gamma, trials, seed, workers) == reference[scheme]
+    for size in (1, 2, 3):
+        for order in itertools.permutations(SCHEMES, size):
+            for workers in (1, 2):
+                got = estimate_intercepts(cfg, order, gamma, trials, seed, workers=workers)
+                assert got == [reference[s] for s in order], (order, workers)
+
+
+def test_estimate_intercepts_rejects_bad_scheme_lists():
+    cfg = make_symmetric_config(2, 1.0)
+    # a bare name is a sequence of one-letter names, none of them a scheme
+    for schemes in ((), [], ("nonc", "magic"), ("Rjs",), "nonc"):
+        with pytest.raises(ValueError):
+            estimate_intercepts(cfg, schemes, 10.0, 100, 0)
+
+
+def test_rejects_bad_worker_count():
+    cfg = make_symmetric_config(3, 1.0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="at least one worker"):
+            estimate_intercept(cfg, "rjs", 10.0, 3000, 1, workers=workers)
+    with pytest.raises(TypeError):
+        estimate_intercept(cfg, "rjs", 10.0, 3000, 1, workers=2.5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 14, 23, 40, 64, 79])
 def test_batch_events_match_all_columns_reference(n):
     # the kernel transforms only the uniforms each scheme reads; its events
@@ -388,10 +453,14 @@ def test_batch_events_match_all_columns_reference(n):
         rel = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-16.0, -2.0, 1000)
         g_se = -pair.sigma2_sd * np.log1p(-u[:1000, 0]) * (1.0 + rel)
         u[:1000, 1] = np.minimum(-np.expm1(-g_se / pair.sigma2_se), np.nextafter(1.0, 0.0))
-        for scheme in SCHEMES:
-            expected = _reference_events(cfg, i, scheme, gamma, u)
-            got = _batch_events(pair, _candidate_means(cfg, i), scheme, gamma, u)
-            assert np.array_equal(got, expected), (scheme, gamma)
+        means = _candidate_means(cfg, i)
+        expected = [_reference_events(cfg, i, scheme, gamma, u) for scheme in SCHEMES]
+        for scheme, want in zip(SCHEMES, expected):
+            got = _batch_events(pair, means, (scheme,), gamma, u)[0]
+            assert np.array_equal(got, want), (scheme, gamma)
+        together = _batch_events(pair, means, SCHEMES, gamma, u)
+        for scheme, got, want in zip(SCHEMES, together, expected):
+            assert np.array_equal(got, want), (scheme, gamma)
 
 
 def test_estimator_clamps_workers_to_task_count(monkeypatch):
