@@ -29,7 +29,6 @@ from .model import (
     load_config,
     make_symmetric_config,
     parse_config_text,
-    validate,
 )
 from .simulate import (
     InterceptEstimate,
@@ -37,6 +36,6 @@ from .simulate import (
     estimate_intercept,
     estimate_intercepts,
 )
-from .special import E1Bounds, e1, e1_bounds, e1_scaled
+from .special import e1, e1_bounds, e1_scaled
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .model import NONCOOP, SC_OJS, SC_RJS, SystemConfig, require_valid
+from .model import NONCOOP, SC_OJS, SC_RJS, SystemConfig, require_snr, require_valid
 from .special import e1_scaled
 
 __all__ = [
@@ -79,13 +79,6 @@ class InterceptValue(NamedTuple):
     degraded: bool
 
 
-def _check_gamma(gamma: float) -> float:
-    g = float(gamma)
-    if not 0.0 < g < math.inf:
-        raise ValueError(f"SNR must be positive and finite, got {gamma}")
-    return g
-
-
 def _snr_range_error(gamma: float, what: str) -> ValueError:
     return ValueError(
         f"SNR {gamma:g} is out of range for these channel gains: {what} over- or underflows"
@@ -119,7 +112,7 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     E1 argument phi of the module docstring.
     """
     require_valid(config)
-    gamma = _check_gamma(gamma)
+    gamma = require_snr(gamma)
     n = config.n_pairs
     if n == 1:
         return intercept_noncoop(config)
@@ -175,7 +168,7 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     intercept_sc_ojs_oracle beyond that.
     """
     require_valid(config)
-    gamma = _check_gamma(gamma)
+    gamma = require_snr(gamma)
     n = config.n_pairs
     if n == 1:
         return intercept_noncoop(config)
@@ -241,7 +234,7 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system RJS intercept probability assembled from quadrature."""
     require_valid(config)
-    gamma = _check_gamma(gamma)
+    gamma = require_snr(gamma)
     n = config.n_pairs
     if n == 1:
         return intercept_noncoop(config)
@@ -256,7 +249,7 @@ def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
 def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system OJS intercept probability assembled from quadrature."""
     require_valid(config)
-    gamma = _check_gamma(gamma)
+    gamma = require_snr(gamma)
     if config.n_pairs == 1:
         return intercept_noncoop(config)
     return math.fsum(

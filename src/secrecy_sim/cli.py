@@ -88,10 +88,10 @@ def _parse_symmetric(tokens: list[str]) -> tuple[int, float]:
             raise ValueError(f"expected N=.. or MER=.., got {tok!r}")
     if n is None or mer is None:
         raise ValueError("--symmetric needs both N=.. and MER=..")
-    if n < 1 or not 0.0 < mer < math.inf:
-        raise ValueError(
-            f"--symmetric needs N >= 1 and a positive finite MER, got N={n} MER={mer:g}"
-        )
+    try:
+        make_symmetric_config(n, mer)
+    except ValueError as exc:
+        raise ValueError(f"--symmetric: {exc}") from None
     return n, mer
 
 
@@ -246,7 +246,7 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 def _check_e1_bounds(args) -> list[dict]:
     xs = np.logspace(-6, 3, 200)
-    ok = all(e1_bounds(x).contains(e1(x)) for x in xs)
+    ok = all(lo <= e1(x) <= hi for x, (lo, hi) in zip(xs, map(e1_bounds, xs)))
     return [_check("e1-bounds", ok, "bracket holds on 200-point grid [1e-6, 1e3]")]
 
 

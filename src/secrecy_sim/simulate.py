@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import NONCOOP, SC_OJS, SC_RJS, SCHEMES, PairParams, SystemConfig, require_valid
+from .model import (
+    NONCOOP, SC_OJS, SC_RJS, SCHEMES, PairParams, SystemConfig, require_snr, require_valid,
+)
 
 __all__ = [
     "InterceptEstimate",
@@ -182,8 +184,7 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     sums and that trial count.
     """
     require_valid(config)
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"SNR must be positive and finite, got {gamma}")
+    require_snr(gamma)
     if trials < 1:
         raise ValueError("need at least one trial")
     seed = operator.index(rng)

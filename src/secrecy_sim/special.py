@@ -27,34 +27,14 @@ diversity argument:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-__all__ = ["E1Bounds", "e1", "e1_scaled", "e1_bounds"]
+__all__ = ["e1", "e1_scaled", "e1_bounds"]
 
 _TAIL_CUTOFF = 700.0
 _TAIL_TERMS = 8
-
-
-@dataclass(frozen=True)
-class E1Bounds:
-    """Analytic lower/upper bracket for E1 at one argument.
-
-    Both endpoints are positive for any representable argument, but underflow
-    to 0.0 together with E1 itself once exp(-x) is subnormal-zero.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
 
 
 def _check_domain(x: np.ndarray) -> None:
@@ -109,13 +89,12 @@ def e1_scaled(x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def e1_bounds(x: float) -> E1Bounds:
-    """Analytic bracket [0.5 e^-x ln(1+2/x), e^-x ln(1+1/x)] around E1(x)."""
+def e1_bounds(x: float) -> tuple[float, float]:
+    """Analytic bracket (lower, upper) = (0.5 e^-x ln(1+2/x), e^-x ln(1+1/x)) around E1(x).
+
+    Both endpoints underflow to 0.0 together with E1 itself once exp(-x) does.
+    """
     xf = float(x)
-    if not 0.0 < xf < math.inf:
-        raise ValueError(f"E1 argument must be positive and finite, got {xf}")
+    _check_domain(np.asarray(xf))
     damp = math.exp(-xf)
-    return E1Bounds(
-        lower=0.5 * damp * math.log1p(2.0 / xf),
-        upper=damp * math.log1p(1.0 / xf),
-    )
+    return 0.5 * damp * math.log1p(2.0 / xf), damp * math.log1p(1.0 / xf)

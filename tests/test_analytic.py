@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecy_sim import analytic
 from secrecy_sim.analytic import (
@@ -20,6 +22,8 @@ from secrecy_sim.analytic import (
 from secrecy_sim.model import PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.special import e1_scaled
 
+from ojs_reference import EPSREL as REFERENCE_EPSREL
+from ojs_reference import symmetric_ojs, symmetric_ojs_mpmath
 from ojs_subsets import SubsetIterator, phi_ojs
 
 ASYMMETRIC = SystemConfig(
@@ -290,6 +294,35 @@ def test_scheme_ordering_across_grid():
                 assert nonc <= 1.0
 
 
+@st.composite
+def _asymmetric_systems(draw):
+    """N = 2..8 pairs, each gain 10^U(-3, 3) on its own, duty cycles summing to at most 1."""
+    n = draw(st.integers(2, 8))
+    log_gains = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                              min_size=n, max_size=n))
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    total = draw(st.floats(0.0, 1.0))
+    scale = total / math.fsum(shares) if any(shares) else 0.0
+    return SystemConfig(tuple(
+        PairParams(10.0**sd, 10.0**se, share * scale)
+        for (sd, se), share in zip(log_gains, shares)
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_asymmetric_systems(), st.floats(-4.0, 8.0))
+def test_scheme_ordering_on_asymmetric_systems(cfg, log_gamma):
+    # the abstract's claim ojs <= rjs <= nonc, also where the main channel is
+    # weaker than the eavesdropper's (MER < 1 for many drawn pairs)
+    gamma = 10.0**log_gamma
+    nonc = intercept_noncoop(cfg)
+    rjs = intercept_sc_rjs(cfg, gamma)
+    ojs = intercept_sc_ojs(cfg, gamma)
+    tol = 1e-12 * nonc
+    assert ojs <= rjs + tol
+    assert rjs <= nonc + tol
+
+
 def test_ojs_monotone_nonincreasing_in_pair_count():
     for gamma in (1.0, 10.0, 1e3):
         values = [intercept_sc_ojs(make_symmetric_config(n, 1.0), gamma) for n in range(2, 9)]
@@ -432,3 +465,36 @@ def test_oracles_match_mpmath_at_high_snr(config, gamma):
     tol = analytic._QUAD_EPSREL
     assert intercept_sc_rjs_oracle(config, gamma) == pytest.approx(float(rjs), rel=tol, abs=0.0)
     assert intercept_sc_ojs_oracle(config, gamma) == pytest.approx(float(ojs), rel=tol, abs=0.0)
+
+
+# --- cancellation-free symmetric OJS reference (tests/ojs_reference.py) ----
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_symmetric_ojs_reference_matches_mpmath(n):
+    mp = pytest.importorskip("mpmath")
+    for mer in (0.1, 1.0, 10.0):
+        for gamma in (1e-3, 1e-1, 10.0, 1e3, 1e6, 1e9):
+            with mp.workdps(60):
+                exact = float(symmetric_ojs_mpmath(mp, n, mer, gamma))
+            # one positive integrand, so the requested relative error is the bound
+            assert symmetric_ojs(n, mer, gamma) == pytest.approx(
+                exact, rel=REFERENCE_EPSREL, abs=0.0
+            )
+
+
+@pytest.mark.parametrize("n, gamma", [(64, 10.0), (64, 1e6), (200, 1e6)])
+def test_ojs_oracle_matches_reference_on_wide_systems(n, gamma):
+    # beyond the closed form's 20 pairs nothing else checks the oracle
+    oracle = intercept_sc_ojs_oracle(make_symmetric_config(n, 1.0), gamma)
+    assert oracle == pytest.approx(symmetric_ojs(n, 1.0, gamma), rel=analytic._QUAD_EPSREL, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(3, OJS_EXACT_MAX_PAIRS + 1))
+def test_ojs_closed_form_matches_reference(n):
+    # validate's oracle bound; the alternating sum's cancellation grows with
+    # N and gamma, to about 7e-9 at N=20, MER 10, gamma 1e6
+    for mer in (0.1, 1.0, 10.0):
+        for gamma in (1e-3, 1.0, 1e3, 1e6):
+            closed = intercept_sc_ojs(make_symmetric_config(n, mer), gamma)
+            assert closed == pytest.approx(symmetric_ojs(n, mer, gamma), rel=1e-8, abs=0.0)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import importlib
 
 import secrecy_sim
-from secrecy_sim import analytic
+from secrecy_sim import analytic, model, special
 
 MODULES = ("analytic", "cli", "diversity", "model", "simulate", "special")
 
@@ -20,3 +20,7 @@ def test_public_names_exist_and_star_import():
     for gone in ("varphi_rjs", "rjs_integral_oracle", "ojs_integral_oracle", "RngSpec"):
         assert not hasattr(secrecy_sim, gone)
         assert not hasattr(analytic, gone)
+    # each input check lives once, in the module that owns the type
+    for module, gone in ((model, "validate"), (special, "E1Bounds"), (analytic, "_check_gamma")):
+        assert not hasattr(secrecy_sim, gone)
+        assert not hasattr(module, gone)

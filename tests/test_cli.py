@@ -7,6 +7,7 @@ import pytest
 
 from secrecy_sim import analytic
 from secrecy_sim.cli import _parse_grid, _parse_symmetric, build_parser, main
+from secrecy_sim.model import MAX_PAIRS
 from secrecy_sim.special import e1_scaled
 
 from ojs_subsets import SubsetIterator, phi_ojs
@@ -375,6 +376,9 @@ def test_rejects_bad_worker_count(capsys, tmp_path):
             "--experiment", "validate", "--mer-db", "nan", "--symmetric", "N=0", "MER=nan",
             "--gamma-db", "inf", "--schemes", "magic", "--config", "/nonexistent",
         ],
+        # more pairs than MAX_PAIRS, refused before any pair is built
+        ["--experiment", "fig2", "--symmetric", f"N={MAX_PAIRS + 1}", "MER=1", "--trials", "1000"],
+        ["--experiment", "fig3", "--symmetric", f"N={MAX_PAIRS + 1}", "MER=1", "--trials", "0"],
     ],
 )
 def test_rejects_nonfinite_or_overflowing_inputs(flags, tmp_path, capsys):

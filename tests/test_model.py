@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
 from secrecy_sim.model import (
+    MAX_PAIRS,
     PairParams,
     SnrSweep,
     SystemConfig,
     make_symmetric_config,
     parse_config_text,
     load_config,
-    validate,
+    require_valid,
 )
 
 
@@ -51,32 +53,42 @@ def test_symmetric_rejects_bad_arguments(n, mer):
 def test_symmetric_always_validates():
     for n in range(1, 9):
         for mer in (0.01, 1.0, 100.0):
-            assert validate(make_symmetric_config(n, mer)) is None
+            require_valid(make_symmetric_config(n, mer))
 
 
 def test_validate_reports_duty_cycle_sum():
     cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 0.6), PairParams(1.0, 1.0, 0.6)))
-    report = validate(cfg)
-    assert report is not None
-    assert "1.2" in report and "> 1" in report
+    with pytest.raises(ValueError, match=r"duty cycles sum 1\.2 > 1"):
+        require_valid(cfg)
 
 
 def test_validate_reports_nonpositive_gain():
     cfg = SystemConfig(pairs=(PairParams(0.0, 1.0, 0.5),))
-    report = validate(cfg)
-    assert report is not None and "nonpositive gain" in report
+    with pytest.raises(ValueError, match="nonpositive gain sigma2_sd"):
+        require_valid(cfg)
     cfg = SystemConfig(pairs=(PairParams(1.0, -2.0, 0.5),))
-    assert "nonpositive gain" in validate(cfg)
+    with pytest.raises(ValueError, match="nonpositive gain sigma2_se"):
+        require_valid(cfg)
 
 
 def test_validate_reports_alpha_out_of_range():
     cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 1.5),))
-    assert "duty cycle" in validate(cfg)
+    with pytest.raises(ValueError, match="duty cycle"):
+        require_valid(cfg)
 
 
 def test_validate_allows_slack_and_zero_duty_cycles():
     cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 0.3), PairParams(2.0, 1.0, 0.0)))
-    assert validate(cfg) is None
+    require_valid(cfg)
+
+
+def test_pair_count_bound():
+    # one past the bound is refused before any pair is built
+    assert make_symmetric_config(MAX_PAIRS, 1.0).n_pairs == MAX_PAIRS
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_PAIRS}, got {MAX_PAIRS + 1}"):
+        make_symmetric_config(MAX_PAIRS + 1, 1.0)
+    with pytest.raises(ValueError, match=f"{MAX_PAIRS + 1} pairs exceed the limit"):
+        require_valid(parse_config_text("1.0 1.0 0.0\n" * (MAX_PAIRS + 1)))
 
 
 def test_config_is_immutable():
@@ -98,6 +110,11 @@ def test_snr_sweep_checks_grid():
         SnrSweep((1.0, 1.0))
     with pytest.raises(ValueError):
         SnrSweep((10.0, 1.0))
+    # a non-finite SNR would pass on to fit_diversity's least-squares fit
+    # and fail inside LAPACK
+    for values in ((1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="SNR must be positive and finite"):
+            SnrSweep(values)
 
 
 def test_snr_sweep_log_spaced():
