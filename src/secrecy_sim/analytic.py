@@ -10,15 +10,17 @@ event for active pair i with jammer j becomes
     g_je * gamma + 2  <  2 * g_se / g_sd
 
 over the joint distribution of the squared gains.  Averaging this event over
-Rayleigh fading yields, per (i, j) pair,
+Rayleigh fading past a jammer set with reciprocal gain sum R (1/sigma2_se_j
+for jammer j alone) gives one term shape, computed by _jamming_terms:
 
-    2 * sigma2_se_i * exp(phi) * E1(phi) / (sigma2_sd_i * sigma2_se_j * gamma)
+    2 * sigma2_se_i * R * exp(phi) * E1(phi) / (sigma2_sd_i * gamma)
 
-with phi = 2*(sigma2_sd_i + sigma2_se_i) / (sigma2_sd_i * sigma2_se_j *
-gamma).  Random jammer selection averages these terms uniformly over the
-candidates; optimal selection (strongest jammer-to-eavesdropper channel)
-turns the event into a product over all candidates, whose expansion is an
-alternating sum over non-empty candidate subsets of the same term shape.
+with phi = 2*(sigma2_sd_i + sigma2_se_i) * R / (sigma2_sd_i * gamma).
+Random jammer selection averages the N-1 singleton terms.  Optimal selection
+(strongest jammer-to-eavesdropper channel) expands the event over all
+candidates into an alternating sum over non-empty subsets, whose singleton
+layer is the RJS terms.  Both weight pair i's value by alpha_i, and refuse
+an intermediate that over- or underflows (a subnormal lost precision).
 
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
@@ -40,7 +42,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .model import NONCOOP, SC_OJS, SC_RJS, SystemConfig, require_snr, require_valid
+from .model import NONCOOP, SC_RJS, SystemConfig, require_scheme, require_snr, require_valid
 from .special import e1_scaled
 
 __all__ = [
@@ -87,12 +89,40 @@ def _snr_range_error(gamma: float, what: str) -> ValueError:
 
 @contextmanager
 def _snr_in_range(gamma: float):
-    """Report an overflow, or an E1 argument it left at 0 or inf, as an SNR range error."""
+    """Report an over/underflow, or an E1 argument it left at 0 or inf, as an SNR range error."""
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", under="raise"):
             yield
     except (FloatingPointError, ValueError):
         raise _snr_range_error(gamma, "the closed form") from None
+
+
+def _jamming_terms(sd, se, recip, gamma):
+    """Jamming term of a pair with gains (sd, se) past jammer sets of reciprocal gain sum recip.
+
+    Elementwise (2*se/(sd*gamma)) * recip * e1_scaled(phi), phi = (2*sd + 2*se)/(sd*gamma) *
+    recip; recip = 1/sigma2_se_j gives the per-(i, j) RJS term.
+    """
+    with _snr_in_range(gamma):
+        phi = (2.0 * sd + 2.0 * se) / (sd * gamma) * recip
+        return 2.0 * se / (sd * gamma) * recip * e1_scaled(phi)
+
+
+def _cooperative(config: SystemConfig, gamma: float, pair_values) -> float:
+    """Validate, degrade one pair to non-cooperation, else fsum alpha_i * v_i over pair_values.
+
+    Weighting each pair's value v_i, never its terms, keeps the scheme ordering under
+    rounding: it is monotone, so b_i <= m_i gives alpha_i*b_i <= alpha_i*m_i at any alpha_i.
+    """
+    require_valid(config)
+    gamma = require_snr(gamma)
+    if config.n_pairs == 1:
+        return intercept_noncoop(config)
+    return math.fsum(p.alpha * v for p, v in zip(config.pairs, pair_values(config, gamma)))
+
+
+def _candidates(config: SystemConfig, i: int) -> list[int]:
+    return [j for j in range(config.n_pairs) if j != i]
 
 
 def intercept_noncoop(config: SystemConfig) -> float:
@@ -103,28 +133,24 @@ def intercept_noncoop(config: SystemConfig) -> float:
     )
 
 
+def _rjs_pair_values(config: SystemConfig, gamma: float) -> list[float]:
+    n = config.n_pairs
+    gains = [(p.sigma2_sd, p.sigma2_se, 1.0 / p.sigma2_se) for p in config.pairs]
+    sd, se, inv_se = np.array(gains).T
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    terms = _jamming_terms(sd[i], se[i], inv_se[j], gamma).reshape(n, n - 1)
+    return [math.fsum(memoryview(row)) / (n - 1) for row in terms]
+
+
 def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under random jammer selection.
 
     For a single pair there is no jammer to pick and the value degrades to
     the non-cooperation probability (see scheme_intercept for the flag).
-    All N(N-1) (i, j) terms share one vectorized e1_scaled call, each at the
-    E1 argument phi of the module docstring.
+    Pair i's value is the mean of its N-1 singleton jamming terms; all
+    N(N-1) terms share one vectorized e1_scaled call.
     """
-    require_valid(config)
-    gamma = require_snr(gamma)
-    n = config.n_pairs
-    if n == 1:
-        return intercept_noncoop(config)
-    sd = np.array([p.sigma2_sd for p in config.pairs])
-    se = np.array([p.sigma2_se for p in config.pairs])
-    alpha = np.array([p.alpha for p in config.pairs])
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    sd_i, se_i, se_j = sd[i], se[i], se[j]
-    with _snr_in_range(gamma):
-        phi = 2.0 / (se_j * gamma) + 2.0 * se_i / (sd_i * se_j * gamma)
-        terms = 2.0 * se_i * e1_scaled(phi) / (sd_i * se_j * gamma)
-    return math.fsum(alpha[i] / (n - 1) * terms)
+    return _cooperative(config, gamma, _rjs_pair_values)
 
 
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
@@ -132,16 +158,13 @@ def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
 
     Subset k (binary-counter order: candidate b is in subset k iff bit b of k
     is set) has reciprocal gain sum recip[k] and sign +1 for odd size, -1 for
-    even.  The total is exactly rounded (fsum), so order-independent: at
-    high SNR the individual terms are O(1/gamma) while the total is
-    O(ln(gamma)/gamma), so cancellation is real.  tests/ojs_subsets.py
-    holds the explicit-subset slow path that checks this sum independently.
+    even.  The singleton layer is exactly pair i's RJS terms.  The total is
+    exactly rounded (fsum), so order-independent: at high SNR the individual
+    terms are O(1/gamma) while the total is O(ln(gamma)/gamma), so
+    cancellation is real.  tests/ojs_subsets.py holds the explicit-subset
+    slow path that checks this sum independently.
     """
-    sd_i = config.pairs[i].sigma2_sd
-    se_i = config.pairs[i].sigma2_se
-    inv_se = np.array(
-        [1.0 / p.sigma2_se for j, p in enumerate(config.pairs) if j != i]
-    )
+    inv_se = np.array([1.0 / config.pairs[j].sigma2_se for j in _candidates(config, i)])
     size = 1 << inv_se.size
     recip = np.zeros(size)
     sign = np.empty(size)
@@ -150,10 +173,8 @@ def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
         half = 1 << b
         recip[half : 2 * half] = recip[:half] + inv
         sign[half : 2 * half] = -sign[:half]
-    recip = recip[1:]
-    with _snr_in_range(gamma):
-        phi = (2.0 * sd_i + 2.0 * se_i) / (sd_i * gamma) * recip
-        terms = sign[1:] * (2.0 * se_i / (sd_i * gamma)) * recip * e1_scaled(phi)
+    pair = config.pairs[i]
+    terms = sign[1:] * _jamming_terms(pair.sigma2_sd, pair.sigma2_se, recip[1:], gamma)
     # A memoryview yields plain floats: no numpy scalar per term, no list copy.
     return math.fsum(memoryview(terms))
 
@@ -161,27 +182,19 @@ def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
-    With two pairs the single candidate makes optimal and random selection
-    the same scheme, so that case delegates to intercept_sc_rjs; a single
-    pair degrades to non-cooperation.  Refuses more than
-    OJS_EXACT_MAX_PAIRS pairs (exponential subset count); use
-    intercept_sc_ojs_oracle beyond that.
+    With two pairs the bracket is its singleton term, so the value equals
+    intercept_sc_rjs bit for bit; a single pair degrades to
+    non-cooperation.  Refuses more than OJS_EXACT_MAX_PAIRS pairs
+    (exponential subset count); use intercept_sc_ojs_oracle beyond that.
     """
-    require_valid(config)
-    gamma = require_snr(gamma)
-    n = config.n_pairs
-    if n == 1:
-        return intercept_noncoop(config)
-    if n == 2:
-        return intercept_sc_rjs(config, gamma)
-    if n > OJS_EXACT_MAX_PAIRS:
+    if config.n_pairs > OJS_EXACT_MAX_PAIRS:
         raise ValueError(
             f"exact subset sum limited to {OJS_EXACT_MAX_PAIRS} pairs; "
             "use intercept_sc_ojs_oracle for larger systems"
         )
-    return math.fsum(
-        config.pairs[i].alpha * _ojs_pair_bracket(config, i, gamma) for i in range(n)
-    )
+    return _cooperative(config, gamma, lambda cfg, g: (
+        _ojs_pair_bracket(cfg, i, g) for i in range(cfg.n_pairs)
+    ))
 
 
 def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:
@@ -233,39 +246,22 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
 
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system RJS intercept probability assembled from quadrature."""
-    require_valid(config)
-    gamma = require_snr(gamma)
-    n = config.n_pairs
-    if n == 1:
-        return intercept_noncoop(config)
-    return math.fsum(
-        config.pairs[i].alpha / (n - 1) * _jammed_oracle(config, i, [j], gamma)
-        for i in range(n)
-        for j in range(n)
-        if j != i
-    )
+    return _cooperative(config, gamma, lambda cfg, g: (
+        math.fsum(_jammed_oracle(cfg, i, [j], g) for j in _candidates(cfg, i)) / (cfg.n_pairs - 1)
+        for i in range(cfg.n_pairs)
+    ))
 
 
 def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system OJS intercept probability assembled from quadrature."""
-    require_valid(config)
-    gamma = require_snr(gamma)
-    if config.n_pairs == 1:
-        return intercept_noncoop(config)
-    return math.fsum(
-        config.pairs[i].alpha
-        * _jammed_oracle(config, i, [j for j in range(config.n_pairs) if j != i], gamma)
-        for i in range(config.n_pairs)
-    )
+    return _cooperative(config, gamma, lambda cfg, g: (
+        _jammed_oracle(cfg, i, _candidates(cfg, i), g) for i in range(cfg.n_pairs)
+    ))
 
 
 def scheme_intercept(config: SystemConfig, scheme: str, gamma: float) -> InterceptValue:
     """Evaluate one scheme's closed form, reporting degraded-mode fallback."""
-    if scheme == NONCOOP:
+    if require_scheme(scheme) == NONCOOP:
         return InterceptValue(intercept_noncoop(config), degraded=False)
-    degraded = config.n_pairs == 1
-    if scheme == SC_RJS:
-        return InterceptValue(intercept_sc_rjs(config, gamma), degraded)
-    if scheme == SC_OJS:
-        return InterceptValue(intercept_sc_ojs(config, gamma), degraded)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    evaluate = intercept_sc_rjs if scheme == SC_RJS else intercept_sc_ojs
+    return InterceptValue(evaluate(config, gamma), degraded=config.n_pairs == 1)

@@ -31,6 +31,7 @@ from .model import (
     SCHEMES,
     load_config,
     make_symmetric_config,
+    require_scheme,
 )
 from .special import e1, e1_bounds
 
@@ -100,10 +101,7 @@ def _parse_seed(text: str) -> int:
 
 
 def _selected_schemes(args) -> list[str]:
-    names = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for name in names:
-        if name not in SCHEMES:
-            raise ValueError(f"unknown scheme {name!r} (choose from {', '.join(SCHEMES)})")
+    names = [require_scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
     if not names:
         raise ValueError("--schemes names no scheme")
     # Canonical order keeps output sorting deterministic.

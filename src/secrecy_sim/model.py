@@ -23,6 +23,7 @@ __all__ = [
     "SnrSweep",
     "MAX_PAIRS",
     "make_symmetric_config",
+    "require_scheme",
     "require_snr",
     "require_valid",
     "parse_config_text",
@@ -113,6 +114,13 @@ def make_symmetric_config(n: int, mer: float) -> SystemConfig:
         raise ValueError(f"MER must be positive and finite, got {mer}")
     pair = PairParams(sigma2_sd=float(mer), sigma2_se=1.0, alpha=1.0 / n)
     return SystemConfig(pairs=(pair,) * n)
+
+
+def require_scheme(name: str) -> str:
+    """Return the scheme name; raise ValueError unless it is one of SCHEMES."""
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme {name!r} (choose from {', '.join(SCHEMES)})")
+    return name
 
 
 def require_snr(gamma: float) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import (
-    NONCOOP, SC_OJS, SC_RJS, SCHEMES, PairParams, SystemConfig, require_snr, require_valid,
+    NONCOOP, SC_OJS, SC_RJS, PairParams, SystemConfig, require_scheme, require_snr, require_valid,
 )
 
 __all__ = [
@@ -235,12 +235,9 @@ def estimate_intercepts(
     events and flags the estimate.  `rng` is the integer seed, in
     [0, 2**64).
     """
-    schemes = tuple(schemes)
+    schemes = tuple(map(require_scheme, schemes))
     if not schemes:
         raise ValueError("need at least one scheme")
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
     successes, per_pair = _run_batches(
         config, gamma, trials, rng, workers,
         lambda pair, means, u: np.array(

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secrecy_sim import analytic
@@ -220,6 +220,14 @@ def test_ojs_two_pairs_identical_to_rjs_bitwise():
             assert intercept_sc_ojs(cfg, gamma) == intercept_sc_rjs(cfg, gamma)
     two_asym = SystemConfig(pairs=ASYMMETRIC.pairs[:2])
     assert intercept_sc_ojs(two_asym, 7.0) == intercept_sc_rjs(two_asym, 7.0)
+    # asymmetric inputs: the one-candidate bracket is the singleton RJS term itself
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        sd, se = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 2))
+        alpha = rng.uniform(0.0, 0.5, size=2)
+        cfg = SystemConfig(tuple(map(PairParams, sd, se, alpha)))
+        gamma = 10.0 ** rng.uniform(-4.0, 12.0)
+        assert intercept_sc_ojs(cfg, gamma) == intercept_sc_rjs(cfg, gamma)
 
 
 def test_ojs_four_pair_reference_value():
@@ -302,15 +310,20 @@ def _asymmetric_systems(draw):
                               min_size=n, max_size=n))
     shares = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     total = draw(st.floats(0.0, 1.0))
-    scale = total / math.fsum(shares) if any(shares) else 0.0
+    # share / norm stays finite when the shares are subnormal; total / norm may not
+    norm = math.fsum(shares) or 1.0
     return SystemConfig(tuple(
-        PairParams(10.0**sd, 10.0**se, share * scale)
+        PairParams(10.0**sd, 10.0**se, share / norm * total)
         for (sd, se), share in zip(log_gains, shares)
     ))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_asymmetric_systems(), st.floats(-4.0, 8.0))
+# a subnormal duty cycle: alpha_i/(N-1) rounds to 0.0, so the ordering holds only
+# if each pair's value, not each (i, j) term, carries the weight
+@example(SystemConfig((PairParams(1.0, 1.0, 0.0),) * 3 + (PairParams(1.0, 10.0, 5e-324),)
+                      + (PairParams(1.0, 1.0, 0.0),) * 2), 0.0)
 def test_scheme_ordering_on_asymmetric_systems(cfg, log_gamma):
     # the abstract's claim ojs <= rjs <= nonc, also where the main channel is
     # weaker than the eavesdropper's (MER < 1 for many drawn pairs)
@@ -423,6 +436,23 @@ def test_oracles_refuse_out_of_range_snr():
     for oracle in (intercept_sc_rjs_oracle, intercept_sc_ojs_oracle):
         with pytest.raises(ValueError, match="out of range for these channel gains"):
             oracle(cfg, 1e305)
+
+
+def test_closed_forms_refuse_subnormal_intermediates():
+    # a subnormal intermediate has lost precision: OJS here would be 2.1e-8 off a
+    # 50-digit sum, past validate's 1e-8 bound
+    cfg = SystemConfig(tuple(PairParams(*p) for p in (
+        (2.114280023198534, 0.02568001550412222, 0.0782392987294246),
+        (3.1541361771203884, 868.187783726706, 0.2139094962648911),
+        (3.846308821067173, 359.8840528799313, 0.19893839367490967),
+        (0.10858069381731135, 0.4527796375125611, 0.09875294943310774),
+        (0.003999329562754263, 422.9057113071928, 0.15965399201008768),
+        (652.4103950001229, 0.018852720942761476, 0.17826503315777328),
+        (28.738328123002034, 49.78897727349738, 0.07224083672980583),
+    )))
+    for closed_form in (intercept_sc_rjs, intercept_sc_ojs):
+        with pytest.raises(ValueError, match="out of range for these channel gains"):
+            closed_form(cfg, 10**303.14742240283783)
 
 
 def _mp_bracket(mp, config, i, jammers, gamma):

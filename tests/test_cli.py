@@ -251,6 +251,31 @@ def test_every_experiment_csv_bytes_pinned(experiment, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of closed-form-only CSVs over wide grids, recorded before RJS and
+# OJS shared one jamming-term kernel.
+_PINNED_ANALYTIC_CSV = [
+    (
+        ["--experiment", "fig2", "--gamma-db=-20:60:1"],
+        "b24b6c4cfae35ec4f9797a8589307fca2a1474730fea0a4cd668472442e3a0ab",
+    ),
+    (
+        ["--experiment", "fig2", "--symmetric", "N=8", "MER=0.3", "--gamma-db=-10:60:0.5"],
+        "c45ecab1f1e17a4433fe8caf09210b737b7755c67c113f1dd0b7e298d79fd1f3",
+    ),
+    (
+        ["--experiment", "fig6", "--mer-db=-20:20:1", "--gamma-db", "25"],
+        "2099900403a857550b946a7e0580aa498c15bb16b36bb1676ed2df675b380cde",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, digest", _PINNED_ANALYTIC_CSV, ids=["fig2", "fig2-sym8", "fig6"])
+def test_closed_form_csv_bytes_pinned_on_wide_grids(flags, digest, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([*flags, "--trials", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_output_defaults_to_stdout(capsys):
     rc = main(["--experiment", "sweep", "--trials", "0", "--gamma-db", "0", "--schemes", "nonc"])
     assert rc == 0

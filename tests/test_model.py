@@ -5,16 +5,20 @@ import math
 
 import pytest
 
+from secrecy_sim.analytic import scheme_intercept
 from secrecy_sim.model import (
     MAX_PAIRS,
+    SCHEMES,
     PairParams,
     SnrSweep,
     SystemConfig,
     make_symmetric_config,
     parse_config_text,
     load_config,
+    require_scheme,
     require_valid,
 )
+from secrecy_sim.simulate import estimate_intercepts
 
 
 def test_symmetric_default_experiment_config():
@@ -89,6 +93,19 @@ def test_pair_count_bound():
         make_symmetric_config(MAX_PAIRS + 1, 1.0)
     with pytest.raises(ValueError, match=f"{MAX_PAIRS + 1} pairs exceed the limit"):
         require_valid(parse_config_text("1.0 1.0 0.0\n" * (MAX_PAIRS + 1)))
+
+
+def test_every_entry_point_refuses_an_unknown_scheme_alike():
+    assert [require_scheme(s) for s in SCHEMES] == list(SCHEMES)
+    cfg = make_symmetric_config(2, 1.0)
+    for refuse in (
+        require_scheme,
+        lambda name: scheme_intercept(cfg, name, 1.0),
+        lambda name: estimate_intercepts(cfg, ["nonc", name], 1.0, 10, 0),
+    ):
+        with pytest.raises(ValueError) as info:
+            refuse("magic")
+        assert str(info.value) == "unknown scheme 'magic' (choose from nonc, rjs, ojs)"
 
 
 def test_config_is_immutable():
