@@ -17,10 +17,11 @@ for jammer j alone) gives one term shape, computed by _jamming_terms:
 
 with phi = 2*(sigma2_sd_i + sigma2_se_i) * R / (sigma2_sd_i * gamma).
 Random jammer selection averages the N-1 singleton terms.  Optimal selection
-(strongest jammer-to-eavesdropper channel) expands the event over all
-candidates into an alternating sum over non-empty subsets, whose singleton
-layer is the RJS terms.  Both weight pair i's value by alpha_i, and refuse
-an intermediate that over- or underflows (a subnormal lost precision).
+(strongest jammer-to-eavesdropper channel) expands the event into an
+alternating sum over subsets with the RJS terms as singleton layer, one term
+per count vector over the candidates' classes of equal gain, times its
+multiplicity.  Both weight pair i's value by alpha_i, and refuse an
+intermediate that over- or underflows (a subnormal lost precision).
 
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
@@ -36,6 +37,7 @@ is positive and finite, and refuse the rest as an SNR range error.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from contextlib import contextmanager
 from typing import Iterable, NamedTuple
 
@@ -57,8 +59,8 @@ __all__ = [
     "scheme_intercept",
 ]
 
-# Above this pair count the exact alternating sum (2^(N-1) - 1 subsets per
-# pair) is refused; callers must fall back to intercept_sc_ojs_oracle.
+# Cancellation, not cost, bounds the pair count: about 7e-9 relative error at
+# N=20, MER 10, gamma=1e6.  Larger systems need intercept_sc_ojs_oracle.
 OJS_EXACT_MAX_PAIRS = 20
 
 _QUAD_EPSREL = 1e-10
@@ -105,7 +107,8 @@ def _jamming_terms(sd, se, recip, gamma):
     """
     with _snr_in_range(gamma):
         phi = (2.0 * sd + 2.0 * se) / (sd * gamma) * recip
-        return 2.0 * se / (sd * gamma) * recip * e1_scaled(phi)
+        terms = e1_scaled(phi)  # phi's buffer is free from here on
+        return np.multiply(terms, np.multiply(2.0 * se / (sd * gamma), recip, out=phi), out=terms)
 
 
 def _cooperative(config: SystemConfig, gamma: float, pair_values) -> float:
@@ -156,45 +159,52 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
     """Alternating subset sum for active pair i under optimal selection.
 
-    Subset k (binary-counter order: candidate b is in subset k iff bit b of k
-    is set) has reciprocal gain sum recip[k] and sign +1 for odd size, -1 for
-    even.  The singleton layer is exactly pair i's RJS terms.  The total is
-    exactly rounded (fsum), so order-independent: at high SNR the individual
-    terms are O(1/gamma) while the total is O(ln(gamma)/gamma), so
-    cancellation is real.  tests/ojs_subsets.py holds the explicit-subset
-    slow path that checks this sum independently.
+    Candidates of equal 1/sigma2_se form classes, ordered by first appearance
+    among all pairs, with counts c_l; count vector (k_1..k_d) gives one term
+    for prod_l C(c_l, k_l) subsets of size sum k_l, added for odd sizes and
+    subtracted for even: prod_l (c_l + 1) - 1 terms, N - 1 for equal gains,
+    the 2^(N-1) - 1 subsets in binary-counter order for distinct ones.  fsum
+    over the terms repeated by multiplicity is exactly rounded; at high SNR
+    it cancels O(1/gamma) terms to an O(ln(gamma)/gamma) total.
+    tests/ojs_subsets.py holds the explicit-subset slow path that checks it.
     """
-    inv_se = np.array([1.0 / config.pairs[j].sigma2_se for j in _candidates(config, i)])
-    size = 1 << inv_se.size
-    recip = np.zeros(size)
-    sign = np.empty(size)
-    sign[0] = -1.0
-    for b, inv in enumerate(inv_se):
-        half = 1 << b
-        recip[half : 2 * half] = recip[:half] + inv
-        sign[half : 2 * half] = -sign[:half]
+    classes = Counter(1.0 / p.sigma2_se for p in config.pairs)
+    classes[1.0 / config.pairs[i].sigma2_se] -= 1
+    recip = np.zeros(math.prod(c + 1 for c in classes.values()))
+    weight = np.full(recip.size, -1)  # signed multiplicities; entry 0 is the empty set
+    block = 1
+    for inv, count in classes.items():
+        for k in range(1, count + 1):
+            lo = k * block
+            recip[lo : lo + block] = recip[lo - block : lo] + inv
+            weight[lo : lo + block] = weight[:block] * ((-1) ** k * math.comb(count, k))
+        block *= count + 1
     pair = config.pairs[i]
-    terms = sign[1:] * _jamming_terms(pair.sigma2_sd, pair.sigma2_se, recip[1:], gamma)
+    terms = _jamming_terms(pair.sigma2_sd, pair.sigma2_se, recip[1:], gamma)
+    np.copysign(terms, weight[1:], out=terms)  # exact: every term is positive
     # A memoryview yields plain floats: no numpy scalar per term, no list copy.
-    return math.fsum(memoryview(terms))
+    return math.fsum(memoryview(np.repeat(terms, np.abs(weight[1:]))))
 
 
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
-    With two pairs the bracket is its singleton term, so the value equals
-    intercept_sc_rjs bit for bit; a single pair degrades to
-    non-cooperation.  Refuses more than OJS_EXACT_MAX_PAIRS pairs
-    (exponential subset count); use intercept_sc_ojs_oracle beyond that.
+    Pairs of equal gains share one bracket, so a call sums (distinct pairs) x
+    (prod_l (c_l + 1) - 1) terms.  Two pairs equal intercept_sc_rjs bit for
+    bit; one pair degrades to non-cooperation.  Refuses more than
+    OJS_EXACT_MAX_PAIRS pairs; use intercept_sc_ojs_oracle beyond that.
     """
+    def pair_values(cfg, g):
+        index = {(p.sigma2_sd, p.sigma2_se): i for i, p in enumerate(cfg.pairs)}
+        brackets = {key: _ojs_pair_bracket(cfg, i, g) for key, i in index.items()}
+        return [brackets[p.sigma2_sd, p.sigma2_se] for p in cfg.pairs]
+
     if config.n_pairs > OJS_EXACT_MAX_PAIRS:
         raise ValueError(
             f"exact subset sum limited to {OJS_EXACT_MAX_PAIRS} pairs; "
             "use intercept_sc_ojs_oracle for larger systems"
         )
-    return _cooperative(config, gamma, lambda cfg, g: (
-        _ojs_pair_bracket(cfg, i, g) for i in range(cfg.n_pairs)
-    ))
+    return _cooperative(config, gamma, pair_values)
 
 
 def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:

@@ -134,9 +134,9 @@ def require_snr(gamma: float) -> float:
 def require_valid(config: SystemConfig) -> None:
     """Raise ValueError naming the first violated invariant of the configuration.
 
-    Checks the pair count (1 to MAX_PAIRS), positivity of all gains, per-pair
-    duty cycles in [0, 1], and the constraint that duty cycles sum to at
-    most 1 (the pairs share one band).
+    Checks the pair count (1 to MAX_PAIRS), that all gains are positive and
+    finite, per-pair duty cycles in [0, 1], and the constraint that duty
+    cycles sum to at most 1 (the pairs share one band).
     """
 
     def refuse(problem: str):
@@ -147,10 +147,11 @@ def require_valid(config: SystemConfig) -> None:
     if config.n_pairs > MAX_PAIRS:
         refuse(f"{config.n_pairs} pairs exceed the limit of {MAX_PAIRS}")
     for i, p in enumerate(config.pairs):
-        if not p.sigma2_sd > 0.0:
-            refuse(f"pair {i}: nonpositive gain sigma2_sd={p.sigma2_sd}")
-        if not p.sigma2_se > 0.0:
-            refuse(f"pair {i}: nonpositive gain sigma2_se={p.sigma2_se}")
+        for name, gain in (("sigma2_sd", p.sigma2_sd), ("sigma2_se", p.sigma2_se)):
+            if not gain > 0.0:
+                refuse(f"pair {i}: nonpositive gain {name}={gain}")
+            if gain == math.inf:
+                refuse(f"pair {i}: infinite gain {name}={gain}")
         if not 0.0 <= p.alpha <= 1.0:
             refuse(f"pair {i}: duty cycle {p.alpha} outside [0, 1]")
     total = sum(p.alpha for p in config.pairs)

@@ -254,6 +254,44 @@ def test_ojs_matches_subset_iterator_form():
         )
 
 
+REPEATED_CLASSES = SystemConfig(
+    pairs=tuple(
+        PairParams(sigma2_sd=sd, sigma2_se=se, alpha=1.0 / 6.0)
+        for sd, se in [(2.0, 0.7), (0.5, 1.9), (2.0, 0.7), (1.3, 3.1), (0.5, 1.9), (4.0, 1.9)]
+    )
+)
+
+
+def test_ojs_bracket_with_repeated_gain_classes():
+    # two multi-member classes (0.7 twice, 1.9 three times) interleaved with a
+    # singleton, and pairs 0/2 and 1/4 with equal gains, which share a bracket
+    cfg = REPEATED_CLASSES
+    for gamma in (0.5, 25.0, 1e3):
+        for i in range(cfg.n_pairs):
+            sd = cfg.pairs[i].sigma2_sd
+            se = cfg.pairs[i].sigma2_se
+            candidates = [j for j in range(cfg.n_pairs) if j != i]
+            explicit = math.fsum(
+                (-1.0) ** (len(subset) + 1)
+                * math.fsum(2.0 * se / (sd * cfg.pairs[j].sigma2_se * gamma) for j in subset)
+                * e1_scaled(phi_ojs(cfg, i, subset, gamma))
+                for subset in SubsetIterator(candidates)
+            )
+            assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
+                explicit, rel=1e-12, abs=0.0
+            )
+        # sharing a bracket between equal pairs changes no bit of the total
+        per_pair = [analytic._ojs_pair_bracket(cfg, i, gamma) for i in range(cfg.n_pairs)]
+        value = intercept_sc_ojs(cfg, gamma)
+        assert value == math.fsum(p.alpha * v for p, v in zip(cfg.pairs, per_pair))
+    for gamma in (0.5, 50.0, 5e4, 1e6):
+        value = intercept_sc_ojs(cfg, gamma)
+        assert value == pytest.approx(intercept_sc_ojs_oracle(cfg, gamma), rel=1e-8, abs=0.0)
+        for order in itertools.permutations(range(cfg.n_pairs)):
+            permuted = SystemConfig(tuple(cfg.pairs[k] for k in order))
+            assert intercept_sc_ojs(permuted, gamma) == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
 def test_ojs_matches_integral_oracle():
     cfg = make_symmetric_config(4, 1.0)
     assert intercept_sc_ojs(cfg, 10.0) == pytest.approx(

@@ -419,6 +419,17 @@ def test_rejects_nonfinite_or_overflowing_inputs(flags, tmp_path, capsys):
     assert "E1" not in err
 
 
+@pytest.mark.parametrize("schemes", ["nonc", "rjs", "ojs"])
+def test_rejects_config_with_infinite_gain(schemes, tmp_path, capsys):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("1.0 inf 0.5\n1.0 1.0 0.5\n")
+    flags = ["--experiment", "fig2", "--config", str(cfg), "--schemes", schemes, "--trials", "0"]
+    assert main(flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid system config: pair 0: infinite gain sigma2_se=inf\n"
+
+
 def test_rejects_unknown_scheme():
     assert main(["--experiment", "fig2", "--schemes", "nonc,magic", "--trials", "0"]) == 2
 

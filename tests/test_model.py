@@ -75,6 +75,17 @@ def test_validate_reports_nonpositive_gain():
         require_valid(cfg)
 
 
+def test_validate_reports_infinite_gain():
+    # inf passes a positivity check, and downstream it makes nonc nan and
+    # the cooperative schemes blame the SNR
+    cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 0.5), PairParams(math.inf, 1.0, 0.5)))
+    with pytest.raises(ValueError, match="pair 1: infinite gain sigma2_sd=inf"):
+        require_valid(cfg)
+    cfg = SystemConfig(pairs=(PairParams(1.0, math.inf, 0.5), PairParams(1.0, 1.0, 0.5)))
+    with pytest.raises(ValueError, match="pair 0: infinite gain sigma2_se=inf"):
+        require_valid(cfg)
+
+
 def test_validate_reports_alpha_out_of_range():
     cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 1.5),))
     with pytest.raises(ValueError, match="duty cycle"):
