@@ -112,16 +112,19 @@ def _jamming_terms(sd, se, recip, gamma):
 
 
 def _cooperative(config: SystemConfig, gamma: float, pair_values) -> float:
-    """Validate, degrade one pair to non-cooperation, else fsum alpha_i * v_i over pair_values.
+    """Validate, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
 
-    Weighting each pair's value v_i, never its terms, keeps the scheme ordering under
-    rounding: it is monotone, so b_i <= m_i gives alpha_i*b_i <= alpha_i*m_i at any alpha_i.
+    Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so pair_values(config, rows, gamma)
+    evaluates one row per distinct pair.  Weighting v_i, never its terms, keeps the scheme
+    ordering under rounding: it is monotone, so b_i <= m_i gives alpha_i*b_i <= alpha_i*m_i.
     """
     require_valid(config)
     gamma = require_snr(gamma)
     if config.n_pairs == 1:
         return intercept_noncoop(config)
-    return math.fsum(p.alpha * v for p, v in zip(config.pairs, pair_values(config, gamma)))
+    rows = {(p.sigma2_sd, p.sigma2_se): i for i, p in enumerate(config.pairs)}
+    shared = dict(zip(rows, pair_values(config, list(rows.values()), gamma)))
+    return math.fsum(p.alpha * shared[p.sigma2_sd, p.sigma2_se] for p in config.pairs)
 
 
 def _candidates(config: SystemConfig, i: int) -> list[int]:
@@ -136,12 +139,12 @@ def intercept_noncoop(config: SystemConfig) -> float:
     )
 
 
-def _rjs_pair_values(config: SystemConfig, gamma: float) -> list[float]:
+def _rjs_pair_values(config: SystemConfig, rows: list[int], gamma: float) -> list[float]:
     n = config.n_pairs
     gains = [(p.sigma2_sd, p.sigma2_se, 1.0 / p.sigma2_se) for p in config.pairs]
     sd, se, inv_se = np.array(gains).T
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    terms = _jamming_terms(sd[i], se[i], inv_se[j], gamma).reshape(n, n - 1)
+    i, cols = np.array(rows)[:, None], np.arange(n - 1)  # row i's candidates skip i
+    terms = _jamming_terms(sd[i], se[i], inv_se[cols + (cols >= i)], gamma)
     return [math.fsum(memoryview(row)) / (n - 1) for row in terms]
 
 
@@ -150,8 +153,8 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
 
     For a single pair there is no jammer to pick and the value degrades to
     the non-cooperation probability (see scheme_intercept for the flag).
-    Pair i's value is the mean of its N-1 singleton jamming terms; all
-    N(N-1) terms share one vectorized e1_scaled call.
+    Pair i's value is the mean of its N-1 singleton jamming terms; the
+    terms of all distinct pairs share one vectorized e1_scaled call.
     """
     return _cooperative(config, gamma, _rjs_pair_values)
 
@@ -189,22 +192,19 @@ def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
-    Pairs of equal gains share one bracket, so a call sums (distinct pairs) x
-    (prod_l (c_l + 1) - 1) terms.  Two pairs equal intercept_sc_rjs bit for
-    bit; one pair degrades to non-cooperation.  Refuses more than
-    OJS_EXACT_MAX_PAIRS pairs; use intercept_sc_ojs_oracle beyond that.
+    As in every source-cooperation evaluation, pairs of equal gains share one value, so a
+    call sums (distinct pairs) x (prod_l (c_l + 1) - 1) terms.  Two pairs equal
+    intercept_sc_rjs bit for bit; one pair degrades to non-cooperation.  Refuses more
+    than OJS_EXACT_MAX_PAIRS pairs; use intercept_sc_ojs_oracle beyond that.
     """
-    def pair_values(cfg, g):
-        index = {(p.sigma2_sd, p.sigma2_se): i for i, p in enumerate(cfg.pairs)}
-        brackets = {key: _ojs_pair_bracket(cfg, i, g) for key, i in index.items()}
-        return [brackets[p.sigma2_sd, p.sigma2_se] for p in cfg.pairs]
-
     if config.n_pairs > OJS_EXACT_MAX_PAIRS:
         raise ValueError(
             f"exact subset sum limited to {OJS_EXACT_MAX_PAIRS} pairs; "
             "use intercept_sc_ojs_oracle for larger systems"
         )
-    return _cooperative(config, gamma, pair_values)
+    return _cooperative(config, gamma, lambda cfg, rows, g: [
+        _ojs_pair_bracket(cfg, i, g) for i in rows
+    ])
 
 
 def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:
@@ -256,17 +256,17 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
 
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system RJS intercept probability assembled from quadrature."""
-    return _cooperative(config, gamma, lambda cfg, g: (
+    return _cooperative(config, gamma, lambda cfg, rows, g: [
         math.fsum(_jammed_oracle(cfg, i, [j], g) for j in _candidates(cfg, i)) / (cfg.n_pairs - 1)
-        for i in range(cfg.n_pairs)
-    ))
+        for i in rows
+    ])
 
 
 def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system OJS intercept probability assembled from quadrature."""
-    return _cooperative(config, gamma, lambda cfg, g: (
-        _jammed_oracle(cfg, i, _candidates(cfg, i), g) for i in range(cfg.n_pairs)
-    ))
+    return _cooperative(config, gamma, lambda cfg, rows, g: [
+        _jammed_oracle(cfg, i, _candidates(cfg, i), g) for i in rows
+    ])
 
 
 def scheme_intercept(config: SystemConfig, scheme: str, gamma: float) -> InterceptValue:

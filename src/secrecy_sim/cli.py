@@ -33,7 +33,7 @@ from .model import (
     make_symmetric_config,
     require_scheme,
 )
-from .special import e1, e1_bounds
+from .special import e1, e1_bounds, e1_scaled
 
 __all__ = ["main"]
 
@@ -243,9 +243,15 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 
 def _check_e1_bounds(args) -> list[dict]:
-    xs = np.logspace(-6, 3, 200)
-    ok = all(lo <= e1(x) <= hi for x, (lo, hi) in zip(xs, map(e1_bounds, xs)))
-    return [_check("e1-bounds", ok, "bracket holds on 200-point grid [1e-6, 1e3]")]
+    # E1 leaves the normal range near x = 745, where its bracket turns into 0 <= 0 <= 0;
+    # e1_scaled, which every closed form calls, switches to its tail series past 700
+    xs = np.logspace(-6, 6, 241)
+    head = xs[xs <= 700.0]
+    ok = all(lo <= e1(x) <= hi for x, (lo, hi) in zip(head, map(e1_bounds, head)))
+    scaled = e1_scaled(xs)
+    ok = ok and bool(np.all((0.5 * np.log1p(2.0 / xs) <= scaled) & (scaled <= np.log1p(1.0 / xs))))
+    detail = "bracket holds for e1 on [1e-6, 700] and e1_scaled on [1e-6, 1e6], 241-point grid"
+    return [_check("e1-bounds", ok, detail)]
 
 
 def _check_e1_quadrature(args) -> list[dict]:

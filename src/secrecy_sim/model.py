@@ -11,6 +11,7 @@ distributions the squared Rayleigh gains follow.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -108,6 +109,7 @@ def make_symmetric_config(n: int, mer: float) -> SystemConfig:
     equals `mer` exactly.  N is checked against MAX_PAIRS before any pair
     is built.
     """
+    n = operator.index(n)
     if not 1 <= n <= MAX_PAIRS:
         raise ValueError(f"number of pairs must be between 1 and {MAX_PAIRS}, got {n}")
     if not 0.0 < mer < math.inf:
@@ -159,6 +161,14 @@ def require_valid(config: SystemConfig) -> None:
         refuse(f"duty cycles sum {total:g} > 1")
 
 
+def _numbers(lineno: int, kinds, fields: list[str]) -> list:
+    """Convert each field with its kind, naming the line in the error."""
+    try:
+        return [kind(field) for kind, field in zip(kinds, fields)]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
 def parse_config_text(text: str) -> SystemConfig:
     """Parse the flat text config format.
 
@@ -181,13 +191,13 @@ def parse_config_text(text: str) -> SystemConfig:
                 raise ValueError(f"line {lineno}: expected 'symmetric N MER'")
             if symmetric is not None or pairs:
                 raise ValueError(f"line {lineno}: 'symmetric' must be the only statement")
-            symmetric = (int(fields[1]), float(fields[2]))
+            symmetric = tuple(_numbers(lineno, (int, float), fields[1:]))
             continue
         if symmetric is not None:
             raise ValueError(f"line {lineno}: pair line after 'symmetric' shorthand")
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'sd_gain se_gain alpha', got {raw!r}")
-        sd, se, alpha = (float(f) for f in fields)
+        sd, se, alpha = _numbers(lineno, (float, float, float), fields)
         pairs.append(PairParams(sigma2_sd=sd, sigma2_se=se, alpha=alpha))
     if symmetric is not None:
         return make_symmetric_config(*symmetric)

@@ -185,6 +185,7 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     """
     require_valid(config)
     require_snr(gamma)
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
     seed = operator.index(rng)

@@ -280,16 +280,41 @@ def test_ojs_bracket_with_repeated_gain_classes():
             assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
                 explicit, rel=1e-12, abs=0.0
             )
-        # sharing a bracket between equal pairs changes no bit of the total
-        per_pair = [analytic._ojs_pair_bracket(cfg, i, gamma) for i in range(cfg.n_pairs)]
-        value = intercept_sc_ojs(cfg, gamma)
-        assert value == math.fsum(p.alpha * v for p, v in zip(cfg.pairs, per_pair))
     for gamma in (0.5, 50.0, 5e4, 1e6):
         value = intercept_sc_ojs(cfg, gamma)
         assert value == pytest.approx(intercept_sc_ojs_oracle(cfg, gamma), rel=1e-8, abs=0.0)
         for order in itertools.permutations(range(cfg.n_pairs)):
             permuted = SystemConfig(tuple(cfg.pairs[k] for k in order))
             assert intercept_sc_ojs(permuted, gamma) == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate, pair_value, rel",
+    [
+        (intercept_sc_rjs, lambda cfg, i, g: analytic._rjs_pair_values(cfg, [i], g)[0], 0.0),
+        (intercept_sc_ojs, analytic._ojs_pair_bracket, 0.0),
+        (
+            intercept_sc_rjs_oracle,
+            lambda cfg, i, g: math.fsum(
+                analytic._jammed_oracle(cfg, i, [j], g) for j in analytic._candidates(cfg, i)
+            ) / (cfg.n_pairs - 1),
+            1e-15,
+        ),
+        (
+            intercept_sc_ojs_oracle,
+            lambda cfg, i, g: analytic._jammed_oracle(cfg, i, analytic._candidates(cfg, i), g),
+            1e-15,
+        ),
+    ],
+    ids=["rjs", "ojs", "rjs-oracle", "ojs-oracle"],
+)
+def test_equal_pairs_share_one_value(evaluate, pair_value, rel):
+    # pairs 0/2 and 1/4 have equal gains; pair 5 shares only pair 1's sigma2_se
+    cfg = REPEATED_CLASSES
+    for gamma in (0.5, 25.0, 1e3):
+        per_pair = [pair_value(cfg, i, gamma) for i in range(cfg.n_pairs)]
+        expected = math.fsum(p.alpha * v for p, v in zip(cfg.pairs, per_pair))
+        assert evaluate(cfg, gamma) == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 def test_ojs_matches_integral_oracle():
@@ -551,7 +576,7 @@ def test_symmetric_ojs_reference_matches_mpmath(n):
             )
 
 
-@pytest.mark.parametrize("n, gamma", [(64, 10.0), (64, 1e6), (200, 1e6)])
+@pytest.mark.parametrize("n, gamma", [(64, 10.0), (64, 1e6), (200, 10.0), (200, 1e6)])
 def test_ojs_oracle_matches_reference_on_wide_systems(n, gamma):
     # beyond the closed form's 20 pairs nothing else checks the oracle
     oracle = intercept_sc_ojs_oracle(make_symmetric_config(n, 1.0), gamma)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import secrecy_sim
 from secrecy_sim import analytic, model, special
 
 MODULES = ("analytic", "cli", "diversity", "model", "simulate", "special")
+# pyproject.toml's [project] dependencies; mpmath and hypothesis are test-only
+RUNTIME_DEPENDENCIES = {"numpy", "scipy"}
 
 
 def test_public_names_exist_and_star_import():
@@ -24,3 +29,19 @@ def test_public_names_exist_and_star_import():
     for module, gone in ((model, "validate"), (special, "E1Bounds"), (analytic, "_check_gamma")):
         assert not hasattr(secrecy_sim, gone)
         assert not hasattr(module, gone)
+
+
+def test_package_imports_only_declared_runtime_dependencies():
+    package = Path(secrecy_sim.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                allowed = top in sys.stdlib_module_names or top in RUNTIME_DEPENDENCIES
+                assert allowed or top == "secrecy_sim", (path.name, name)

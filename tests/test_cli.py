@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from secrecy_sim import analytic
+from secrecy_sim import analytic, special
 from secrecy_sim.cli import _parse_grid, _parse_symmetric, build_parser, main
 from secrecy_sim.model import MAX_PAIRS
 from secrecy_sim.special import e1_scaled
@@ -352,6 +352,13 @@ def test_validate_catches_sign_flip_mutation(monkeypatch, capsys):
     assert "FAIL oracle-equivalence-ojs" in stdout
 
 
+def test_validate_catches_tail_series_mutation(monkeypatch, capsys):
+    # one series term leaves e1_scaled below its lower bound past the 700 cutoff
+    monkeypatch.setattr(special, "_TAIL_TERMS", 1)
+    assert main(["--experiment", "validate"]) == 1
+    assert "FAIL e1-bounds" in capsys.readouterr().out
+
+
 # --- argument errors --------------------------------------------------------
 
 
@@ -417,6 +424,15 @@ def test_rejects_nonfinite_or_overflowing_inputs(flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "E1" not in err
+
+
+def test_config_number_error_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("1.0 1.0 0.5\n1.0 abc 0.5\n")
+    assert main(["--experiment", "fig2", "--config", str(cfg), "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: could not convert string to float: 'abc'\n"
 
 
 @pytest.mark.parametrize("schemes", ["nonc", "rjs", "ojs"])

@@ -54,6 +54,12 @@ def test_symmetric_rejects_bad_arguments(n, mer):
         make_symmetric_config(n, mer)
 
 
+def test_symmetric_rejects_non_integer_pair_count():
+    for n in (2.5, 2.0, "4"):
+        with pytest.raises(TypeError):
+            make_symmetric_config(n, 1.0)
+
+
 def test_symmetric_always_validates():
     for n in range(1, 9):
         for mer in (0.01, 1.0, 100.0):
@@ -188,6 +194,20 @@ def test_parse_symmetric_shorthand():
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.0 abc 0.5\n", "line 1: could not convert string to float: 'abc'"),
+        ("# header\nsymmetric 2.5 1\n", "line 2: invalid literal for int() with base 10: '2.5'"),
+        ("symmetric 4 x\n", "line 1: could not convert string to float: 'x'"),
+    ],
+)
+def test_parse_names_the_line_of_a_bad_number(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_config_text(text)
+    assert str(info.value) == message
 
 
 def test_load_config_from_file(tmp_path):

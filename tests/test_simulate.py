@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_rejects_non_integer_seed():
             estimate_intercept(cfg, "nonc", 1.0, 1000, seed)
         with pytest.raises(TypeError):
             coupled_dominance_check(cfg, 10.0, 1000, seed)
+
+
+def test_rejects_non_integer_trials():
+    # a Fraction used to run ceil(trials / N) trials per pair without a word
+    cfg = make_symmetric_config(2, 1.0)
+    for trials in (2500.5, "1000", Fraction(5001, 2)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            estimate_intercepts(cfg, ["nonc"], 10.0, trials, 1)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            coupled_dominance_check(cfg, 10.0, trials, 1)
 
 
 def test_pair_streams_differ_and_reproduce():
