@@ -1,9 +1,9 @@
-"""Experiment harness: deterministic CSV sweeps and a validation suite.
+"""Command line: deterministic CSV sweeps and the validation report.
 
-Each experiment evaluates the closed-form intercept probabilities (and,
-unless --trials 0 is given, a Monte Carlo cross-check) over a parameter
-grid and writes CSV with a versioned header line.  Identical flags and seed
-produce byte-identical output regardless of worker count.
+Each figure experiment writes CSV with a versioned header line: closed-form
+intercept probabilities over a grid and, unless --trials 0, a Monte Carlo
+cross-check; identical flags and seed give identical bytes at any worker
+count.  `validate` prints one line per check of `secrecy_sim.validation`.
 
 Config file grammar (--config), one statement per line, '#' comments:
 
@@ -20,20 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate
-
-from . import analytic, diversity, simulate
-from .model import (
-    NONCOOP,
-    SC_OJS,
-    SC_RJS,
-    SCHEMES,
-    load_config,
-    make_symmetric_config,
-    require_scheme,
-)
-from .special import e1, e1_bounds, e1_scaled
+from . import analytic, simulate, validation
+from .model import SCHEMES, load_config, make_symmetric_config, require_scheme, require_seed
 
 __all__ = ["main"]
 
@@ -79,17 +67,17 @@ def _parse_grid(text: str) -> list[float]:
 def _parse_symmetric(tokens: list[str]) -> tuple[int, float]:
     n = None
     mer = None
-    for tok in tokens:
-        key, _, value = tok.partition("=")
-        if key.upper() == "N":
-            n = int(value)
-        elif key.upper() == "MER":
-            mer = float(value)
-        else:
-            raise ValueError(f"expected N=.. or MER=.., got {tok!r}")
-    if n is None or mer is None:
-        raise ValueError("--symmetric needs both N=.. and MER=..")
     try:
+        for tok in tokens:
+            key, _, value = tok.partition("=")
+            if key.upper() == "N":
+                n = int(value)
+            elif key.upper() == "MER":
+                mer = float(value)
+            else:
+                raise ValueError(f"expected N=.. or MER=.., got {tok!r}")
+        if n is None or mer is None:
+            raise ValueError("needs both N=.. and MER=..")
         make_symmetric_config(n, mer)
     except ValueError as exc:
         raise ValueError(f"--symmetric: {exc}") from None
@@ -216,149 +204,6 @@ def run_grid(args) -> int:
     return 0
 
 
-def _e1_quadrature_reference(x: float) -> float:
-    """Adaptive-quadrature reference for E1, independent of the exp1 kernel.
-
-    Uses exp(x)*E1(x) = integral of exp(-s)/(s+x) over s >= 0 for x >= 1 and
-    the substitution t = x*e^v turning E1 into integral of exp(-x*(e^v - 1))
-    times exp(-x) over v >= 0 for small x.
-    """
-    if x >= 1.0:
-        scaled, _ = integrate.quad(
-            lambda s: math.exp(-s) / (s + x), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400
-        )
-        return math.exp(-x) * scaled
-
-    def integrand(v: float) -> float:
-        with np.errstate(over="ignore"):
-            t = x * float(np.expm1(v))
-        return math.exp(-t) if t < 745.0 else 0.0
-
-    scaled, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
-    return math.exp(-x) * scaled
-
-
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"check": name, "passed": bool(passed), "detail": detail}
-
-
-def _check_e1_bounds(args) -> list[dict]:
-    # E1 leaves the normal range near x = 745, where its bracket turns into 0 <= 0 <= 0;
-    # e1_scaled, which every closed form calls, switches to its tail series past 700
-    xs = np.logspace(-6, 6, 241)
-    head = xs[xs <= 700.0]
-    ok = all(lo <= e1(x) <= hi for x, (lo, hi) in zip(head, map(e1_bounds, head)))
-    scaled = e1_scaled(xs)
-    ok = ok and bool(np.all((0.5 * np.log1p(2.0 / xs) <= scaled) & (scaled <= np.log1p(1.0 / xs))))
-    detail = "bracket holds for e1 on [1e-6, 700] and e1_scaled on [1e-6, 1e6], 241-point grid"
-    return [_check("e1-bounds", ok, detail)]
-
-
-def _check_e1_quadrature(args) -> list[dict]:
-    xs = np.logspace(-8, math.log10(700.0), 40)
-    worst = max(
-        abs(e1(x) - _e1_quadrature_reference(x)) / _e1_quadrature_reference(x) for x in xs
-    )
-    return [_check("e1-quadrature", worst <= 1e-12, f"max_rel={worst:.3e}")]
-
-
-def _check_oracles_and_ordering(args) -> list[dict]:
-    gammas = np.logspace(-1, 12, 14)
-    worst_rjs = 0.0
-    worst_ojs = 0.0
-    ordering_ok = True
-    for n in (2, 3, 4):
-        for mer in (0.1, 1.0, 10.0):
-            config = make_symmetric_config(n, mer)
-            for gamma in gammas:
-                rjs = analytic.intercept_sc_rjs(config, gamma)
-                ojs = analytic.intercept_sc_ojs(config, gamma)
-                rjs_ref = analytic.intercept_sc_rjs_oracle(config, gamma)
-                ojs_ref = analytic.intercept_sc_ojs_oracle(config, gamma)
-                worst_rjs = max(worst_rjs, abs(rjs - rjs_ref) / rjs_ref)
-                worst_ojs = max(worst_ojs, abs(ojs - ojs_ref) / ojs_ref)
-                nonc = analytic.intercept_noncoop(config)
-                tol = 1e-12 * nonc
-                ordering_ok &= ojs <= rjs + tol and rjs <= nonc + tol
-    return [
-        _check("oracle-equivalence-rjs", worst_rjs <= 1e-8, f"max_rel={worst_rjs:.3e}"),
-        _check("oracle-equivalence-ojs", worst_ojs <= 1e-8, f"max_rel={worst_ojs:.3e}"),
-        _check("scheme-ordering", ordering_ok, "ojs <= rjs <= nonc on validation grid"),
-    ]
-
-
-def _check_dominance(args) -> list[dict]:
-    config = make_symmetric_config(4, 1.0)
-    violations = simulate.coupled_dominance_check(config, 10.0, 200_000, args.seed)
-    return [_check("dominance", violations == 0, f"violations={violations}")]
-
-
-def _check_mc_consistency(args) -> list[dict]:
-    trials = max(args.trials, 100_000)
-    misses = []
-    for seed in (args.seed, args.seed + 1):
-        misses = []
-        for n in (2, 4):
-            for mer in (0.5, 1.0, 2.0):
-                config = make_symmetric_config(n, mer)
-                for gamma in (1.0, 10.0, 100.0):
-                    estimates = simulate.estimate_intercepts(
-                        config, SCHEMES, gamma, trials, seed, workers=args.workers
-                    )
-                    for scheme, est in zip(SCHEMES, estimates):
-                        ref = analytic.scheme_intercept(config, scheme, gamma).value
-                        if abs(est.p_hat - ref) > 3.0 * max(est.std_err, 1e-300):
-                            misses.append((n, mer, gamma, scheme))
-        if not misses:
-            break
-    return [
-        _check("mc-consistency", not misses, f"3-sigma misses={len(misses)} (retry-once rule)")
-    ]
-
-
-def _check_diversity(args) -> list[dict]:
-    # Finite-window estimates: the random-selection curve carries a
-    # ln(gamma)/gamma factor (bias ~ 1/ln gamma), while for three or more
-    # pairs the optimal-selection curve decays as a pure 1/gamma (the
-    # alternating subset sum cancels the log term), so the two estimates are
-    # only compared where the schemes provably coincide (two pairs).
-    window = diversity.DEFAULT_WINDOW
-    config = make_symmetric_config(4, 1.0)
-    d_nonc = diversity.fit_diversity(NONCOOP, config, window).diversity
-    d_rjs = diversity.fit_diversity(SC_RJS, config, window).diversity
-    d_ojs = diversity.fit_diversity(SC_OJS, config, window).diversity
-    two_pair = make_symmetric_config(2, 1.0)
-    d_rjs2 = diversity.fit_diversity(SC_RJS, two_pair, window).diversity
-    d_ojs2 = diversity.fit_diversity(SC_OJS, two_pair, window).diversity
-    ok = (
-        abs(d_nonc) <= 1e-8
-        and 0.85 <= d_rjs <= 1.0
-        and 0.85 <= d_ojs <= 1.0
-        and abs(d_rjs2 - d_ojs2) <= 0.02
-    )
-    return [_check("diversity", ok, f"nonc={d_nonc:.2e} rjs={d_rjs:.4f} ojs={d_ojs:.4f}")]
-
-
-_VALIDATION_BLOCKS = (
-    ("e1-bounds", _check_e1_bounds),
-    ("e1-quadrature", _check_e1_quadrature),
-    ("oracle-equivalence-ojs", _check_oracles_and_ordering),
-    ("dominance", _check_dominance),
-    ("mc-consistency", _check_mc_consistency),
-    ("diversity", _check_diversity),
-)
-
-
-def _validate_checks(args) -> list[dict]:
-    checks: list[dict] = []
-    for name, block in _VALIDATION_BLOCKS:
-        try:
-            checks.extend(block(args))
-        except Exception as exc:  # a crashing check is a failing check
-            checks.append(_check(name, False, f"exception: {exc}"))
-    return checks
-
-
 def run_validate(args) -> int:
     _refuse_unread(args, {
         "--config": args.config,
@@ -367,7 +212,7 @@ def run_validate(args) -> int:
         "--mer-db": args.mer_db,
         "--schemes": args.schemes != _ALL_SCHEMES,
     })
-    checks = _validate_checks(args)
+    checks = validation.run(args.seed, args.trials, args.workers)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['check']}: {c['detail']}")
@@ -432,6 +277,7 @@ def main(argv=None) -> int:
         print(f"--workers must be between 1 and {_MAX_WORKERS}", file=sys.stderr)
         return 2
     try:
+        require_seed(args.seed)
         if args.experiment == "validate":
             return run_validate(args)
         return run_grid(args)

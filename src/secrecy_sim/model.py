@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "MAX_PAIRS",
     "make_symmetric_config",
     "require_scheme",
+    "require_seed",
     "require_snr",
     "require_valid",
     "parse_config_text",
@@ -133,6 +135,17 @@ def require_snr(gamma: float) -> float:
     return g
 
 
+def require_seed(seed: int) -> int:
+    """Return the seed as an int; raise ValueError unless it is in [0, 2**64).
+
+    A float or a string is a TypeError, never truncated or parsed.
+    """
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 def require_valid(config: SystemConfig) -> None:
     """Raise ValueError naming the first violated invariant of the configuration.
 
@@ -161,10 +174,11 @@ def require_valid(config: SystemConfig) -> None:
         refuse(f"duty cycles sum {total:g} > 1")
 
 
-def _numbers(lineno: int, kinds, fields: list[str]) -> list:
-    """Convert each field with its kind, naming the line in the error."""
+@contextmanager
+def _at_line(lineno: int):
+    """Prefix a ValueError raised inside the block with its config line."""
     try:
-        return [kind(field) for kind, field in zip(kinds, fields)]
+        yield
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 
@@ -180,7 +194,7 @@ def parse_config_text(text: str) -> SystemConfig:
     The symmetric shorthand must be the only statement in the file.
     """
     pairs: list[PairParams] = []
-    symmetric: tuple[int, float] | None = None
+    symmetric: SystemConfig | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,16 +205,18 @@ def parse_config_text(text: str) -> SystemConfig:
                 raise ValueError(f"line {lineno}: expected 'symmetric N MER'")
             if symmetric is not None or pairs:
                 raise ValueError(f"line {lineno}: 'symmetric' must be the only statement")
-            symmetric = tuple(_numbers(lineno, (int, float), fields[1:]))
+            with _at_line(lineno):
+                symmetric = make_symmetric_config(int(fields[1]), float(fields[2]))
             continue
         if symmetric is not None:
             raise ValueError(f"line {lineno}: pair line after 'symmetric' shorthand")
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'sd_gain se_gain alpha', got {raw!r}")
-        sd, se, alpha = _numbers(lineno, (float, float, float), fields)
+        with _at_line(lineno):
+            sd, se, alpha = map(float, fields)
         pairs.append(PairParams(sigma2_sd=sd, sigma2_se=se, alpha=alpha))
     if symmetric is not None:
-        return make_symmetric_config(*symmetric)
+        return symmetric
     if not pairs:
         raise ValueError("config text contains no pairs")
     return SystemConfig(pairs=tuple(pairs))

@@ -32,7 +32,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import (
-    NONCOOP, SC_OJS, SC_RJS, PairParams, SystemConfig, require_scheme, require_snr, require_valid,
+    NONCOOP, SC_OJS, SC_RJS, PairParams, SystemConfig,
+    require_scheme, require_seed, require_snr, require_valid,
 )
 
 __all__ = [
@@ -188,9 +189,7 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     trials = operator.index(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
-    seed = operator.index(rng)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    seed = require_seed(rng)
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")

@@ -8,7 +8,7 @@ from pathlib import Path
 import secrecy_sim
 from secrecy_sim import analytic, model, special
 
-MODULES = ("analytic", "cli", "diversity", "model", "simulate", "special")
+MODULES = ("analytic", "cli", "diversity", "model", "simulate", "special", "validation")
 # pyproject.toml's [project] dependencies; mpmath and hypothesis are test-only
 RUNTIME_DEPENDENCIES = {"numpy", "scipy"}
 
@@ -45,3 +45,21 @@ def test_package_imports_only_declared_runtime_dependencies():
                 top = name.partition(".")[0]
                 allowed = top in sys.stdlib_module_names or top in RUNTIME_DEPENDENCIES
                 assert allowed or top == "secrecy_sim", (path.name, name)
+
+
+def test_no_module_imports_the_cli():
+    # the CLI is the top layer: the library must work without it
+    package = Path(secrecy_sim.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "secrecy_sim" if node.level else ""
+                module = ".".join(filter(None, [base, node.module]))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert "secrecy_sim.cli" not in names, (path.name, names)

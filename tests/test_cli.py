@@ -299,6 +299,17 @@ def test_schemes_filter_and_order(tmp_path):
 
 # --- validation suite -------------------------------------------------------
 
+_VALIDATION_CHECKS = [
+    "e1-bounds",
+    "e1-quadrature",
+    "oracle-equivalence-rjs",
+    "oracle-equivalence-ojs",
+    "scheme-ordering",
+    "dominance",
+    "mc-consistency",
+    "diversity",
+]
+
 
 def test_validate_default_passes(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
@@ -309,17 +320,8 @@ def test_validate_default_passes(tmp_path, capsys):
     assert "FAIL" not in stdout
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(rec["passed"] for rec in records)
-    names = {rec["check"] for rec in records}
-    assert {
-        "e1-bounds",
-        "e1-quadrature",
-        "oracle-equivalence-rjs",
-        "oracle-equivalence-ojs",
-        "scheme-ordering",
-        "dominance",
-        "mc-consistency",
-        "diversity",
-    } <= names
+    assert [rec["check"] for rec in records] == _VALIDATION_CHECKS
+    assert stdout.splitlines() == [f"PASS {rec['check']}: {rec['detail']}" for rec in records]
 
 
 def test_validate_seed_choice_does_not_break_properties(tmp_path):
@@ -350,6 +352,19 @@ def test_validate_catches_sign_flip_mutation(monkeypatch, capsys):
     assert rc == 1
     stdout = capsys.readouterr().out
     assert "FAIL oracle-equivalence-ojs" in stdout
+
+
+def test_validate_attributes_a_crash_to_its_own_check(monkeypatch, capsys):
+    def broken_oracle(config, gamma):
+        raise RuntimeError("oracle down")
+
+    monkeypatch.setattr(analytic, "intercept_sc_rjs_oracle", broken_oracle)
+    assert main(["--experiment", "validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1].rstrip(":") for line in lines] == _VALIDATION_CHECKS
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL oracle-equivalence-rjs: exception: oracle down"
+    ]
 
 
 def test_validate_catches_tail_series_mutation(monkeypatch, capsys):
@@ -424,6 +439,45 @@ def test_rejects_nonfinite_or_overflowing_inputs(flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "E1" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # refused before any check runs or any row is written
+        (["--experiment", "validate", "--seed", "-1"],
+         "seed must fit in an unsigned 64-bit integer"),
+        (["--experiment", "fig2", "--trials", "0", "--seed", "-5"],
+         "seed must fit in an unsigned 64-bit integer"),
+        (["--experiment", "fig2", "--trials", "0", "--seed", "0x10000000000000000"],
+         "seed must fit in an unsigned 64-bit integer"),
+        (["--experiment", "fig2", "--trials", "0", "--symmetric", "N=2.5", "MER=1"],
+         "--symmetric: invalid literal for int() with base 10: '2.5'"),
+        (["--experiment", "fig2", "--trials", "0", "--symmetric", "N=4", "MER=abc"],
+         "--symmetric: could not convert string to float: 'abc'"),
+    ],
+    ids=["validate-seed", "negative-seed", "seed-2**64", "symmetric-n", "symmetric-mer"],
+)
+def test_bad_seed_or_symmetric_value_is_one_line_error(flags, message, capsys):
+    assert main(flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_largest_seed_is_accepted(capsys):
+    flags = ["--experiment", "fig2", "--trials", "0", "--gamma-db", "0", "--schemes", "nonc"]
+    assert main([*flags, "--seed", "0xffffffffffffffff"]) == 0
+    assert capsys.readouterr().out.endswith("0,nonc,5.000000000000e-01\n")
+
+
+def test_config_range_error_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("# symmetric system\nsymmetric 0 1\n")
+    assert main(["--experiment", "fig2", "--config", str(cfg), "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: number of pairs must be between 1 and 1024, got 0\n"
 
 
 def test_config_number_error_names_its_line(tmp_path, capsys):

@@ -202,6 +202,9 @@ def test_parse_rejects_malformed_text(text):
         ("1.0 abc 0.5\n", "line 1: could not convert string to float: 'abc'"),
         ("# header\nsymmetric 2.5 1\n", "line 2: invalid literal for int() with base 10: '2.5'"),
         ("symmetric 4 x\n", "line 1: could not convert string to float: 'x'"),
+        # the shorthand's range checks name the line too
+        ("symmetric 0 1\n", "line 1: number of pairs must be between 1 and 1024, got 0"),
+        ("# header\nsymmetric 4 nan\n", "line 2: MER must be positive and finite, got nan"),
     ],
 )
 def test_parse_names_the_line_of_a_bad_number(text, message):

@@ -8,8 +8,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrecy_sim.cli import _e1_quadrature_reference as quadrature_e1
 from secrecy_sim.special import _TAIL_CUTOFF, e1, e1_bounds, e1_scaled
+from secrecy_sim.validation import _e1_quadrature_reference as quadrature_e1
 
 EULER_GAMMA = 0.5772156649015329
 EPS = np.finfo(float).eps
