@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import contextmanager
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -89,41 +88,37 @@ def _snr_range_error(gamma: float, what: str) -> ValueError:
     )
 
 
-@contextmanager
-def _snr_in_range(gamma: float):
-    """Report an over/underflow, or an E1 argument it left at 0 or inf, as an SNR range error."""
+def _jamming_terms(pair, recip, gamma):
+    """Jamming terms of pair (sd, se) past jammer sets of reciprocal gain sums recip.
+
+    Elementwise (2*se/(sd*gamma)) * recip * e1_scaled(phi), phi = (2*sd + 2*se)/(sd*gamma) *
+    recip; recip = 1/sigma2_se_j gives the per-(i, j) RJS term.  Refuses an over/underflow,
+    or an E1 argument it left at 0 or inf, as an SNR range error.
+    """
+    sd, se = np.array([pair.sigma2_sd, pair.sigma2_se])  # numpy scalars obey errstate, floats not
     try:
         with np.errstate(over="raise", under="raise"):
-            yield
+            phi = (2.0 * sd + 2.0 * se) / (sd * gamma) * recip
+            terms = e1_scaled(phi)  # phi's buffer is free from here on
+            scale = np.multiply(2.0 * se / (sd * gamma), recip, out=phi)
+            return np.multiply(terms, scale, out=terms)
     except (FloatingPointError, ValueError):
         raise _snr_range_error(gamma, "the closed form") from None
 
 
-def _jamming_terms(sd, se, recip, gamma):
-    """Jamming term of a pair with gains (sd, se) past jammer sets of reciprocal gain sum recip.
-
-    Elementwise (2*se/(sd*gamma)) * recip * e1_scaled(phi), phi = (2*sd + 2*se)/(sd*gamma) *
-    recip; recip = 1/sigma2_se_j gives the per-(i, j) RJS term.
-    """
-    with _snr_in_range(gamma):
-        phi = (2.0 * sd + 2.0 * se) / (sd * gamma) * recip
-        terms = e1_scaled(phi)  # phi's buffer is free from here on
-        return np.multiply(terms, np.multiply(2.0 * se / (sd * gamma), recip, out=phi), out=terms)
-
-
-def _cooperative(config: SystemConfig, gamma: float, pair_values) -> float:
+def _cooperative(config: SystemConfig, gamma: float, pair_value) -> float:
     """Validate, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
 
-    Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so pair_values(config, rows, gamma)
-    evaluates one row per distinct pair.  Weighting v_i, never its terms, keeps the scheme
-    ordering under rounding: it is monotone, so b_i <= m_i gives alpha_i*b_i <= alpha_i*m_i.
+    Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so pair_value(config, i, gamma) runs
+    once per distinct pair, i the last of its gains.  Weighting v_i, never its terms, keeps the
+    scheme ordering under rounding: it is monotone, so b_i <= m_i gives alpha_i*b_i <= alpha_i*m_i.
     """
     require_valid(config)
     gamma = require_snr(gamma)
     if config.n_pairs == 1:
         return intercept_noncoop(config)
     rows = {(p.sigma2_sd, p.sigma2_se): i for i, p in enumerate(config.pairs)}
-    shared = dict(zip(rows, pair_values(config, list(rows.values()), gamma)))
+    shared = {key: pair_value(config, i, gamma) for key, i in rows.items()}
     return math.fsum(p.alpha * shared[p.sigma2_sd, p.sigma2_se] for p in config.pairs)
 
 
@@ -139,13 +134,10 @@ def intercept_noncoop(config: SystemConfig) -> float:
     )
 
 
-def _rjs_pair_values(config: SystemConfig, rows: list[int], gamma: float) -> list[float]:
-    n = config.n_pairs
-    gains = [(p.sigma2_sd, p.sigma2_se, 1.0 / p.sigma2_se) for p in config.pairs]
-    sd, se, inv_se = np.array(gains).T
-    i, cols = np.array(rows)[:, None], np.arange(n - 1)  # row i's candidates skip i
-    terms = _jamming_terms(sd[i], se[i], inv_se[cols + (cols >= i)], gamma)
-    return [math.fsum(memoryview(row)) / (n - 1) for row in terms]
+def _rjs_pair_value(config: SystemConfig, i: int, gamma: float) -> float:
+    recip = np.array([1.0 / config.pairs[j].sigma2_se for j in _candidates(config, i)])
+    terms = _jamming_terms(config.pairs[i], recip, gamma)
+    return math.fsum(memoryview(terms)) / (config.n_pairs - 1)
 
 
 def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
@@ -153,10 +145,10 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
 
     For a single pair there is no jammer to pick and the value degrades to
     the non-cooperation probability (see scheme_intercept for the flag).
-    Pair i's value is the mean of its N-1 singleton jamming terms; the
-    terms of all distinct pairs share one vectorized e1_scaled call.
+    Pair i's value is the mean of its N-1 singleton jamming terms, one
+    e1_scaled call per distinct pair.
     """
-    return _cooperative(config, gamma, _rjs_pair_values)
+    return _cooperative(config, gamma, _rjs_pair_value)
 
 
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
@@ -182,8 +174,7 @@ def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
             recip[lo : lo + block] = recip[lo - block : lo] + inv
             weight[lo : lo + block] = weight[:block] * ((-1) ** k * math.comb(count, k))
         block *= count + 1
-    pair = config.pairs[i]
-    terms = _jamming_terms(pair.sigma2_sd, pair.sigma2_se, recip[1:], gamma)
+    terms = _jamming_terms(config.pairs[i], recip[1:], gamma)
     np.copysign(terms, weight[1:], out=terms)  # exact: every term is positive
     # A memoryview yields plain floats: no numpy scalar per term, no list copy.
     return math.fsum(memoryview(np.repeat(terms, np.abs(weight[1:]))))
@@ -202,9 +193,7 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
             f"exact subset sum limited to {OJS_EXACT_MAX_PAIRS} pairs; "
             "use intercept_sc_ojs_oracle for larger systems"
         )
-    return _cooperative(config, gamma, lambda cfg, rows, g: [
-        _ojs_pair_bracket(cfg, i, g) for i in rows
-    ])
+    return _cooperative(config, gamma, _ojs_pair_bracket)
 
 
 def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:
@@ -256,17 +245,16 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
 
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system RJS intercept probability assembled from quadrature."""
-    return _cooperative(config, gamma, lambda cfg, rows, g: [
-        math.fsum(_jammed_oracle(cfg, i, [j], g) for j in _candidates(cfg, i)) / (cfg.n_pairs - 1)
-        for i in rows
-    ])
+    return _cooperative(config, gamma, lambda cfg, i, g: math.fsum(
+        _jammed_oracle(cfg, i, [j], g) for j in _candidates(cfg, i)
+    ) / (cfg.n_pairs - 1))
 
 
 def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system OJS intercept probability assembled from quadrature."""
-    return _cooperative(config, gamma, lambda cfg, rows, g: [
-        _jammed_oracle(cfg, i, _candidates(cfg, i), g) for i in rows
-    ])
+    return _cooperative(
+        config, gamma, lambda cfg, i, g: _jammed_oracle(cfg, i, _candidates(cfg, i), g)
+    )
 
 
 def scheme_intercept(config: SystemConfig, scheme: str, gamma: float) -> InterceptValue:

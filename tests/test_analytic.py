@@ -291,7 +291,7 @@ def test_ojs_bracket_with_repeated_gain_classes():
 @pytest.mark.parametrize(
     "evaluate, pair_value, rel",
     [
-        (intercept_sc_rjs, lambda cfg, i, g: analytic._rjs_pair_values(cfg, [i], g)[0], 0.0),
+        (intercept_sc_rjs, analytic._rjs_pair_value, 0.0),
         (intercept_sc_ojs, analytic._ojs_pair_bracket, 0.0),
         (
             intercept_sc_rjs_oracle,
@@ -315,6 +315,31 @@ def test_equal_pairs_share_one_value(evaluate, pair_value, rel):
         per_pair = [pair_value(cfg, i, gamma) for i in range(cfg.n_pairs)]
         expected = math.fsum(p.alpha * v for p, v in zip(cfg.pairs, per_pair))
         assert evaluate(cfg, gamma) == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate, per_pair, calls_per_pair",
+    [
+        (intercept_sc_rjs, "_rjs_pair_value", 1),
+        (intercept_sc_ojs, "_ojs_pair_bracket", 1),
+        (intercept_sc_rjs_oracle, "_jammed_oracle", 5),
+        (intercept_sc_ojs_oracle, "_jammed_oracle", 1),
+    ],
+    ids=["rjs", "ojs", "rjs-oracle", "ojs-oracle"],
+)
+def test_each_distinct_pair_is_evaluated_once(monkeypatch, evaluate, per_pair, calls_per_pair):
+    # four distinct (sd, se) among six pairs, each evaluated at its last pair: 2, 4, 3, 5;
+    # the RJS oracle integrates once per candidate, N - 1 = 5 times
+    seen = []
+    evaluate_pair = getattr(analytic, per_pair)
+
+    def spy(cfg, i, *rest):
+        seen.append(i)
+        return evaluate_pair(cfg, i, *rest)
+
+    monkeypatch.setattr(analytic, per_pair, spy)
+    evaluate(REPEATED_CLASSES, 25.0)
+    assert seen == [i for i in (2, 4, 3, 5) for _ in range(calls_per_pair)]
 
 
 def test_ojs_matches_integral_oracle():
@@ -516,6 +541,14 @@ def test_closed_forms_refuse_subnormal_intermediates():
     for closed_form in (intercept_sc_rjs, intercept_sc_ojs):
         with pytest.raises(ValueError, match="out of range for these channel gains"):
             closed_form(cfg, 10**303.14742240283783)
+
+
+def test_closed_forms_refuse_an_underflowing_scalar_step():
+    # sd * gamma underflows to 0.0 before any array is formed
+    cfg = SystemConfig((PairParams(1e-200, 1.0, 0.5), PairParams(1.0, 1.0, 0.5)))
+    for closed_form in (intercept_sc_rjs, intercept_sc_ojs):
+        with pytest.raises(ValueError, match="out of range for these channel gains"):
+            closed_form(cfg, 1e-200)
 
 
 def _mp_bracket(mp, config, i, jammers, gamma):

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
-from secrecy_sim import analytic, special
+from secrecy_sim import analytic, special, validation
 from secrecy_sim.cli import _parse_grid, _parse_symmetric, build_parser, main
 from secrecy_sim.model import MAX_PAIRS
 from secrecy_sim.special import e1_scaled
@@ -372,6 +373,20 @@ def test_validate_catches_tail_series_mutation(monkeypatch, capsys):
     monkeypatch.setattr(special, "_TAIL_TERMS", 1)
     assert main(["--experiment", "validate"]) == 1
     assert "FAIL e1-bounds" in capsys.readouterr().out
+
+
+def test_mc_consistency_retries_from_the_top_seed(monkeypatch):
+    # a closed form 5% high misses on both attempts; the retry's seed wraps to 0
+    exact = analytic.scheme_intercept
+
+    def shifted(config, scheme, gamma):
+        value = exact(config, scheme, gamma)
+        return value._replace(value=1.05 * value.value)
+
+    monkeypatch.setattr(analytic, "scheme_intercept", shifted)
+    passed, detail = validation._mc_consistency(2**64 - 1, 0, 1)
+    assert passed is False
+    assert re.fullmatch(r"3-sigma misses=[1-9]\d* \(retry-once rule\)", detail)
 
 
 # --- argument errors --------------------------------------------------------
