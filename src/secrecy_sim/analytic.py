@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .model import NONCOOP, SC_RJS, SystemConfig, require_scheme, require_snr, require_valid
+from .model import NONCOOP, SC_RJS, SystemConfig, require_scheme, require_snr
 from .special import e1_scaled
 
 __all__ = [
@@ -107,13 +107,12 @@ def _jamming_terms(pair, recip, gamma):
 
 
 def _cooperative(config: SystemConfig, gamma: float, pair_value) -> float:
-    """Validate, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
+    """Check gamma, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
 
     Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so pair_value(config, i, gamma) runs
     once per distinct pair, i the last of its gains.  Weighting v_i, never its terms, keeps the
     scheme ordering under rounding: it is monotone, so b_i <= m_i gives alpha_i*b_i <= alpha_i*m_i.
     """
-    require_valid(config)
     gamma = require_snr(gamma)
     if config.n_pairs == 1:
         return intercept_noncoop(config)
@@ -128,7 +127,6 @@ def _candidates(config: SystemConfig, i: int) -> list[int]:
 
 def intercept_noncoop(config: SystemConfig) -> float:
     """Intercept probability without cooperation; independent of SNR."""
-    require_valid(config)
     return math.fsum(
         p.alpha * p.sigma2_se / (p.sigma2_sd + p.sigma2_se) for p in config.pairs
     )
@@ -183,10 +181,10 @@ def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
-    As in every source-cooperation evaluation, pairs of equal gains share one value, so a
-    call sums (distinct pairs) x (prod_l (c_l + 1) - 1) terms.  Two pairs equal
-    intercept_sc_rjs bit for bit; one pair degrades to non-cooperation.  Refuses more
-    than OJS_EXACT_MAX_PAIRS pairs; use intercept_sc_ojs_oracle beyond that.
+    Equal pairs share one value: a call evaluates (distinct pairs) x (prod_l (c_l + 1) - 1) E1
+    terms, then fsums 2^(N-1) - 1 values per distinct pair (terms repeated by multiplicity).
+    Two pairs equal intercept_sc_rjs bit for bit; one pair degrades to non-cooperation.  Refuses
+    more than OJS_EXACT_MAX_PAIRS pairs; use intercept_sc_ojs_oracle beyond that.
     """
     if config.n_pairs > OJS_EXACT_MAX_PAIRS:
         raise ValueError(

@@ -21,7 +21,9 @@ import sys
 from dataclasses import dataclass
 
 from . import analytic, simulate, validation
-from .model import SCHEMES, load_config, make_symmetric_config, require_scheme, require_seed
+from .model import (
+    SC_OJS, SCHEMES, load_config, make_symmetric_config, require_scheme, require_seed,
+)
 
 __all__ = ["main"]
 
@@ -184,6 +186,11 @@ def run_grid(args) -> int:
         if config is None:
             point_mer = _db_to_linear(at["mer_db"]) if "mer_db" in at else mer
             config = make_symmetric_config(at.get("n", n), point_mer)
+        if SC_OJS in schemes and config.n_pairs > analytic.OJS_EXACT_MAX_PAIRS:
+            raise ValueError(
+                f"the ojs closed form is limited to {analytic.OJS_EXACT_MAX_PAIRS} pairs; "
+                "leave it out with --schemes nonc,rjs"
+            )
         axis_cells = {axis: _fmt_axis(value) for axis, value in at.items()}
         cells = [
             axis_cells | {

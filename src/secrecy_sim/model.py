@@ -28,7 +28,6 @@ __all__ = [
     "require_scheme",
     "require_seed",
     "require_snr",
-    "require_valid",
     "parse_config_text",
     "load_config",
 ]
@@ -40,10 +39,9 @@ SC_RJS = "rjs"
 SC_OJS = "ojs"
 SCHEMES = (NONCOOP, SC_RJS, SC_OJS)
 
-# Largest pair count accepted.  The RJS closed form holds N(N-1)-element
-# arrays and Monte Carlo keeps N-1 jammer means per pair, so memory grows as
-# N^2: at this bound one fig2 point with 1000 trials peaks near 170 MiB
-# resident, and at twice the bound near 440 MiB.
+# Largest pair count accepted.  Monte Carlo keeps N-1 jammer means per pair, a
+# table that grows as N^2: 8 MiB here, about 80 GB at N=10^5.  One fig2 point at
+# this bound with 1000 trials peaks near 88 MiB resident, 80 MiB of it imports.
 MAX_PAIRS = 1024
 
 
@@ -65,12 +63,36 @@ class PairParams:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Ordered collection of source-destination pairs sharing one band."""
+    """Ordered collection of source-destination pairs sharing one band.
+
+    Construction raises ValueError naming the first violated invariant:
+    1 to MAX_PAIRS pairs, positive finite gains, and duty cycles in [0, 1]
+    summing to at most 1 (the pairs share one band).
+    """
 
     pairs: tuple[PairParams, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
+
+        def refuse(problem: str):
+            raise ValueError(f"invalid system config: {problem}")
+
+        if self.n_pairs < 1:
+            refuse("config has no pairs")
+        if self.n_pairs > MAX_PAIRS:
+            refuse(f"{self.n_pairs} pairs exceed the limit of {MAX_PAIRS}")
+        for i, p in enumerate(self.pairs):
+            for name, gain in (("sigma2_sd", p.sigma2_sd), ("sigma2_se", p.sigma2_se)):
+                if not gain > 0.0:
+                    refuse(f"pair {i}: nonpositive gain {name}={gain}")
+                if gain == math.inf:
+                    refuse(f"pair {i}: infinite gain {name}={gain}")
+            if not 0.0 <= p.alpha <= 1.0:
+                refuse(f"pair {i}: duty cycle {p.alpha} outside [0, 1]")
+        total = sum(p.alpha for p in self.pairs)
+        if total > 1.0 + 1e-12:
+            refuse(f"duty cycles sum {total:g} > 1")
 
     @property
     def n_pairs(self) -> int:
@@ -146,34 +168,6 @@ def require_seed(seed: int) -> int:
     return seed
 
 
-def require_valid(config: SystemConfig) -> None:
-    """Raise ValueError naming the first violated invariant of the configuration.
-
-    Checks the pair count (1 to MAX_PAIRS), that all gains are positive and
-    finite, per-pair duty cycles in [0, 1], and the constraint that duty
-    cycles sum to at most 1 (the pairs share one band).
-    """
-
-    def refuse(problem: str):
-        raise ValueError(f"invalid system config: {problem}")
-
-    if config.n_pairs < 1:
-        refuse("config has no pairs")
-    if config.n_pairs > MAX_PAIRS:
-        refuse(f"{config.n_pairs} pairs exceed the limit of {MAX_PAIRS}")
-    for i, p in enumerate(config.pairs):
-        for name, gain in (("sigma2_sd", p.sigma2_sd), ("sigma2_se", p.sigma2_se)):
-            if not gain > 0.0:
-                refuse(f"pair {i}: nonpositive gain {name}={gain}")
-            if gain == math.inf:
-                refuse(f"pair {i}: infinite gain {name}={gain}")
-        if not 0.0 <= p.alpha <= 1.0:
-            refuse(f"pair {i}: duty cycle {p.alpha} outside [0, 1]")
-    total = sum(p.alpha for p in config.pairs)
-    if total > 1.0 + 1e-12:
-        refuse(f"duty cycles sum {total:g} > 1")
-
-
 @contextmanager
 def _at_line(lineno: int):
     """Prefix a ValueError raised inside the block with its config line."""
@@ -217,8 +211,6 @@ def parse_config_text(text: str) -> SystemConfig:
         pairs.append(PairParams(sigma2_sd=sd, sigma2_se=se, alpha=alpha))
     if symmetric is not None:
         return symmetric
-    if not pairs:
-        raise ValueError("config text contains no pairs")
     return SystemConfig(pairs=tuple(pairs))
 
 

@@ -32,8 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import (
-    NONCOOP, SC_OJS, SC_RJS, PairParams, SystemConfig,
-    require_scheme, require_seed, require_snr, require_valid,
+    NONCOOP, SC_OJS, SC_RJS, PairParams, SystemConfig, require_scheme, require_seed, require_snr,
 )
 
 __all__ = [
@@ -118,7 +117,9 @@ def _sc_intercept(g_je, gamma: float, g_sd, g_se):
     main capacity) and exact equality counts as no intercept.  Takes scalars
     or broadcasting arrays.
     """
-    return g_je * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
+    # An overflow gives +inf and a false event, the exact limit, so it needs no warning.
+    with np.errstate(over="ignore"):
+        return g_je * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
 
 
 def _batch_events(
@@ -182,9 +183,8 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     `u` is one batch's (rows, draws_per_trial) block of the pair's stream,
     which `count` may overwrite; `count` returns a number or a numpy count
     vector.  Each pair runs ceil(trials / N) trials; returns the per-pair
-    sums and that trial count.
+    sums and that trial count.  Checks every argument but the config, valid by type.
     """
-    require_valid(config)
     require_snr(gamma)
     trials = operator.index(trials)
     if trials < 1:

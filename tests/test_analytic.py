@@ -71,9 +71,8 @@ def test_noncoop_independent_of_snr():
 
 
 def test_noncoop_rejects_invalid_config():
-    bad = SystemConfig(pairs=(PairParams(0.0, 1.0, 0.5),))
     with pytest.raises(ValueError, match="nonpositive gain"):
-        intercept_noncoop(bad)
+        intercept_noncoop(SystemConfig(pairs=(PairParams(0.0, 1.0, 0.5),)))
 
 
 # --- RJS closed form --------------------------------------------------------

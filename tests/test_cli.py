@@ -515,6 +515,27 @@ def test_rejects_config_with_infinite_gain(schemes, tmp_path, capsys):
     assert captured.err == "error: invalid system config: pair 0: infinite gain sigma2_se=inf\n"
 
 
+@pytest.mark.parametrize(
+    "system", [["--symmetric", "N=24", "MER=1"], ["--config", "{cfg}"]], ids=["symmetric", "file"]
+)
+def test_ojs_pair_limit_names_the_schemes_flag(system, tmp_path, capsys):
+    # the library's refusal names intercept_sc_ojs_oracle, which no flag reaches
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("1.0 1.0 0.04\n" * (analytic.OJS_EXACT_MAX_PAIRS + 1))
+    out = tmp_path / "fig2.csv"
+    flags = ["--experiment", "fig2", *(f.format(cfg=cfg) for f in system), "--out", str(out)]
+    assert main([*flags, "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the ojs closed form is limited to 20 pairs; leave it out with --schemes nonc,rjs\n"
+    )
+    assert "intercept_sc_ojs_oracle" not in captured.err
+    assert not out.exists()
+    assert main([*flags, "--trials", "1000", "--gamma-db", "10", "--schemes", "nonc,rjs"]) == 0
+    assert _rows(out)[0] == ["gamma_db", "scheme", "p_analytic", "p_mc", "mc_stderr"]
+
+
 def test_rejects_unknown_scheme():
     assert main(["--experiment", "fig2", "--schemes", "nonc,magic", "--trials", "0"]) == 2
 

@@ -16,7 +16,6 @@ from secrecy_sim.model import (
     parse_config_text,
     load_config,
     require_scheme,
-    require_valid,
 )
 from secrecy_sim.simulate import estimate_intercepts
 
@@ -63,44 +62,38 @@ def test_symmetric_rejects_non_integer_pair_count():
 def test_symmetric_always_validates():
     for n in range(1, 9):
         for mer in (0.01, 1.0, 100.0):
-            require_valid(make_symmetric_config(n, mer))
+            assert make_symmetric_config(n, mer).n_pairs == n
 
 
 def test_validate_reports_duty_cycle_sum():
-    cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 0.6), PairParams(1.0, 1.0, 0.6)))
     with pytest.raises(ValueError, match=r"duty cycles sum 1\.2 > 1"):
-        require_valid(cfg)
+        SystemConfig(pairs=(PairParams(1.0, 1.0, 0.6), PairParams(1.0, 1.0, 0.6)))
 
 
 def test_validate_reports_nonpositive_gain():
-    cfg = SystemConfig(pairs=(PairParams(0.0, 1.0, 0.5),))
     with pytest.raises(ValueError, match="nonpositive gain sigma2_sd"):
-        require_valid(cfg)
-    cfg = SystemConfig(pairs=(PairParams(1.0, -2.0, 0.5),))
+        SystemConfig(pairs=(PairParams(0.0, 1.0, 0.5),))
     with pytest.raises(ValueError, match="nonpositive gain sigma2_se"):
-        require_valid(cfg)
+        SystemConfig(pairs=(PairParams(1.0, -2.0, 0.5),))
 
 
 def test_validate_reports_infinite_gain():
     # inf passes a positivity check, and downstream it makes nonc nan and
     # the cooperative schemes blame the SNR
-    cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 0.5), PairParams(math.inf, 1.0, 0.5)))
     with pytest.raises(ValueError, match="pair 1: infinite gain sigma2_sd=inf"):
-        require_valid(cfg)
-    cfg = SystemConfig(pairs=(PairParams(1.0, math.inf, 0.5), PairParams(1.0, 1.0, 0.5)))
+        SystemConfig(pairs=(PairParams(1.0, 1.0, 0.5), PairParams(math.inf, 1.0, 0.5)))
     with pytest.raises(ValueError, match="pair 0: infinite gain sigma2_se=inf"):
-        require_valid(cfg)
+        SystemConfig(pairs=(PairParams(1.0, math.inf, 0.5), PairParams(1.0, 1.0, 0.5)))
 
 
 def test_validate_reports_alpha_out_of_range():
-    cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 1.5),))
     with pytest.raises(ValueError, match="duty cycle"):
-        require_valid(cfg)
+        SystemConfig(pairs=(PairParams(1.0, 1.0, 1.5),))
 
 
 def test_validate_allows_slack_and_zero_duty_cycles():
     cfg = SystemConfig(pairs=(PairParams(1.0, 1.0, 0.3), PairParams(2.0, 1.0, 0.0)))
-    require_valid(cfg)
+    assert cfg.n_pairs == 2
 
 
 def test_pair_count_bound():
@@ -109,7 +102,38 @@ def test_pair_count_bound():
     with pytest.raises(ValueError, match=f"between 1 and {MAX_PAIRS}, got {MAX_PAIRS + 1}"):
         make_symmetric_config(MAX_PAIRS + 1, 1.0)
     with pytest.raises(ValueError, match=f"{MAX_PAIRS + 1} pairs exceed the limit"):
-        require_valid(parse_config_text("1.0 1.0 0.0\n" * (MAX_PAIRS + 1)))
+        parse_config_text("1.0 1.0 0.0\n" * (MAX_PAIRS + 1))
+
+
+_VALID = make_symmetric_config(2, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, problem",
+    [
+        (lambda: SystemConfig(pairs=()), "config has no pairs"),
+        (lambda: SystemConfig(pairs=[PairParams(1.0, 1.0, 0.6)] * 2), "duty cycles sum 1.2 > 1"),
+        (
+            lambda: dataclasses.replace(_VALID, pairs=(PairParams(-1.0, 1.0, 0.5),)),
+            "pair 0: nonpositive gain sigma2_sd=-1.0",
+        ),
+        (
+            lambda: dataclasses.replace(_VALID, pairs=_VALID.pairs[:1] * (MAX_PAIRS + 1)),
+            f"{MAX_PAIRS + 1} pairs exceed the limit of {MAX_PAIRS}",
+        ),
+        (lambda: parse_config_text(""), "config has no pairs"),
+        (lambda: parse_config_text("# comments only\n"), "config has no pairs"),
+        (lambda: parse_config_text("1.0 1.0 0.5\n1.0 nan 0.5\n"),
+         "pair 1: nonpositive gain sigma2_se=nan"),
+        (lambda: parse_config_text("1.0 1.0 1.5\n"), "pair 0: duty cycle 1.5 outside [0, 1]"),
+    ],
+    ids=["direct-empty", "direct-sum", "replace-gain", "replace-count", "text-empty",
+         "text-comments", "text-nan-gain", "text-duty-cycle"],
+)
+def test_no_route_builds_an_invalid_config(build, problem):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"invalid system config: {problem}"
 
 
 def test_every_entry_point_refuses_an_unknown_scheme_alike():

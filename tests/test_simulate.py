@@ -221,6 +221,18 @@ def test_event_sc_zero_main_gain_counts_as_intercept():
         assert _events(u, 3, scheme, 1e6).all()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_jamming_product_is_no_warning():
+    # g_je*gamma overflows to inf at an SNR the closed forms accept
+    # (intercept_sc_ojs gives 1.73e-307 here); inf makes the event false,
+    # its exact limit
+    cfg = make_symmetric_config(4, 1.0)
+    assert not _sc_intercept(np.array([20.0]), 1e307, 1.0, 1.0).any()
+    assert coupled_dominance_check(cfg, 1e307, 10_000, 1) == 0
+    estimates = estimate_intercepts(cfg, SCHEMES, 1e307, 100_000, 1)
+    assert [e.p_hat for e in estimates[1:]] == [0.0, 0.0]
+
+
 def test_event_sc_rejects_bad_gamma():
     cfg = make_symmetric_config(2, 1.0)
     for gamma in (0.0, -1.0, math.nan, math.inf):
