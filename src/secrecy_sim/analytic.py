@@ -257,6 +257,7 @@ def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
 
 def scheme_intercept(config: SystemConfig, scheme: str, gamma: float) -> InterceptValue:
     """Evaluate one scheme's closed form, reporting degraded-mode fallback."""
+    gamma = require_snr(gamma)
     if require_scheme(scheme) == NONCOOP:
         return InterceptValue(intercept_noncoop(config), degraded=False)
     evaluate = intercept_sc_rjs if scheme == SC_RJS else intercept_sc_ojs

@@ -87,7 +87,12 @@ def _parse_symmetric(tokens: list[str]) -> tuple[int, float]:
 
 
 def _parse_seed(text: str) -> int:
-    return int(text, 0)
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal or 0x-hex integer, got {text!r}"
+        ) from None
 
 
 def _selected_schemes(args) -> list[str]:

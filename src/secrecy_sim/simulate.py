@@ -117,9 +117,11 @@ def _sc_intercept(g_je, gamma: float, g_sd, g_se):
     main capacity) and exact equality counts as no intercept.  Takes scalars
     or broadcasting arrays.
     """
-    # An overflow gives +inf and a false event, the exact limit, so it needs no warning.
-    with np.errstate(over="ignore"):
-        return g_je * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
+    # Overflow gives +inf and a false event, the exact limit.  Only inf*0 (g_sd = 0) gives
+    # NaN; fmax then takes 2*g_sd, the exact left side there and a lower bound elsewhere.
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = 2.0 * g_sd
+        return np.fmax(g_je * gamma * g_sd + floor, floor) < 2.0 * g_se
 
 
 def _batch_events(

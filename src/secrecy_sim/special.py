@@ -52,15 +52,6 @@ def _asymptotic_e1_scaled(x: np.ndarray) -> np.ndarray:
     return t / x
 
 
-def _e1_scaled_array(x: np.ndarray) -> np.ndarray:
-    head = x <= _TAIL_CUTOFF
-    out = np.empty_like(x)
-    xh = x[head]
-    out[head] = special.exp1(xh) * np.exp(xh)
-    out[~head] = _asymptotic_e1_scaled(x[~head])
-    return out
-
-
 def e1(x: float) -> float:
     """Exponential integral E1(x) for finite x > 0.
 
@@ -77,16 +68,18 @@ def e1(x: float) -> float:
 def e1_scaled(x):
     """exp(x) * E1(x), computed without overflow for any finite positive x.
 
-    Accepts a scalar or ndarray.  Strictly decreasing, with
-    0.5*ln(1 + 2/x) <= e1_scaled(x) <= ln(1 + 1/x) and x*e1_scaled(x) -> 1
-    as x -> infinity.
+    Accepts a scalar, returned as a float, or an array of any shape.  Strictly
+    decreasing, with 0.5*ln(1 + 2/x) <= e1_scaled(x) <= ln(1 + 1/x) and
+    x*e1_scaled(x) -> 1 as x -> infinity.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    _check_domain(flat)
-    out = _e1_scaled_array(flat)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    x = np.asarray(x, dtype=float)
+    _check_domain(x)
+    head = x <= _TAIL_CUTOFF
+    out = np.empty_like(x)
+    xh = x[head]
+    out[head] = special.exp1(xh) * np.exp(xh)
+    out[~head] = _asymptotic_e1_scaled(x[~head])
+    return float(out) if out.ndim == 0 else out
 
 
 def e1_bounds(x: float) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from secrecy_sim.analytic import (
     intercept_sc_rjs_oracle,
     scheme_intercept,
 )
-from secrecy_sim.model import PairParams, SystemConfig, make_symmetric_config
+from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.special import e1_scaled
 
 from ojs_reference import EPSREL as REFERENCE_EPSREL
@@ -450,6 +450,14 @@ def test_scheme_intercept_multi_pair_not_degraded():
 def test_scheme_intercept_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
         scheme_intercept(make_symmetric_config(2, 1.0), "best", 1.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scheme_intercept_refuses_bad_snr_for_every_scheme(scheme, gamma):
+    # nonc does not read the SNR, but a bad one is refused all the same
+    with pytest.raises(ValueError, match="SNR must be positive and finite"):
+        scheme_intercept(make_symmetric_config(4, 1.0), scheme, gamma)
 
 
 def test_quadrature_nonconvergence_raises(monkeypatch):

@@ -28,6 +28,8 @@ def test_parse_grid_range_and_single():
     assert _parse_grid("0:40:2") == [float(v) for v in range(0, 41, 2)]
     assert _parse_grid("10") == [10.0]
     assert _parse_grid("-5:5:10") == [-5.0, 5.0]
+    # the rounded point count overshoots hi, so the last point is dropped
+    assert _parse_grid("0:1:0.6") == [0.0, 0.6]
     with pytest.raises(ValueError):
         _parse_grid("0:40")
     with pytest.raises(ValueError):
@@ -48,6 +50,15 @@ def test_parse_symmetric_order_insensitive():
 def test_seed_accepts_hex():
     args = build_parser().parse_args(["--experiment", "fig2", "--seed", "0x2A"])
     assert args.seed == 42
+
+
+def test_unparsable_seed_error_names_the_flag_and_the_format(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--experiment", "fig2", "--trials", "0", "--seed", "abc"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a decimal or 0x-hex integer, got 'abc'" in err
+    assert "_parse_seed" not in err
 
 
 # --- figure experiments ----------------------------------------------------

@@ -222,6 +222,14 @@ def test_event_sc_zero_main_gain_counts_as_intercept():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [1e3, 1e307])
+def test_event_sc_zero_main_gain_limits_hold_at_every_snr(gamma):
+    # at gamma=1e307, g_je*gamma overflows to inf and inf*g_sd is inf*0
+    g_je = np.array([100.0, 100.0])
+    assert _sc_intercept(g_je, gamma, np.zeros(2), np.array([1.0, 0.0])).tolist() == [True, False]
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflowing_jamming_product_is_no_warning():
     # g_je*gamma overflows to inf at an SNR the closed forms accept
     # (intercept_sc_ojs gives 1.73e-307 here); inf makes the event false,
@@ -231,6 +239,21 @@ def test_overflowing_jamming_product_is_no_warning():
     assert coupled_dominance_check(cfg, 1e307, 10_000, 1) == 0
     estimates = estimate_intercepts(cfg, SCHEMES, 1e307, 100_000, 1)
     assert [e.p_hat for e in estimates[1:]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p_hat", -0.1, r"outside \[0, 1\]"),
+        ("p_hat", 1.5, r"outside \[0, 1\]"),
+        ("trials", 0, "trial count must be positive"),
+        ("std_err", -1e-3, "standard error must be nonnegative"),
+    ],
+)
+def test_intercept_estimate_refuses_impossible_fields(field, value, message):
+    fields = dict(p_hat=0.5, trials=10, std_err=0.1, scheme="nonc", gamma=1.0)
+    with pytest.raises(ValueError, match=message):
+        simulate.InterceptEstimate(**{**fields, field: value})
 
 
 def test_event_sc_rejects_bad_gamma():
