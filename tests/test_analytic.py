@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from secrecy_sim import analytic
 from secrecy_sim.analytic import (
-    OJS_EXACT_MAX_PAIRS,
     QuadratureError,
     intercept_noncoop,
     intercept_sc_ojs,
@@ -369,14 +369,16 @@ def test_ojs_oracle_weak_jamming_limit():
     assert 0.5 - analytic._jammed_oracle(cfg, 0, [1, 2, 3], 1e-3) > deficit
 
 
-def test_ojs_refuses_oversized_exact_expansion():
-    cfg = make_symmetric_config(OJS_EXACT_MAX_PAIRS + 1, 1.0)
-    with pytest.raises(ValueError, match="intercept_sc_ojs_oracle"):
-        intercept_sc_ojs(cfg, 10.0)
+def test_ojs_answers_past_the_subset_sum():
+    # 21 pairs, past the old limit of 20: the trapezoid answers
+    for gamma in (1e-2, 10.0, 1e6):
+        assert intercept_sc_ojs(make_symmetric_config(21, 1.0), gamma) == pytest.approx(
+            symmetric_ojs(21, 1.0, gamma), rel=1e-12, abs=0.0
+        )
 
 
 def test_scheme_ordering_across_grid():
-    for n in (2, 3, 4, 6):
+    for n in (2, 3, 4, 6, 16, 24):  # the last two on the trapezoid
         for mer in (0.1, 1.0, 10.0):
             cfg = make_symmetric_config(n, mer)
             nonc = intercept_noncoop(cfg)
@@ -495,10 +497,15 @@ def test_high_snr_scaling_constants():
 # --- oracle domain and accuracy ---------------------------------------------
 
 
+def _distinct_config(rng, n, decades):
+    """N pairs with every gain 10^U(-decades, decades) on its own, equal duty cycles."""
+    gains = 10.0 ** rng.uniform(-decades, decades, size=(n, 2))
+    return SystemConfig(tuple(PairParams(float(sd), float(se), 1.0 / n) for sd, se in gains))
+
+
 def _spread_config(n):
     """N pairs with gains 10^U(-2, 2) from numpy default_rng(0), equal duty cycles."""
-    gains = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, size=(n, 2))
-    return SystemConfig(tuple(PairParams(float(sd), float(se), 1.0 / n) for sd, se in gains))
+    return _distinct_config(np.random.default_rng(0), n, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -515,13 +522,10 @@ def _spread_config(n):
 def test_oracle_high_snr_and_wide_system_cases(scheme, config, gamma):
     oracle = {"rjs": intercept_sc_rjs_oracle, "ojs": intercept_sc_ojs_oracle}[scheme]
     value = oracle(config, gamma)
-    if config.n_pairs <= OJS_EXACT_MAX_PAIRS:
-        closed = {"rjs": intercept_sc_rjs, "ojs": intercept_sc_ojs}[scheme]
-        # abs=0: pytest.approx otherwise passes anything within 1e-12, which
-        # would let an oracle that returns 0.0 at high SNR through
-        assert value == pytest.approx(closed(config, gamma), rel=1e-8, abs=0.0)
-    else:
-        assert 0.0 < value <= intercept_noncoop(config)
+    closed = {"rjs": intercept_sc_rjs, "ojs": intercept_sc_ojs}[scheme]
+    # abs=0: pytest.approx otherwise passes anything within 1e-12, which
+    # would let an oracle that returns 0.0 at high SNR through
+    assert value == pytest.approx(closed(config, gamma), rel=1e-8, abs=0.0)
 
 
 def test_oracles_refuse_out_of_range_snr():
@@ -618,16 +622,133 @@ def test_symmetric_ojs_reference_matches_mpmath(n):
 
 @pytest.mark.parametrize("n, gamma", [(64, 10.0), (64, 1e6), (200, 10.0), (200, 1e6)])
 def test_ojs_oracle_matches_reference_on_wide_systems(n, gamma):
-    # beyond the closed form's 20 pairs nothing else checks the oracle
+    # the Renyi reference checks the oracle where no subset sum can
     oracle = intercept_sc_ojs_oracle(make_symmetric_config(n, 1.0), gamma)
     assert oracle == pytest.approx(symmetric_ojs(n, 1.0, gamma), rel=analytic._QUAD_EPSREL, abs=0.0)
 
 
-@pytest.mark.parametrize("n", range(3, OJS_EXACT_MAX_PAIRS + 1))
+@pytest.mark.parametrize("n", range(3, 21))
 def test_ojs_closed_form_matches_reference(n):
-    # validate's oracle bound; the alternating sum's cancellation grows with
-    # N and gamma, to about 7e-9 at N=20, MER 10, gamma 1e6
+    # validate's oracle bound: the subset sum answers up to 14 pairs, the trapezoid beyond
     for mer in (0.1, 1.0, 10.0):
         for gamma in (1e-3, 1.0, 1e3, 1e6):
             closed = intercept_sc_ojs(make_symmetric_config(n, mer), gamma)
             assert closed == pytest.approx(symmetric_ojs(n, mer, gamma), rel=1e-8, abs=0.0)
+
+
+# --- trapezoidal OJS (_ojs_pair_trapezoid) ------------------------------------
+
+
+def _trapezoid(config, i, gamma):
+    """T_h for pair i, once the a-posteriori estimate |T_h - T_{h/2}| <= 1e-13 T_h holds.
+
+    The estimate is an estimate, not a bound: T_{h/2} adds the midpoints to T_h's nodes.
+    """
+    value = analytic._ojs_pair_trapezoid(config, i, gamma)
+    half = analytic._ojs_trapezoid_step(config.n_pairs) / 2.0
+    refined = analytic._ojs_pair_trapezoid(config, i, gamma, step=half)
+    assert refined == pytest.approx(value, rel=1e-13, abs=0.0)
+    return value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 14, 15, 21, 33, 64, 120, 200])
+def test_ojs_trapezoid_matches_symmetric_reference(n):
+    for mer in (0.1, 1.0, 10.0):
+        for gamma in (1e-3, 1.0, 1e3, 1e6, 1e9):
+            value = _trapezoid(make_symmetric_config(n, mer), 0, gamma)
+            assert value == pytest.approx(
+                symmetric_ojs(n, mer, gamma), rel=REFERENCE_EPSREL, abs=0.0
+            )
+
+
+def test_ojs_trapezoid_matches_mpmath_subset_sums():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        cfg = _distinct_config(rng, int(rng.integers(2, 9)), 3.0)
+        gamma = 10.0 ** rng.uniform(-4.0, 12.0)
+        for i in range(cfg.n_pairs):
+            with mp.workdps(50):
+                exact = float(_mp_bracket(mp, cfg, i, analytic._candidates(cfg, i), gamma))
+            assert _trapezoid(cfg, i, gamma) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "config, gamma",
+    [
+        (_spread_config(32), 10.0),
+        (_spread_config(64), 1e6),
+        (make_symmetric_config(1024, 1.0), 10.0),
+        (make_symmetric_config(16, 1.0), 1e-100),
+        (make_symmetric_config(16, 1.0), 1e100),
+    ],
+    ids=["spread32", "spread64", "sym1024", "sym16-1e-100", "sym16-1e100"],
+)
+def test_ojs_trapezoid_matches_oracle(config, gamma):
+    for i in (0, config.n_pairs - 1):
+        assert _trapezoid(config, i, gamma) == pytest.approx(
+            analytic._jammed_oracle(config, i, analytic._candidates(config, i), gamma),
+            rel=analytic._QUAD_EPSREL, abs=0.0,
+        )
+
+
+@pytest.mark.parametrize(
+    "config", [_spread_config(32), make_symmetric_config(1024, 1.0)], ids=["spread32", "sym1024"]
+)
+def test_ojs_matches_oracle_on_wide_systems(config):
+    # spread40 in test_oracle_high_snr_and_wide_system_cases is a third
+    assert intercept_sc_ojs(config, 10.0) == pytest.approx(
+        intercept_sc_ojs_oracle(config, 10.0), rel=analytic._QUAD_EPSREL, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("n", range(15, 21))
+def test_ojs_subset_sum_and_trapezoid_agree_past_the_switch(n):
+    # the closed-form benchmark's shape: all-distinct gains over one decade each way;
+    # worst difference measured 1.6e-10 (N=20, gamma 1e6)
+    cfg = _distinct_config(np.random.default_rng(n), n, 1.0)
+    for gamma in (10.0, 1e6):
+        for i in (0, n - 1):
+            assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
+                _trapezoid(cfg, i, gamma), rel=1e-8, abs=0.0
+            )
+
+
+def test_ojs_routes_by_pair_count(monkeypatch):
+    seen = []
+
+    def spy(name):
+        pair_value = getattr(analytic, name)
+
+        def record(cfg, i, gamma):
+            seen.append(name)
+            return pair_value(cfg, i, gamma)
+
+        return record
+
+    for name in ("_ojs_pair_bracket", "_ojs_pair_trapezoid"):
+        monkeypatch.setattr(analytic, name, spy(name))
+    intercept_sc_ojs(make_symmetric_config(14, 1.0), 10.0)
+    intercept_sc_ojs(make_symmetric_config(15, 1.0), 10.0)
+    assert seen == ["_ojs_pair_bracket", "_ojs_pair_trapezoid"]
+
+
+def test_ojs_trapezoid_working_set_is_bounded():
+    # all-distinct N=1024: 1023 classes at 1683 nodes would be 13 MiB in one array
+    cfg = _spread_config(1024)
+    tracemalloc.start()
+    try:
+        value = analytic._ojs_pair_trapezoid(cfg, 0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < cfg.pairs[0].sigma2_se / (cfg.pairs[0].sigma2_sd + cfg.pairs[0].sigma2_se)
+    assert peak < 4 * 2**20
+
+
+def test_ojs_trapezoid_refuses_out_of_range_snr():
+    # the jamming scale kappa = sd*gamma*se_j/(2*(sd + se)) overflows, then goes subnormal
+    cfg = SystemConfig((PairParams(1e3, 1e3, 1.0 / 16),) * 16)
+    for gamma in (1e306, 1e-309):
+        with pytest.raises(ValueError, match="out of range for these channel gains"):
+            intercept_sc_ojs(cfg, gamma)

@@ -8,7 +8,7 @@ import pytest
 
 from secrecy_sim import analytic, special, validation
 from secrecy_sim.cli import _parse_grid, _parse_symmetric, build_parser, main
-from secrecy_sim.model import MAX_PAIRS
+from secrecy_sim.model import MAX_PAIRS, load_config, make_symmetric_config
 from secrecy_sim.special import e1_scaled
 
 from ojs_subsets import SubsetIterator, phi_ojs
@@ -529,22 +529,22 @@ def test_rejects_config_with_infinite_gain(schemes, tmp_path, capsys):
 @pytest.mark.parametrize(
     "system", [["--symmetric", "N=24", "MER=1"], ["--config", "{cfg}"]], ids=["symmetric", "file"]
 )
-def test_ojs_pair_limit_names_the_schemes_flag(system, tmp_path, capsys):
-    # the library's refusal names intercept_sc_ojs_oracle, which no flag reaches
+def test_ojs_answers_systems_past_the_subset_sum(system, tmp_path):
+    # beyond 14 pairs the ojs column comes from the trapezoid, with no pair limit
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("1.0 1.0 0.04\n" * (analytic.OJS_EXACT_MAX_PAIRS + 1))
+    cfg.write_text("1.0 1.0 0.04\n" * 21)
     out = tmp_path / "fig2.csv"
     flags = ["--experiment", "fig2", *(f.format(cfg=cfg) for f in system), "--out", str(out)]
-    assert main([*flags, "--trials", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the ojs closed form is limited to 20 pairs; leave it out with --schemes nonc,rjs\n"
-    )
-    assert "intercept_sc_ojs_oracle" not in captured.err
-    assert not out.exists()
-    assert main([*flags, "--trials", "1000", "--gamma-db", "10", "--schemes", "nonc,rjs"]) == 0
-    assert _rows(out)[0] == ["gamma_db", "scheme", "p_analytic", "p_mc", "mc_stderr"]
+    assert main([*flags, "--trials", "0", "--gamma-db=-10:50:30"]) == 0
+    header, rows = _rows(out)
+    assert header == ["gamma_db", "scheme", "p_analytic"]
+    config = load_config(cfg) if "--config" in system else make_symmetric_config(24, 1.0)
+    ojs = [r for r in rows if r["scheme"] == "ojs"]
+    assert len(ojs) == 3
+    for row in ojs:
+        gamma = 10.0 ** (float(row["gamma_db"]) / 10.0)
+        oracle = analytic.intercept_sc_ojs_oracle(config, gamma)
+        assert float(row["p_analytic"]) == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
 
 def test_rejects_unknown_scheme():
