@@ -19,18 +19,18 @@ with phi = 2*(sigma2_sd_i + sigma2_se_i) * R / (sigma2_sd_i * gamma).
 Random jammer selection averages the N-1 singleton terms.  Optimal selection
 (strongest jammer-to-eavesdropper channel) expands the event into an
 alternating sum over subsets with the RJS terms as singleton layer, one term
-per count vector over the candidates' classes of equal gain, times its
-multiplicity.  Both weight pair i's value by alpha_i, and refuse an
-intermediate that over- or underflows (a subnormal lost precision).
+per non-empty subset of the candidates.  Both weight pair i's value by
+alpha_i, and refuse an intermediate that over- or underflows (a subnormal
+lost precision).
 
-The subset sum costs up to 2^(N-1) terms per pair and cancels harder as N and
-gamma grow, so intercept_sc_ojs uses it only up to 14 pairs.  Beyond, each
-pair's value is the trapezoidal rule on the oracle's all-positive integral
-below, at step h(N) = min(0.2, 0.45/ln(N-1)) (derived in
-_ojs_pair_trapezoid).  With the classes grouped, that costs O(nodes x
-classes) per pair and does not cancel.  On all-distinct gains in
-10^-1..10^1, an N=16/18 call takes 3.6-8.4 ms against 57-760 ms for the
-subset sum, and the two cost the same near N=12.  The trapezoid was within
+The subset sum costs 2^(N-1) - 1 terms per distinct pair and cancels harder as
+N and gamma grow, so intercept_sc_ojs uses it only up to 14 pairs.  Beyond,
+each pair's value is the trapezoidal rule on the oracle's all-positive
+integral below, at step h(N) = min(0.2, 0.45/ln(N-1)) (derived in
+_ojs_pair_trapezoid).  With candidates of equal gain grouped into classes,
+that costs O(nodes x classes) per pair and does not cancel.  On all-distinct
+gains in 10^-1..10^1, an N=16/18 call takes 3.6-8.4 ms against 57-760 ms for
+the subset sum, and the two cost the same near N=12.  The trapezoid was within
 8e-16 of a cancellation-free reference for symmetric N up to 200 and within
 8e-15 of the oracle up to N=1024; its a-posteriori estimate |T_h - T_{h/2}|
 stayed under 5e-16 relative for gamma 1e-3..1e9 and under 1.1e-14 out to
@@ -167,30 +167,25 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
     """Alternating subset sum for active pair i under optimal selection.
 
-    Candidates of equal 1/sigma2_se form classes, ordered by first appearance
-    among all pairs, with counts c_l; count vector (k_1..k_d) gives one term
-    for prod_l C(c_l, k_l) subsets of size sum k_l, added for odd sizes and
-    subtracted for even: prod_l (c_l + 1) - 1 terms, N - 1 for equal gains,
-    the 2^(N-1) - 1 subsets in binary-counter order for distinct ones.  fsum
-    over the terms repeated by multiplicity is exactly rounded; at high SNR
-    it cancels O(1/gamma) terms to an O(ln(gamma)/gamma) total.
-    tests/ojs_subsets.py holds the explicit-subset slow path that checks it.
+    The candidates are every pair's 1/sigma2_se less the first equal to pair i's, so pairs
+    of equal gains sum the same recips in the same order.  Their 2^(N-1) - 1 non-empty
+    subsets run in binary-counter order, candidate l as bit l, each one term added for odd
+    sizes and subtracted for even.  fsum over the terms is exactly rounded; at high SNR it
+    cancels O(1/gamma) terms to an O(ln(gamma)/gamma) total.  tests/ojs_subsets.py holds
+    the explicit-subset slow path that checks it.
     """
-    classes = Counter(1.0 / p.sigma2_se for p in config.pairs)
-    classes[1.0 / config.pairs[i].sigma2_se] -= 1
-    recip = np.zeros(math.prod(c + 1 for c in classes.values()))
-    weight = np.full(recip.size, -1)  # signed multiplicities; entry 0 is the empty set
-    block = 1
-    for inv, count in classes.items():
-        for k in range(1, count + 1):
-            lo = k * block
-            recip[lo : lo + block] = recip[lo - block : lo] + inv
-            weight[lo : lo + block] = weight[:block] * ((-1) ** k * math.comb(count, k))
-        block *= count + 1
+    jammers = [1.0 / p.sigma2_se for p in config.pairs]
+    jammers.remove(1.0 / config.pairs[i].sigma2_se)
+    recip = np.zeros(1 << len(jammers))
+    sign = np.full(recip.size, -1.0)  # entry 0 is the empty set
+    for bit, inv in enumerate(jammers):
+        block = 1 << bit
+        recip[block : 2 * block] = recip[:block] + inv
+        sign[block : 2 * block] = -sign[:block]
     terms = _jamming_terms(config.pairs[i], recip[1:], gamma)
-    np.copysign(terms, weight[1:], out=terms)  # exact: every term is positive
+    np.copysign(terms, sign[1:], out=terms)  # exact: every term is positive
     # A memoryview yields plain floats: no numpy scalar per term, no list copy.
-    return math.fsum(memoryview(np.repeat(terms, np.abs(weight[1:]))))
+    return math.fsum(memoryview(terms))
 
 
 def _log_jamming_factors(t):
@@ -217,7 +212,7 @@ def _ojs_trapezoid_step(n_pairs: int) -> float:
     return 0.45 / max(math.log(n_pairs - 1), 2.25)
 
 
-def _ojs_pair_trapezoid(config: SystemConfig, i: int, gamma: float, step=None) -> float:
+def _ojs_pair_trapezoid(config: SystemConfig, i: int, gamma: float) -> float:
     """Pair i's OJS value by the trapezoidal rule on the all-positive integral.
 
     The value is se/(sd + se) * integral of sigma'(s) * prod_l (1 - exp(-e^(s - ln kappa_l)))^c_l
@@ -248,8 +243,7 @@ def _ojs_pair_trapezoid(config: SystemConfig, i: int, gamma: float, step=None) -
     while the rule's 0.109 and 0.065 were within 5e-16.  On symmetric N=2..1024, MER
     0.1..10, the a-posteriori estimate |T_h - T_{h/2}| stayed under 5e-16 * T_h for gamma
     1e-3..1e9, 5e-15 at 1e+-100 and 1.1e-14 at 1e300, where rounding ln kappa alone moves
-    the value that much.  `step` overrides h for that estimate; production evaluates T_h
-    only.
+    the value that much.
     """
     sd = config.pairs[i].sigma2_sd
     se = config.pairs[i].sigma2_se
@@ -262,7 +256,7 @@ def _ojs_pair_trapezoid(config: SystemConfig, i: int, gamma: float, step=None) -
             log_kappa = np.log(np.float64(sd) / (2.0 * (sd + se)) * gamma * gains)
     except FloatingPointError:
         raise _snr_range_error(gamma, "the jamming scale") from None
-    h = _ojs_trapezoid_step(config.n_pairs) if step is None else step
+    h = _ojs_trapezoid_step(config.n_pairs)
     lo = min(0.0, log_kappa.min()) - 50.0
     hi = max(0.0, log_kappa.max()) + 50.0
     nodes = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1) * h
@@ -291,17 +285,17 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
     Up to 14 pairs (_OJS_SUBSET_MAX_PAIRS) each distinct pair's value is the subset sum,
-    _ojs_pair_bracket: (distinct pairs) x (prod_l (c_l + 1) - 1) E1 terms per call, fsummed
-    over 2^(N-1) - 1 values per pair.  Beyond, it is _ojs_pair_trapezoid, the trapezoidal
-    rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the oracle's all-positive integral, which
-    does not cancel.  The switch looks only at the pair count.  Measured per call on
-    all-distinct gains in 10^-1..10^1 (3 configs x 3 SNRs): subset sum 2.2-4.5 / 9-32 /
-    57-150 ms at N=12 / 14 / 16, trapezoid 2.0-2.1 / 2.6-4.2 / 3.6-6.7 ms; on equal gains
-    both cost under 0.5 ms at N=14.  The switch stays at 14 so that every value up to 14 pairs
-    is the subset sum's, bit for bit.  The trapezoid was within 8e-16 of the symmetric
-    reference up to N=200 and within 8e-15 of intercept_sc_ojs_oracle up to N=1024, while
-    the subset sum was up to 2.5e-8 off at N=18-20, gamma=1e9.  Two pairs equal
-    intercept_sc_rjs bit for bit; one pair degrades to non-cooperation.
+    _ojs_pair_bracket: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it is
+    _ojs_pair_trapezoid, the trapezoidal rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the
+    oracle's all-positive integral, which does not cancel.  The switch looks only at the pair
+    count.  Measured per call on all-distinct gains in 10^-1..10^1 (3 configs x 3 SNRs): subset
+    sum 2.2-4.5 / 9-32 / 57-150 ms at N=12 / 14 / 16, trapezoid 2.0-2.1 / 2.6-4.2 / 3.6-6.7 ms;
+    on equal gains (one distinct pair) the subset sum takes about 4 ms at N=14.  The switch stays
+    at 14 so that every value up to 14 pairs is the subset sum's, bit for bit.  The trapezoid
+    was within 8e-16 of the symmetric reference up to N=200 and within 8e-15 of
+    intercept_sc_ojs_oracle up to N=1024, while the subset sum was up to 2.5e-8 off at N=18-20,
+    gamma=1e9.  Two pairs equal intercept_sc_rjs bit for bit; one pair degrades to
+    non-cooperation.
     """
     subset_sum = config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
     return _cooperative(config, gamma, _ojs_pair_bracket if subset_sum else _ojs_pair_trapezoid)

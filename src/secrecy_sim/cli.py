@@ -53,7 +53,7 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be 'lo:hi:step', got {text!r}")
         lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
+        if not (step > 0 and hi >= lo):
             raise ValueError(f"bad grid bounds in {text!r}")
         span = (hi - lo) / step
         if not span <= _MAX_GRID_POINTS:

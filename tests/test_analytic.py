@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -646,7 +647,8 @@ def _trapezoid(config, i, gamma):
     """
     value = analytic._ojs_pair_trapezoid(config, i, gamma)
     half = analytic._ojs_trapezoid_step(config.n_pairs) / 2.0
-    refined = analytic._ojs_pair_trapezoid(config, i, gamma, step=half)
+    with mock.patch.object(analytic, "_ojs_trapezoid_step", lambda n_pairs: half):
+        refined = analytic._ojs_pair_trapezoid(config, i, gamma)
     assert refined == pytest.approx(value, rel=1e-13, abs=0.0)
     return value
 
@@ -712,6 +714,24 @@ def test_ojs_subset_sum_and_trapezoid_agree_past_the_switch(n):
             assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
                 _trapezoid(cfg, i, gamma), rel=1e-8, abs=0.0
             )
+
+
+def _alternating_config(n):
+    """N pairs alternating between two gain pairs, equal duty cycles: two interleaved classes."""
+    gains = [(2.0, 0.7), (0.5, 1.9)]
+    return SystemConfig(tuple(PairParams(*gains[k % 2], 1.0 / n) for k in range(n)))
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_ojs_subset_sum_and_trapezoid_agree_on_repeated_gains(n):
+    # the configs whose candidates repeat a gain, below the switch
+    for cfg in (make_symmetric_config(n, 0.1), make_symmetric_config(n, 10.0),
+                _alternating_config(n)):
+        for gamma in (10.0, 1e6):
+            for i in (0, n - 1):
+                assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
+                    _trapezoid(cfg, i, gamma), rel=1e-8, abs=0.0
+                )
 
 
 def test_ojs_routes_by_pair_count(monkeypatch):

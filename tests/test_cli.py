@@ -36,6 +36,9 @@ def test_parse_grid_range_and_single():
         _parse_grid("40:0:2")
     with pytest.raises(ValueError):
         _parse_grid("0:10:-1")
+    for text in ("nan:10:2", "0:10:nan"):
+        with pytest.raises(ValueError, match="bad grid bounds"):
+            _parse_grid(text)
 
 
 def test_parse_symmetric_order_insensitive():
