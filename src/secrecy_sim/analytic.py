@@ -24,17 +24,17 @@ alpha_i, and refuse an intermediate that over- or underflows (a subnormal
 lost precision).
 
 The subset sum costs 2^(N-1) - 1 terms per distinct pair and cancels harder as
-N and gamma grow, so intercept_sc_ojs uses it only up to 14 pairs.  Beyond,
+N and gamma grow, so intercept_sc_ojs uses it only up to 11 pairs.  Beyond,
 each pair's value is the trapezoidal rule on the oracle's all-positive
 integral below, at step h(N) = min(0.2, 0.45/ln(N-1)) (derived in
 _ojs_pair_trapezoid).  With candidates of equal gain grouped into classes,
 that costs O(nodes x classes) per pair and does not cancel.  On all-distinct
 gains in 10^-1..10^1, an N=16/18 call takes 3.6-8.4 ms against 57-760 ms for
-the subset sum, and the two cost the same near N=12.  The trapezoid was within
-8e-16 of a cancellation-free reference for symmetric N up to 200 and within
-8e-15 of the oracle up to N=1024; its a-posteriori estimate |T_h - T_{h/2}|
-stayed under 5e-16 relative for gamma 1e-3..1e9 and under 1.1e-14 out to
-1e300.
+the subset sum, and the trapezoid is the cheaper from about 11 pairs.  It was
+within 8e-16 of a cancellation-free reference for symmetric N up to 200 and
+within 8e-15 of the oracle up to N=1024; its a-posteriori estimate
+|T_h - T_{h/2}| stayed under 5e-16 relative for gamma 1e-3..1e9 and under
+1.1e-14 out to 1e300.
 
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 # intercept_sc_ojs answers up to this many pairs by the subset sum, beyond by the trapezoid.
-_OJS_SUBSET_MAX_PAIRS = 14
+_OJS_SUBSET_MAX_PAIRS = 11
 # Elements per chunk of the trapezoid's nodes x classes array: 256 KiB a float array.
 _TRAPEZOID_CHUNK = 1 << 15
 _LN2 = math.log(2.0)
@@ -284,17 +284,17 @@ def _ojs_pair_trapezoid(config: SystemConfig, i: int, gamma: float) -> float:
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
-    Up to 14 pairs (_OJS_SUBSET_MAX_PAIRS) each distinct pair's value is the subset sum,
+    Up to 11 pairs (_OJS_SUBSET_MAX_PAIRS) each distinct pair's value is the subset sum,
     _ojs_pair_bracket: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it is
     _ojs_pair_trapezoid, the trapezoidal rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the
     oracle's all-positive integral, which does not cancel.  The switch looks only at the pair
-    count.  Measured per call on all-distinct gains in 10^-1..10^1 (3 configs x 3 SNRs): subset
-    sum 2.2-4.5 / 9-32 / 57-150 ms at N=12 / 14 / 16, trapezoid 2.0-2.1 / 2.6-4.2 / 3.6-6.7 ms;
-    on equal gains (one distinct pair) the subset sum takes about 4 ms at N=14.  The switch stays
-    at 14 so that every value up to 14 pairs is the subset sum's, bit for bit.  The trapezoid
-    was within 8e-16 of the symmetric reference up to N=200 and within 8e-15 of
-    intercept_sc_ojs_oracle up to N=1024, while the subset sum was up to 2.5e-8 off at N=18-20,
-    gamma=1e9.  Two pairs equal intercept_sc_rjs bit for bit; one pair degrades to
+    count.  On all-distinct gains 10^U(-3, 3) (6 seeds, gamma 1e4..1e12) the subset sum was at
+    most 5.5e-9 off the trapezoid up to 11 pairs, but 2.0e-8 at 12 and 8.3e-8 at 14, past the
+    1e-8 that validate allows.  Per call at gamma = 10^2.5, subset sum / trapezoid, in ms:
+    all-distinct 2.2 / 1.7, 4.0 / 2.0, 16 / 2.7 at N = 11, 12, 14; from 12 pairs the trapezoid
+    is also the cheaper path on two-class and equal gains.  The trapezoid was within 8e-16 of
+    the symmetric reference up to N=200 and within 8e-15 of intercept_sc_ojs_oracle up to
+    N=1024.  Two pairs equal intercept_sc_rjs bit for bit; one pair degrades to
     non-cooperation.
     """
     subset_sum = config.n_pairs <= _OJS_SUBSET_MAX_PAIRS

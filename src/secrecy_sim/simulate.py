@@ -94,10 +94,6 @@ class InterceptEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def _candidate_means(config: SystemConfig, i: int) -> np.ndarray:
-    return np.array([p.sigma2_se for j, p in enumerate(config.pairs) if j != i])
-
-
 def _exp_gain(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exponential gain(s) -mean*log1p(-u) of the given mean(s) by inverse CDF.
 
@@ -183,9 +179,11 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     """Sum `count(pair, jammer_means, u)` over every uniform batch of every pair.
 
     `u` is one batch's (rows, draws_per_trial) block of the pair's stream,
-    which `count` may overwrite; `count` returns a number or a numpy count
-    vector.  Each pair runs ceil(trials / N) trials; returns the per-pair
-    sums and that trial count.  Checks every argument but the config, valid by type.
+    which `count` may overwrite; `jammer_means` holds the other pairs'
+    sigma2_se in config order, one per jammer column; `count` returns a
+    number or a numpy count vector.  Each pair runs ceil(trials / N) trials;
+    returns the per-pair sums and that trial count.  Checks every argument
+    but the config, valid by type.
     """
     require_snr(gamma)
     trials = operator.index(trials)
@@ -197,12 +195,12 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
         raise ValueError(f"need at least one worker, got {workers}")
     n = config.n_pairs
     per_pair = -(-trials // n)
-    means = [_candidate_means(config, i) for i in range(n)]
+    se_means = np.array([p.sigma2_se for p in config.pairs])
 
     def run_batch(pair: int, start: int, stop: int):
         gen = _pair_generator(seed, pair, n, start)
         u = gen.random((stop - start, draws_per_trial(n)))
-        return count(config.pairs[pair], means[pair], u)
+        return count(config.pairs[pair], np.delete(se_means, pair), u)
 
     tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, n)]
     workers = min(workers, len(tasks))
@@ -258,7 +256,7 @@ def estimate_intercepts(
         estimates.append(InterceptEstimate(
             p_hat=p_hat,
             trials=per_pair * n,
-            std_err=math.sqrt(max(variance, 0.0)),
+            std_err=math.sqrt(variance),
             scheme=scheme,
             gamma=gamma,
             degraded=scheme != NONCOOP and n == 1,

@@ -724,7 +724,7 @@ def _alternating_config(n):
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_ojs_subset_sum_and_trapezoid_agree_on_repeated_gains(n):
-    # the configs whose candidates repeat a gain, below the switch
+    # the configs whose candidates repeat a gain, on both sides of the switch at 11 pairs
     for cfg in (make_symmetric_config(n, 0.1), make_symmetric_config(n, 10.0),
                 _alternating_config(n)):
         for gamma in (10.0, 1e6):
@@ -748,9 +748,18 @@ def test_ojs_routes_by_pair_count(monkeypatch):
 
     for name in ("_ojs_pair_bracket", "_ojs_pair_trapezoid"):
         monkeypatch.setattr(analytic, name, spy(name))
-    intercept_sc_ojs(make_symmetric_config(14, 1.0), 10.0)
-    intercept_sc_ojs(make_symmetric_config(15, 1.0), 10.0)
+    intercept_sc_ojs(make_symmetric_config(11, 1.0), 10.0)
+    intercept_sc_ojs(make_symmetric_config(12, 1.0), 10.0)
     assert seen == ["_ojs_pair_bracket", "_ojs_pair_trapezoid"]
+
+
+@pytest.mark.parametrize("seed, n, gamma", [(4, 14, 1e8), (1, 12, 1e10)])
+def test_ojs_matches_oracle_on_wide_gain_spreads_above_the_switch(seed, n, gamma):
+    # gains 10^U(-3, 3): the subset sum was 1.28e-8 and 1.27e-8 off here, past validate's 1e-8
+    cfg = _distinct_config(np.random.default_rng(seed), n, 3.0)
+    assert intercept_sc_ojs(cfg, gamma) == pytest.approx(
+        intercept_sc_ojs_oracle(cfg, gamma), rel=analytic._QUAD_EPSREL, abs=0.0
+    )
 
 
 def test_ojs_trapezoid_working_set_is_bounded():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_
 from secrecy_sim.simulate import (
     _batch_events,
     _batch_trials,
-    _candidate_means,
     _chain_violations,
     _exp_gain,
     _pair_generator,
@@ -78,6 +78,16 @@ def _random_config(rng, n):
     return SystemConfig(pairs=tuple(PairParams(sd, se, a) for (sd, se), a in zip(gains, alphas)))
 
 
+def _jammer_means(config, i):
+    """Pair i's jammer means by column: column 2 + k of its block is the k-th other pair.
+
+    The other pairs keep their config order with pair i left out, so pair j
+    sits at k = j for j < i and at k = j - 1 for j > i.
+    """
+    others = [j for j in range(config.n_pairs) if j != i]
+    return np.array([config.pairs[j].sigma2_se for j in others])
+
+
 def _all_gains(pair, jammer_means, u):
     """Every gain of a uniform block: main, eavesdropper, one column per jammer."""
     g_je = -jammer_means[None, :] * np.log1p(-u[:, 2 : len(jammer_means) + 2])
@@ -87,7 +97,7 @@ def _all_gains(pair, jammer_means, u):
 def _reference_events(config, i, scheme, gamma, u):
     """Intercept events from every gain of the block, then the max or the pick."""
     n = config.n_pairs
-    g_sd, g_se, g_je = _all_gains(config.pairs[i], _candidate_means(config, i), u)
+    g_sd, g_se, g_je = _all_gains(config.pairs[i], _jammer_means(config, i), u)
     if scheme == "nonc" or n == 1:
         return g_sd < g_se
     if scheme == "rjs":
@@ -152,7 +162,7 @@ def test_advance_to_trial_matches_sequential_consumption():
 
 def test_gains_shapes_and_positivity():
     cfg = make_symmetric_config(5, 2.0)
-    means = _candidate_means(cfg, 1)
+    means = _jammer_means(cfg, 1)
     u = _block(0, 1, cfg.n_pairs, 1000)
     u[0] = 0.0
     g_sd, g_se, g_je = _all_gains(cfg.pairs[1], means, u)
@@ -363,7 +373,7 @@ def test_select_jammer_random_independent_of_gains():
     # independent: chi-square test not rejecting at alpha = 0.01
     cfg = make_symmetric_config(4, 1.0)
     u = _block(2024, 0, cfg.n_pairs, 30_000)
-    _, _, g_je = _all_gains(cfg.pairs[0], _candidate_means(cfg, 0), u)
+    _, _, g_je = _all_gains(cfg.pairs[0], _jammer_means(cfg, 0), u)
     table = np.zeros((3, 3), dtype=int)
     np.add.at(table, (_rjs_picks(u, 3), g_je.argmax(axis=1)), 1)
     _, p_value, _, _ = stats.chi2_contingency(table)
@@ -418,6 +428,19 @@ def test_wide_system_batches_match_single_block(scheme):
         u = _block(5, i, n, per_pair)
         hits.append(int(_reference_events(cfg, i, scheme, gamma, u).sum()))
     assert one.p_hat == math.fsum(p.alpha * h / per_pair for p, h in zip(cfg.pairs, hits))
+
+
+def test_estimator_memory_grows_with_n_not_n_squared():
+    # 1024 pairs, one trial each: a table of N - 1 jammer means per pair would be 8 MiB
+    cfg = make_symmetric_config(1024, 1.0)
+    tracemalloc.start()
+    try:
+        estimates = estimate_intercepts(cfg, SCHEMES, 10.0, 1000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.trials for e in estimates] == [1024] * 3
+    assert peak < 2 * 2**20
 
 
 def _estimate_from_hits(cfg, scheme, gamma, hits, per_pair):
@@ -499,7 +522,7 @@ def test_batch_events_match_all_columns_reference(n):
         rel = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-16.0, -2.0, 1000)
         g_se = -pair.sigma2_sd * np.log1p(-u[:1000, 0]) * (1.0 + rel)
         u[:1000, 1] = np.minimum(-np.expm1(-g_se / pair.sigma2_se), np.nextafter(1.0, 0.0))
-        means = _candidate_means(cfg, i)
+        means = _jammer_means(cfg, i)
         expected = [_reference_events(cfg, i, scheme, gamma, u) for scheme in SCHEMES]
         for scheme, want in zip(SCHEMES, expected):
             got = _batch_events(pair, means, (scheme,), gamma, u)[0]
@@ -678,7 +701,7 @@ def _reference_violations(cfg, gamma, trials, seed):
     violations = 0
     for i in range(n):
         u = _block(seed, i, n, per_pair)
-        g_sd, g_se, g_je = _all_gains(cfg.pairs[i], _candidate_means(cfg, i), u)
+        g_sd, g_se, g_je = _all_gains(cfg.pairs[i], _jammer_means(cfg, i), u)
         e_sc = simulate._sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
         e_best = e_sc[np.arange(per_pair), g_je.argmax(axis=1)]
         violations += int(np.count_nonzero(e_best & ~e_sc.all(axis=1)))
