@@ -1,11 +1,21 @@
 """First-principles Monte Carlo estimation of intercept probabilities.
 
-Draws one uniform per fading gain of the active pair and of every candidate
-jammer, turns those a scheme reads into squared Rayleigh fading gains
-(exponentials, via inverse CDF), applies the per-scheme intercept condition
-directly to the gains, and aggregates a stratified estimate: each
-pair is simulated conditionally with its exact duty-cycle weight, which
-removes the scheduling variance a naive mixture sampler would add.
+Draws one Philox word per fading gain of the active pair and of every
+candidate jammer, turns those a scheme reads into uniforms and then into
+squared Rayleigh fading gains (exponentials, via inverse CDF), applies the
+per-scheme intercept condition directly to the gains, and aggregates a
+stratified estimate: each pair is simulated conditionally with its exact
+duty-cycle weight, which removes the scheduling variance a naive mixture
+sampler would add.
+
+A batch is a block of raw 64-bit words, one row per trial.  A word becomes
+its uniform only where a scheme reads it, as numpy's `Generator.random`
+would make it: the top 53 bits times 2**-53.  nonc converts the main and
+eavesdropper words; rjs also the pick word and the picked jammer's word of
+the trials where nonc holds; ojs takes the largest word of each run of
+jammers with equal mean on those trials and converts only that.  Every
+uniform a scheme reads is the double `Generator.random` gives on the same
+stream, so the estimates are those of converting the whole block.
 
 Reproducibility contract: the seed is an integer in [0, 2**64).  The stream
 for pair i is the counter-based generator Philox keyed by (seed, i), and
@@ -29,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .model import (
     NONCOOP, SC_OJS, SC_RJS, PairParams, SystemConfig, require_scheme, require_seed, require_snr,
@@ -43,7 +53,7 @@ __all__ = [
     "coupled_dominance_check",
 ]
 
-# Upper bound on one batch's uniform block, so that a worker's memory stays
+# Upper bound on one batch's word block, so that a worker's memory stays
 # bounded as N grows: 65536 trials for 3 to 6 pairs, fewer for more.  Every
 # trial reads a fixed slot of its pair's stream, so the batch size changes
 # memory and speed, never a result.
@@ -53,7 +63,7 @@ _PHILOX_WORDS_PER_BLOCK = 4
 
 
 def draws_per_trial(n_pairs: int) -> int:
-    """Uniform doubles consumed per trial: gains, jammer pick, block padding.
+    """Philox words consumed per trial: gains, jammer pick, block padding.
 
     One draw each for the main and eavesdropper gains, one per candidate
     jammer, one for random jammer selection, rounded up to the Philox block
@@ -64,14 +74,30 @@ def draws_per_trial(n_pairs: int) -> int:
     return blocks * _PHILOX_WORDS_PER_BLOCK
 
 
-def _pair_generator(seed: int, pair_index: int, n_pairs: int, start_trial: int) -> Generator:
-    """Generator positioned at trial `start_trial` of pair `pair_index`'s stream."""
+def _pair_stream(seed: int, pair_index: int, n_pairs: int, start_trial: int) -> Philox:
+    """Philox positioned at trial `start_trial` of pair `pair_index`'s stream."""
     key = np.array([seed, pair_index], dtype=np.uint64)
     bit_gen = Philox(key=key)
     if start_trial:
         blocks = start_trial * draws_per_trial(n_pairs) // _PHILOX_WORDS_PER_BLOCK
         bit_gen.advance(blocks)
-    return Generator(bit_gen)
+    return bit_gen
+
+
+def _uniform(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms in [0, 1) of Philox words, bit for bit those `Generator.random` makes.
+
+    The top 53 bits of each word times 2**-53.  Works in one array, `out`
+    if given (which may be `w` itself, read back as doubles).  The cast
+    goes through an int64 view, which numpy casts to double much faster
+    than uint64, and runs in place on a flat view: a ufunc or a 2-d
+    `copyto` would first copy operands that share memory.
+    """
+    top = np.right_shift(w, 11, out=out).reshape(-1)
+    u = top.view(np.float64)
+    np.copyto(u, top.view(np.int64), casting="unsafe")
+    u *= 2.0**-53
+    return u.reshape(np.shape(w))
 
 
 @dataclass(frozen=True)
@@ -125,21 +151,25 @@ def _batch_events(
     jammer_means: np.ndarray,
     schemes: Sequence[str],
     gamma: float,
-    u: np.ndarray,
+    w: np.ndarray,
 ) -> list[np.ndarray]:
-    """Boolean intercept indicators of each scheme for one uniform batch of one pair.
+    """Boolean intercept indicators of each scheme for one word batch of one pair.
 
     Computes g_sd and g_se once; the nonc event is g_sd < g_se.  On a row
     where it fails no jammer can give an intercept, since g_je*gamma*g_sd is
     >= 0 (or NaN) and rounded doubling and addition are monotone, so rjs
-    transforms the picked jammer's column and ojs every jammer column only
-    on the rows where nonc holds.  Each gain read is computed as
-    transforming every column would compute it, so the events equal those
-    of the all-columns transform.  Returns one array per entry of
-    `schemes`, in order; `u` is left as it was.
+    converts the pick word and the picked jammer's word, and ojs the jammer
+    words, only on the rows where nonc holds.  ojs takes the largest word
+    of each run of equal jammer means, in column order, before it converts:
+    the gain -mean*log1p(-u) does not decrease as the word grows, so the
+    run's strongest gain is the gain of its largest word.  Each gain read
+    is computed as transforming every column would compute it, so the
+    events equal those of the all-columns transform.  Returns one array per
+    entry of `schemes`, in order; `w` is left as it was.
     """
-    g_sd = _exp_gain(pair.sigma2_sd, u[:, 0])
-    g_se = _exp_gain(pair.sigma2_se, u[:, 1])
+    g_sd, g_se = _uniform(w[:, 0]), _uniform(w[:, 1])
+    _exp_gain(pair.sigma2_sd, g_sd, out=g_sd)
+    _exp_gain(pair.sigma2_se, g_se, out=g_se)
     events = {NONCOOP: g_sd < g_se}
     m = len(jammer_means)
     jammed = [s for s in (SC_RJS, SC_OJS) if s in schemes]
@@ -150,22 +180,27 @@ def _batch_events(
         g_sd, g_se = g_sd[live], g_se[live]
         jammer_gain = {}
         if SC_RJS in jammed:
-            pick = np.minimum((u[live, m + 2] * m).astype(np.int64), m - 1)
-            flat = live * u.shape[1] + 2 + pick
-            jammer_gain[SC_RJS] = _exp_gain(jammer_means.take(pick), u.ravel().take(flat))
+            pick = np.minimum((_uniform(w[live, m + 2]) * m).astype(np.int64), m - 1)
+            flat = live * w.shape[1] + 2 + pick
+            picked = _uniform(w.ravel().take(flat))
+            jammer_gain[SC_RJS] = _exp_gain(jammer_means.take(pick), picked, out=picked)
         if SC_OJS in jammed:
-            g_je = u[live, 2 : m + 2]
-            _exp_gain(jammer_means, g_je, out=g_je)
+            starts = np.flatnonzero(np.diff(jammer_means, prepend=np.nan) != 0)
+            top = w[live, 2 : m + 2]
+            if len(starts) < m:
+                top = np.maximum.reduceat(top, starts, axis=1)
+            g_je = _uniform(top, out=top)
+            _exp_gain(jammer_means[starts], g_je, out=g_je)
             # Column by column: numpy reduces a short contiguous axis slowly.
             jammer_gain[SC_OJS] = functools.reduce(np.maximum, g_je.T)
         for scheme, g_j in jammer_gain.items():
-            events[scheme] = np.zeros(len(u), dtype=bool)
+            events[scheme] = np.zeros(len(w), dtype=bool)
             events[scheme][live] = _sc_intercept(g_j, gamma, g_sd, g_se)
     return [events[s] for s in schemes]
 
 
 def _batch_trials(n_pairs: int) -> int:
-    """Trials per batch: as many as fit in BATCH_BYTES of uniforms, at least one."""
+    """Trials per batch: as many as fit in BATCH_BYTES of words, at least one."""
     return max(1, BATCH_BYTES // (draws_per_trial(n_pairs) * 8))
 
 
@@ -176,14 +211,14 @@ def _batch_ranges(trials_per_pair: int, n_pairs: int):
 
 
 def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, workers: int, count):
-    """Sum `count(pair, jammer_means, u)` over every uniform batch of every pair.
+    """Sum `count(pair, jammer_means, w)` over every word batch of every pair.
 
-    `u` is one batch's (rows, draws_per_trial) block of the pair's stream,
-    which `count` may overwrite; `jammer_means` holds the other pairs'
-    sigma2_se in config order, one per jammer column; `count` returns a
-    number or a numpy count vector.  Each pair runs ceil(trials / N) trials;
-    returns the per-pair sums and that trial count.  Checks every argument
-    but the config, valid by type.
+    `w` is one batch's (rows, draws_per_trial) block of the pair's stream as
+    raw uint64 Philox words, which `count` may overwrite; `jammer_means`
+    holds the other pairs' sigma2_se in config order, one per jammer
+    column; `count` returns a number or a numpy count vector.  Each pair
+    runs ceil(trials / N) trials; returns the per-pair sums and that trial
+    count.  Checks every argument but the config, valid by type.
     """
     require_snr(gamma)
     trials = operator.index(trials)
@@ -198,9 +233,8 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     se_means = np.array([p.sigma2_se for p in config.pairs])
 
     def run_batch(pair: int, start: int, stop: int):
-        gen = _pair_generator(seed, pair, n, start)
-        u = gen.random((stop - start, draws_per_trial(n)))
-        return count(config.pairs[pair], np.delete(se_means, pair), u)
+        w = _pair_stream(seed, pair, n, start).random_raw((stop - start, draws_per_trial(n)))
+        return count(config.pairs[pair], np.delete(se_means, pair), w)
 
     tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, n)]
     workers = min(workers, len(tasks))
@@ -228,7 +262,7 @@ def estimate_intercepts(
     Runs ceil(trials / N) conditional trials for every pair and combines the
     per-pair frequencies with their exact duty-cycle weights; the standard
     error is propagated from the per-pair binomial variances.  Every scheme
-    is evaluated on the same uniform batches, each drawn once, so the
+    is evaluated on the same word batches, each drawn once, so the
     estimates are those of separate `estimate_intercept` calls.  Returns
     one estimate per entry of `schemes`, in order.  Requesting a
     cooperation scheme with a single pair degrades to non-cooperation
@@ -240,8 +274,8 @@ def estimate_intercepts(
         raise ValueError("need at least one scheme")
     successes, per_pair = _run_batches(
         config, gamma, trials, rng, workers,
-        lambda pair, means, u: np.array(
-            [np.count_nonzero(e) for e in _batch_events(pair, means, schemes, gamma, u)]
+        lambda pair, means, w: np.array(
+            [np.count_nonzero(e) for e in _batch_events(pair, means, schemes, gamma, w)]
         ),
     )
     n = config.n_pairs
@@ -277,15 +311,17 @@ def estimate_intercept(
 
 
 def _chain_violations(
-    gamma: float, pair: PairParams, jammer_means: np.ndarray, u: np.ndarray
+    gamma: float, pair: PairParams, jammer_means: np.ndarray, w: np.ndarray
 ) -> int:
-    """Rows of one batch where the event-inclusion chain fails, counted per link.
+    """Rows of one word batch where the event-inclusion chain fails, counted per link.
 
-    Transforms the jammer columns in place and tests one column at a time,
-    so the batch builds no (trials, N-1) temporary.  The strongest jammer's
-    event is the condition at the row maximum, which equals the condition at
-    the argmax column since the condition is elementwise.
+    Converts the whole block to uniforms and transforms the jammer columns,
+    both in place, and tests one column at a time, so the batch builds no
+    (trials, N-1) temporary.  The strongest jammer's event is the condition
+    at the row maximum, which equals the condition at the argmax column
+    since the condition is elementwise.
     """
+    u = _uniform(w, out=w)
     g_sd = _exp_gain(pair.sigma2_sd, u[:, 0])
     g_se = _exp_gain(pair.sigma2_se, u[:, 1])
     g_je = u[:, 2 : len(jammer_means) + 2]

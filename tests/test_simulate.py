@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.random import Generator
 from scipy import stats
 
 from secrecy_sim.analytic import intercept_noncoop, intercept_sc_ojs, intercept_sc_rjs
@@ -20,8 +21,9 @@ from secrecy_sim.simulate import (
     _batch_trials,
     _chain_violations,
     _exp_gain,
-    _pair_generator,
+    _pair_stream,
     _sc_intercept,
+    _uniform,
     coupled_dominance_check,
     draws_per_trial,
     estimate_intercept,
@@ -32,21 +34,35 @@ UNIT_PAIR = PairParams(1.0, 1.0, 0.25)
 
 
 def _block(seed, pair, n, trials, start_trial=0):
-    gen = _pair_generator(seed, pair, n, start_trial)
+    """A pair's uniforms as numpy's own `Generator.random` makes them from its stream."""
+    gen = Generator(_pair_stream(seed, pair, n, start_trial))
     return gen.random((trials, draws_per_trial(n)))
 
 
+def _snap(u):
+    """`u` rounded down to the 2**-53 grid on which every uniform of a word lies."""
+    return np.floor(np.asarray(u) * 2.0**53) * 2.0**-53
+
+
+def _words(u):
+    """The Philox words the kernels read for uniforms `u`, which lie on the 2**-53 grid."""
+    k = np.floor(u * 2.0**53)
+    assert np.array_equal(k * 2.0**-53, u), "uniforms off the 2**-53 grid"
+    return k.astype(np.uint64) << 11
+
+
 def _unit_gain_rows(rows, n):
-    """Uniforms whose unit-mean gains are the given (g_sd, g_se, *g_je) rows."""
+    """Uniforms whose unit-mean gains are the given (g_sd, g_se, *g_je) rows, to 1e-14."""
     gains = np.asarray(rows, dtype=float)
     u = np.zeros((len(gains), draws_per_trial(n)))
-    u[:, : gains.shape[1]] = -np.expm1(-gains)
+    u[:, : gains.shape[1]] = _snap(-np.expm1(-gains))
+    assert np.allclose(-np.log1p(-u[:, : gains.shape[1]]), gains, rtol=1e-14, atol=0.0)
     return u
 
 
 def _events(u, m, scheme, gamma):
     """Kernel events for a unit-mean active pair with m unit-mean candidate jammers."""
-    return _batch_events(UNIT_PAIR, np.ones(m), (scheme,), gamma, u)[0]
+    return _batch_events(UNIT_PAIR, np.ones(m), (scheme,), gamma, _words(u))[0]
 
 
 def _rjs_picks(u, m):
@@ -154,10 +170,30 @@ def test_pair_streams_differ_and_reproduce():
 
 def test_advance_to_trial_matches_sequential_consumption():
     n = 4
-    gen = _pair_generator(99, 2, n, 0)
+    gen = Generator(_pair_stream(99, 2, n, 0))
     sequential = np.vstack([gen.random((1, draws_per_trial(n))) for _ in range(6)])
     assert np.array_equal(sequential, _block(99, 2, n, 6))
     assert np.array_equal(_block(99, 2, n, 2, start_trial=4), sequential[4:])
+
+
+@pytest.mark.parametrize("n,start", [(4, 0), (3, 0), (5, 0), (4, 7), (3, 1001), (64, 5)])
+def test_uniforms_of_words_are_generator_random(n, start):
+    # N + 2 is not a multiple of 4 for N = 3 and 5, so a trial's row ends in
+    # padding words; an advanced start reads a block the stream skips to
+    words = _pair_stream(31, 2, n, start).random_raw((50, draws_per_trial(n)))
+    want = Generator(_pair_stream(31, 2, n, start)).random((50, draws_per_trial(n)))
+    assert np.array_equal(_uniform(words), want)
+    assert np.array_equal(_uniform(words[:, 1]), want[:, 1])
+    assert np.array_equal(_words(want) >> 11, words >> 11)
+    in_place = _uniform(words, out=words)
+    assert np.shares_memory(in_place, words) and np.array_equal(in_place, want)
+
+
+def test_extreme_words_give_extreme_finite_gains():
+    u = _uniform(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert u.tolist() == [0.0, 1.0 - 2.0**-53]
+    g = _exp_gain(2.0, u)
+    assert g[0] == 0.0 and np.isfinite(g[1]) and g[1] == pytest.approx(2.0 * 53 * math.log(2.0))
 
 
 def test_gains_shapes_and_positivity():
@@ -226,7 +262,8 @@ def test_event_sc_zero_main_gain_counts_as_intercept():
     assert _sc_intercept(5.0, 10.0, 0.0, 1.0)
     u = _block(4, 0, 4, 500)
     u[:, 0] = 0.0
-    u[:, 1] = np.maximum(u[:, 1], 1e-12)
+    u[:, 1] = np.maximum(u[:, 1], _snap(1e-12))
+    assert (u[:, 1] > 0.0).all()
     for scheme in SCHEMES:
         assert _events(u, 3, scheme, 1e6).all()
 
@@ -281,9 +318,9 @@ def test_event_sc_rejects_bad_gamma():
         lambda m: st.tuples(
             st.just(m),
             hnp.arrays(
-                np.float64,
+                np.int64,
                 st.tuples(st.integers(min_value=1, max_value=20), st.just(draws_per_trial(m + 1))),
-                elements=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                elements=st.integers(min_value=0, max_value=2**53 - 1),
             ),
         )
     ),
@@ -291,7 +328,8 @@ def test_event_sc_rejects_bad_gamma():
     st.floats(min_value=1e-6, max_value=1e6),
 )
 def test_event_inclusion_chain_on_arbitrary_draws(block, means, gamma):
-    m, u = block
+    m, k = block
+    u = k * 2.0**-53
     jammer_means = np.array(means[:m])
     pair = PairParams(1.0, 1.0, 0.5)
     g_sd, g_se, g_je = _all_gains(pair, jammer_means, u)
@@ -300,8 +338,8 @@ def test_event_inclusion_chain_on_arbitrary_draws(block, means, gamma):
     e_best = e_sc[np.arange(len(u)), g_je.argmax(axis=1)]
     assert not (e_best & ~e_sc.all(axis=1)).any()
     assert not (e_sc & ~e_nonc[:, None]).any()
-    assert _chain_violations(gamma, pair, jammer_means, u.copy()) == 0
-    nonc, rjs, ojs = _batch_events(pair, jammer_means, SCHEMES, gamma, u)
+    assert _chain_violations(gamma, pair, jammer_means, _words(u)) == 0
+    nonc, rjs, ojs = _batch_events(pair, jammer_means, SCHEMES, gamma, _words(u))
     assert not (ojs & ~rjs).any() and not (rjs & ~nonc).any()
 
 
@@ -325,17 +363,19 @@ def test_select_jammer_optimal_permutation_equivariance():
     u = _block(8, 0, n, 4000)
     means = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
     pair = PairParams(1.0, 2.0, 1.0 / n)
-    base = _batch_events(pair, means, ("ojs",), 10.0, u)[0]
+    base = _batch_events(pair, means, ("ojs",), 10.0, _words(u))[0]
     for perm in (np.arange(n - 1)[::-1], rng.permutation(n - 1), rng.permutation(n - 1)):
         shuffled = u.copy()
         shuffled[:, 2 : n + 1] = u[:, 2 + perm]
-        assert np.array_equal(_batch_events(pair, means[perm], ("ojs",), 10.0, shuffled)[0], base)
+        got = _batch_events(pair, means[perm], ("ojs",), 10.0, _words(shuffled))[0]
+        assert np.array_equal(got, base)
 
 
 def test_tied_strongest_jammers_give_same_ojs_event():
     u = _block(12, 0, 4, 4000)
     u[:, 3] = u[:, 2]
-    u[:, 4] = u[:, 2] * 0.5
+    u[:, 4] = _snap(u[:, 2] * 0.5)
+    assert (u[:, 4] < u[:, 2]).sum() == (u[:, 2] > 0.0).sum()
     events = _events(u, 3, "ojs", 10.0)
     g_sd, g_se, g_je = _all_gains(UNIT_PAIR, np.ones(3), u)
     assert np.array_equal(events, _sc_intercept(g_je[:, 0], 10.0, g_sd, g_se))
@@ -346,12 +386,49 @@ def test_tied_strongest_jammers_give_same_ojs_event():
     assert events.any() and not events.all()
 
 
+def _repeated_gain_config(n, kind):
+    """N unit-main-gain pairs whose eavesdropper gains repeat by `kind`, in config order."""
+    rng = np.random.default_rng(n)
+    a, b = 0.5, 2.0
+    se = {
+        "symmetric": [a] * n,
+        "two runs": [a] * (n // 2) + [b] * (n - n // 2),
+        "interleaved": [(a, b)[j % 2] for j in range(n)],
+        "all distinct": list(10.0 ** rng.uniform(-1.0, 1.0, n)),
+    }[kind]
+    return SystemConfig(pairs=tuple(PairParams(1.0, g, 1.0 / n) for g in se))
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "two runs", "interleaved", "all distinct"])
+@pytest.mark.parametrize("n", [3, 9, 64])
+def test_ojs_runs_of_equal_jammer_means_match_reference(n, kind):
+    # ojs takes the largest word of each run of equal jammer means; its
+    # events must equal the maximum over every transformed column, bit for
+    # bit, with ties inside and across runs and zero words
+    cfg = _repeated_gain_config(n, kind)
+    wide_beside_other = False
+    for i in sorted({0, n // 2, n - 1}):
+        means = _jammer_means(cfg, i)
+        runs = np.flatnonzero(np.diff(means, prepend=np.nan) != 0)
+        wide_beside_other |= 1 < len(runs) < len(means)
+        u = _block(50 + i, i, n, 4000)
+        u[:500, 2 : n + 1] = u[:500, 2:3]
+        u[500:1000, 3 : n + 1 : 2] = u[500:1000, 2 : n : 2]
+        u[1000:1100, 2 : n + 1] = 0.0
+        for gamma in (0.3, 3.0):
+            want = _reference_events(cfg, i, "ojs", gamma, u)
+            got = _batch_events(cfg.pairs[i], means, ("ojs",), gamma, _words(u))[0]
+            assert np.array_equal(got, want), (i, gamma)
+            assert want.any() and not want.all()
+    assert wide_beside_other == (n > 3 and kind in ("two runs", "interleaved"))
+
+
 def test_select_jammer_random_uniform():
     # equally spaced pick uniforms must spread exactly evenly over the
     # candidates, and the extreme uniforms must pick the first and last
     for m in (2, 3, 5, 7):
         u = _block(42, 0, m + 1, 300 * m + 2)
-        u[:-2, m + 2] = (np.arange(300 * m) + 0.5) / (300 * m)
+        u[:-2, m + 2] = _snap((np.arange(300 * m) + 0.5) / (300 * m))
         u[-2:, m + 2] = 0.0, np.nextafter(1.0, 0.0)
         picks = _rjs_picks(u, m)
         assert (np.bincount(picks[:-2], minlength=m) == 300).all()
@@ -508,28 +585,39 @@ def test_rejects_bad_worker_count():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 14, 23, 40, 64, 79])
 def test_batch_events_match_all_columns_reference(n):
-    # the kernel transforms only the uniforms each scheme reads; its events
-    # must equal those of transforming every column, bit for bit
+    # the kernel converts only the words each scheme reads; its events
+    # must equal those of transforming every column of the uniforms, bit
+    # for bit
     rng = np.random.default_rng(7000 + n)
+    near = np.zeros(3, dtype=int)  # boundary rows below, at and above g_sd
     for gamma in (1e-4, 10.0 ** rng.uniform(-4.0, 8.0), 1e8):
         cfg = _random_config(rng, n)
         i = int(rng.integers(n))
         u = rng.random((3000, draws_per_trial(n)))
         u[rng.random(u.shape) < 0.01] = 0.0
         # a third of the rows sit at the non-cooperative boundary: g_se
-        # within a relative 1e-16..1e-2 of g_sd, on either side
+        # within a relative 1e-16..1e-2 of g_sd, on either side, before the
+        # snap to the grid of word uniforms
         pair = cfg.pairs[i]
         rel = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-16.0, -2.0, 1000)
         g_se = -pair.sigma2_sd * np.log1p(-u[:1000, 0]) * (1.0 + rel)
-        u[:1000, 1] = np.minimum(-np.expm1(-g_se / pair.sigma2_se), np.nextafter(1.0, 0.0))
+        u[:1000, 1] = _snap(np.minimum(-np.expm1(-g_se / pair.sigma2_se), np.nextafter(1.0, 0.0)))
+        g_sd, g_se, _ = _all_gains(pair, np.empty(0), u[:1000])
+        with np.errstate(invalid="ignore"):
+            snapped_rel = g_se / g_sd - 1.0
+        near += [np.count_nonzero((snapped_rel < 0.0) & (snapped_rel > -1e-12)),
+                 np.count_nonzero(g_se == g_sd),
+                 np.count_nonzero((snapped_rel > 0.0) & (snapped_rel < 1e-12))]
         means = _jammer_means(cfg, i)
         expected = [_reference_events(cfg, i, scheme, gamma, u) for scheme in SCHEMES]
         for scheme, want in zip(SCHEMES, expected):
-            got = _batch_events(pair, means, (scheme,), gamma, u)[0]
+            got = _batch_events(pair, means, (scheme,), gamma, _words(u))[0]
             assert np.array_equal(got, want), (scheme, gamma)
-        together = _batch_events(pair, means, SCHEMES, gamma, u)
+        together = _batch_events(pair, means, SCHEMES, gamma, _words(u))
         for scheme, got, want in zip(SCHEMES, together, expected):
             assert np.array_equal(got, want), (scheme, gamma)
+    # the boundary survives the snap: ties and rows within 1e-12 either side
+    assert (near > 0).all(), near
 
 
 def test_estimator_clamps_workers_to_task_count(monkeypatch):
