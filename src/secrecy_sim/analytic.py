@@ -27,14 +27,13 @@ The subset sum costs 2^(N-1) - 1 terms per distinct pair and cancels harder as
 N and gamma grow, so intercept_sc_ojs uses it only up to 11 pairs.  Beyond,
 each pair's value is the trapezoidal rule on the oracle's all-positive
 integral below, at step h(N) = min(0.2, 0.45/ln(N-1)) (derived in
-_ojs_pair_trapezoid).  With candidates of equal gain grouped into classes,
-that costs O(nodes x classes) per pair and does not cancel.  On all-distinct
-gains in 10^-1..10^1, an N=16/18 call takes 3.6-8.4 ms against 57-760 ms for
-the subset sum, and the trapezoid is the cheaper from about 11 pairs.  It was
-within 8e-16 of a cancellation-free reference for symmetric N up to 200 and
-within 8e-15 of the oracle up to N=1024; its a-posteriori estimate
-|T_h - T_{h/2}| stayed under 5e-16 relative for gamma 1e-3..1e9 and under
-1.1e-14 out to 1e300.
+_ojs_trapezoid), capped at the pair's RJS value.  With kappa_j = e^(b_i) *
+sigma2_se_j, every pair's jamming product is one function of t = s - b_i less
+its own factor, so one lattice serves every pair: O(nodes x classes) once per
+call plus O(nodes) per distinct pair, with no cancellation.  It was within 9e-16
+of a cancellation-free reference for symmetric N up to 200 and within 1.1e-14
+of the oracle up to N=1024; its a-posteriori estimate |T_h - T_{h/2}| stayed
+under 4e-16 relative for gamma 1e-3..1e9 and under 3.2e-15 out to 1e300.
 
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -73,8 +71,6 @@ __all__ = [
 
 # intercept_sc_ojs answers up to this many pairs by the subset sum, beyond by the trapezoid.
 _OJS_SUBSET_MAX_PAIRS = 11
-# Elements per chunk of the trapezoid's nodes x classes array: 256 KiB a float array.
-_TRAPEZOID_CHUNK = 1 << 15
 _LN2 = math.log(2.0)
 
 _QUAD_EPSREL = 1e-10
@@ -208,97 +204,111 @@ def _log_jamming_factors(t):
 
 
 def _ojs_trapezoid_step(n_pairs: int) -> float:
-    """The step h(N) = min(0.2, 0.45 / ln(N - 1)) of _ojs_pair_trapezoid."""
+    """The step h(N) = min(0.2, 0.45 / ln(N - 1)) of _ojs_trapezoid."""
     return 0.45 / max(math.log(n_pairs - 1), 2.25)
 
 
-def _ojs_pair_trapezoid(config: SystemConfig, i: int, gamma: float) -> float:
-    """Pair i's OJS value by the trapezoidal rule on the all-positive integral.
+def _ojs_trapezoid(config: SystemConfig, gamma: float):
+    """Every pair's OJS value by the trapezoidal rule on one lattice, as a pair_value.
 
-    The value is se/(sd + se) * integral of sigma'(s) * prod_l (1 - exp(-e^(s - ln kappa_l)))^c_l
-    over the real line: sigma' is the logistic density, and the candidates form classes of
-    equal sigma2_se, c_l members and jamming scale kappa_l each (see _jammed_oracle, which
-    integrates the same law one candidate at a time).  The sum h * sum_k f(k*h) runs over the
-    integer multiples of h in [min knee - 50, max knee + 50], knees 0 and ln kappa_l, so
-    T_{h/2} has every node of T_h.  Each node's logarithm is summed over the classes, and the
-    nodes are scaled to the largest before the fsum, so no node that matters over- or
-    underflows.  A kappa_l, or a step toward it, that over- or underflows (subnormal
-    included), or a value that is not a normal float, is an SNR range error.  The nodes x
-    classes array goes in chunks of _TRAPEZOID_CHUNK elements, so memory stays bounded at
-    any N.
+    Pair i's value is se/(sd + se) * integral of sigma'(s) * prod_j (1 - exp(-e^(s - ln kappa_j)))
+    over the real line: sigma' is the logistic density, and candidate j jams at scale kappa_j =
+    e^(b_i) * sigma2_se_j, b_i = ln(sd*gamma/(2*(sd + se))) (see _jammed_oracle, which
+    integrates the same law).  In t = s - b_i every pair's product is one function G(t) less
+    pair i's own factor, log G(t) = sum_l c_l * log(1 - exp(-e^(t - ln g_l))) over the classes
+    of equal sigma2_se, gain g_l and c_l pairs each, in sorted order.  So log G is summed once
+    per call, one class at a time into one float per node, on the integer multiples of h that
+    cover every pair's knees (t = -b_i and ln g_l) +-50; T_{h/2} has every node of T_h.  The
+    returned pair_value(config, i, gamma) subtracts pair i's own factor, adds log sigma'(t + b_i),
+    and scales the nodes to the largest before the fsum, so no node that matters over- or
+    underflows.  It returns the smaller of that sum and _rjs_pair_value, which the true value
+    never exceeds, or the sum alone where RJS refuses.  A candidate's kappa_j, or a step toward
+    it, that over- or underflows (subnormal included), or a value that is not a normal float, is
+    an SNR range error; kappa_j grows with sigma2_se_j, so each pair's smallest and largest
+    candidate gain decide.  The cost is O(nodes x classes) once plus O(nodes) per distinct pair,
+    and memory O(nodes).
 
-    Step rule.  f is analytic in the strip |Im s| < pi/2: sigma' has its poles at +-i*pi,
-    and each factor stays within 2 in modulus while cos(Im s) > 0.  For a < pi/2 and M the
-    largest integral of |f| along a line in the strip, |T_h - I| <= 2M/(e^(2*pi*a/h) - 1)
-    (Trefethen and Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
-    2014, Thm 5.1).  The bound on the factors only gives M <= 2^(N-1)*pi/2 against an
-    integral that may be O(1/gamma), which asks for h near pi^2/((N-1)*ln 2 + ln(gamma/eps)),
-    about 0.013 at N=1024: too pessimistic to use.  What sets the step is how fast f turns
-    on.  The product of m = N - 1 equal factors switches from 0 to 1 like a Gumbel law in
-    e^(s - ln kappa) - ln m, so its width in s, and the strip half-width a over which M
-    stays moderate, shrink about as 1/ln m; h must shrink with them.  h(N) = min(0.2,
-    0.45/ln(N - 1)) keeps 2*pi*a/h near ln(1/eps), with constants measured on symmetric
-    systems, where one class holds every candidate and the switch is sharpest.  Against T at
-    half the rule's step, h = 0.2 was 3e-10 off at N=64 and h = 0.1 3e-13 off at N=1024,
-    while the rule's 0.109 and 0.065 were within 5e-16.  On symmetric N=2..1024, MER
-    0.1..10, the a-posteriori estimate |T_h - T_{h/2}| stayed under 5e-16 * T_h for gamma
-    1e-3..1e9, 5e-15 at 1e+-100 and 1.1e-14 at 1e300, where rounding ln kappa alone moves
-    the value that much.
+    Step rule.  The strip bound below does not depend on where the lattice sits, so a lattice in
+    t, shifted by b_i in s, obeys it as one in s would.  f is analytic in the strip |Im s| < pi/2:
+    sigma' has its poles at +-i*pi, and each factor stays within 2 in modulus while cos(Im s) >
+    0.  For a < pi/2 and M the largest integral of |f| along a line in the strip, |T_h - I| <=
+    2M/(e^(2*pi*a/h) - 1) (Trefethen and Weideman, "The exponentially convergent trapezoidal
+    rule", SIAM Review 56, 2014, Thm 5.1).  The bound on the factors only gives M <=
+    2^(N-1)*pi/2 against an integral that may be O(1/gamma), which asks for h near
+    pi^2/((N-1)*ln 2 + ln(gamma/eps)), about 0.013 at N=1024: too pessimistic to use.  What
+    sets the step is how fast f turns on.  The product of m = N - 1 equal factors switches from
+    0 to 1 like a Gumbel law in e^(s - ln kappa) - ln m, so its width in s, and the strip
+    half-width a over which M stays moderate, shrink about as 1/ln m; h must shrink with them.
+    h(N) = min(0.2, 0.45/ln(N - 1)) keeps 2*pi*a/h near ln(1/eps), with constants measured on
+    symmetric systems, where one class holds every candidate and the switch is sharpest.
+    Against T at half the step, on symmetric MER 0.1..10 and gamma 1e-3..1e9, h = 0.2 was
+    2.3e-10 off at N=64 and h = 0.1 2.0e-10 off at N=1024, while the rule's 0.109 and 0.065
+    were within 3.4e-16.  On symmetric N=2..1024, MER 0.1..10, the a-posteriori estimate
+    |T_h - T_{h/2}| stayed under 4e-16 * T_h for gamma 1e-3..1e9, 2e-15 at 1e+-100 and 3.2e-15
+    at 1e300, where rounding b_i alone moves the value that much.
     """
-    sd = config.pairs[i].sigma2_sd
-    se = config.pairs[i].sigma2_se
-    classes = Counter(p.sigma2_se for p in config.pairs)
-    classes[se] -= 1
-    gains = np.array([g for g, c in classes.items() if c])
-    counts = np.array([float(c) for c in classes.values() if c])
+    sd, se = np.array([(p.sigma2_sd, p.sigma2_se) for p in config.pairs]).T
+    gains, own, counts = np.unique(se, return_inverse=True, return_counts=True)
+    outer = np.sort(se)  # each pair's candidates: every gain but one instance of its own
     try:
-        with np.errstate(over="raise", under="raise", divide="raise"):
-            log_kappa = np.log(np.float64(sd) / (2.0 * (sd + se)) * gamma * gains)
+        with np.errstate(over="raise", under="raise"):
+            scale = sd / (2.0 * (sd + se)) * gamma
+            scale * np.where(se == outer[0], outer[1], outer[0])
+            scale * np.where(se == outer[-1], outer[-2], outer[-1])
     except FloatingPointError:
         raise _snr_range_error(gamma, "the jamming scale") from None
+    shift = np.log(scale)
+    log_gains = np.log(gains)
     h = _ojs_trapezoid_step(config.n_pairs)
-    lo = min(0.0, log_kappa.min()) - 50.0
-    hi = max(0.0, log_kappa.max()) + 50.0
-    nodes = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1) * h
-    # log f(s) = -|s| + rest(s); rest holds the jamming factors and the logistic's O(1) part
-    rest = np.empty(nodes.size)
-    rows = max(1, _TRAPEZOID_CHUNK // counts.size)
-    for start in range(0, nodes.size, rows):
-        s = nodes[start : start + rows]
-        factors = _log_jamming_factors(s[:, None] - log_kappa)
-        # numpy's own row sums, not BLAS: the same bits on every call
-        rest[start : start + rows] = np.multiply(factors, counts, out=factors).sum(axis=1)
-    width = np.abs(nodes)
-    rest -= 2.0 * np.log1p(np.exp(-width))
-    # scaled to the peak node; |s_peak| - |s| is exact near the peak (Sterbenz)
-    peak = np.argmax(rest - width)
-    scaled = (width[peak] - width) + (rest - rest[peak])
-    # nodes under e^-60 of the peak add under 1e-22 in all, but one fsum partial each
-    total = math.fsum(memoryview(np.exp(scaled[scaled > -60.0])))
-    value = se / (sd + se) * h * total * math.exp(-width[peak]) * math.exp(rest[peak])
-    if not value >= sys.float_info.min:
-        raise _snr_range_error(gamma, "the trapezoidal sum")
-    return value
+    lo, hi = min(-shift.max(), log_gains[0]) - 50.0, max(-shift.min(), log_gains[-1]) + 50.0
+    t = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1) * h
+    log_g = sum(c * _log_jamming_factors(t - log_gain) for log_gain, c in zip(log_gains, counts))
+
+    def pair_value(config, i, gamma):
+        width = np.abs(t + shift[i])
+        # log f(s) = -|s| + rest(s); rest holds the jamming factors and the logistic's O(1) part
+        rest = log_g - _log_jamming_factors(t - log_gains[own[i]]) - 2.0 * np.log1p(np.exp(-width))
+        # scaled to the peak node; |s_peak| - |s| is exact near the peak (Sterbenz)
+        peak = np.argmax(rest - width)
+        scaled = (width[peak] - width) + (rest - rest[peak])
+        # nodes under e^-60 of the peak add under 1e-22 in all, but one fsum partial each
+        total = math.fsum(memoryview(np.exp(scaled[scaled > -60.0])))
+        value = se[i] / (sd[i] + se[i]) * h * total * math.exp(-width[peak]) * math.exp(rest[peak])
+        if not value >= sys.float_info.min:
+            raise _snr_range_error(gamma, "the trapezoidal sum")
+        try:  # the true value is at most rjs's, where rjs has one
+            return min(value, _rjs_pair_value(config, i, gamma))
+        except ValueError:  # rjs's sd*gamma over- or underflows: no order to keep
+            return value
+
+    return pair_value
 
 
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
     Up to 11 pairs (_OJS_SUBSET_MAX_PAIRS) each distinct pair's value is the subset sum,
-    _ojs_pair_bracket: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it is
-    _ojs_pair_trapezoid, the trapezoidal rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the
-    oracle's all-positive integral, which does not cancel.  The switch looks only at the pair
-    count.  On all-distinct gains 10^U(-3, 3) (6 seeds, gamma 1e4..1e12) the subset sum was at
-    most 5.5e-9 off the trapezoid up to 11 pairs, but 2.0e-8 at 12 and 8.3e-8 at 14, past the
-    1e-8 that validate allows.  Per call at gamma = 10^2.5, subset sum / trapezoid, in ms:
-    all-distinct 2.2 / 1.7, 4.0 / 2.0, 16 / 2.7 at N = 11, 12, 14; from 12 pairs the trapezoid
-    is also the cheaper path on two-class and equal gains.  The trapezoid was within 8e-16 of
-    the symmetric reference up to N=200 and within 8e-15 of intercept_sc_ojs_oracle up to
-    N=1024.  Two pairs equal intercept_sc_rjs bit for bit; one pair degrades to
-    non-cooperation.
+    _ojs_pair_bracket: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it comes
+    from _ojs_trapezoid, the trapezoidal rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the
+    oracle's all-positive integral, one lattice for every pair, which does not cancel.  There
+    each pair's value is capped at its RJS value, which the true value never exceeds, so ojs <=
+    rjs holds exactly wherever both answer: rounding is monotone and fsum exact.  The switch
+    looks only at the pair count.  On all-distinct gains 10^U(-3, 3) (6 seeds, gamma
+    1e4..1e12) the subset sum was at most 5.5e-9 off the trapezoid up to 11 pairs, but 2.0e-8
+    at 12 and 8.3e-8 at 14, past the 1e-8 that validate allows.  Per call at gamma = 10, best
+    of three runs, subset sum against the capped trapezoid in ms, symmetric / all-distinct
+    gains 10^U(-1, 1): N=3 0.05 vs 0.23 / 0.15 vs 0.50, N=4 0.05 vs 0.21 / 0.19 vs 0.62, N=6
+    0.07 vs 0.21 / 0.37 vs 1.21, N=8 0.15 vs 0.20 / 1.0 vs 1.7, N=9 0.32 vs 0.33 / 1.9 vs 2.1,
+    N=10 0.55 vs 0.34 / 2.4 vs 1.4, N=11 0.95 vs 0.37 / 5.8 vs 1.6; so the two break even near
+    9 pairs.  Above the switch an all-distinct call (gains 10^U(-1, 1)) takes 2-5 ms at N=12
+    to 18, 12-20 ms at N=64 and 0.6 s at N=1024, two thirds of it the RJS cap; symmetric
+    N=1024 takes 2 ms.  The trapezoid was within 9e-16 of the symmetric reference up to N=200
+    and within 1.1e-14 of intercept_sc_ojs_oracle up to N=1024.  Two pairs equal
+    intercept_sc_rjs bit for bit; one pair degrades to non-cooperation.
     """
-    subset_sum = config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
-    return _cooperative(config, gamma, _ojs_pair_bracket if subset_sum else _ojs_pair_trapezoid)
+    if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS:
+        return _cooperative(config, gamma, _ojs_pair_bracket)
+    return _cooperative(config, gamma, _ojs_trapezoid(config, require_snr(gamma)))
 
 
 def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:

@@ -40,8 +40,9 @@ SC_OJS = "ojs"
 SCHEMES = (NONCOOP, SC_RJS, SC_OJS)
 
 # Largest pair count accepted, a bound on time: no step holds an N x N table.  Here, on
-# distinct gains, an rjs closed form (N*(N-1) E1 terms) takes 0.4 s, an ojs one 43 s, and
-# a nonc,rjs fig2 point of 1000 trials 1.5 s at 82 MiB resident, 81 MiB of it imports.
+# distinct gains, an rjs closed form (N*(N-1) E1 terms) takes 0.4-0.6 s, an ojs one about
+# 0.2 s more (its trapezoid caps each pair at the pair's rjs value), and a nonc,rjs fig2
+# point of 1000 trials 1.5 s at 82 MiB resident, 81 MiB of it imports.
 MAX_PAIRS = 1024
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import integrate
 
 from . import analytic, diversity, simulate, special
-from .model import NONCOOP, SC_OJS, SC_RJS, SCHEMES, make_symmetric_config
+from .model import NONCOOP, SC_OJS, SC_RJS, SCHEMES, PairParams, SystemConfig, make_symmetric_config
 
 __all__ = ["run"]
 
@@ -65,9 +65,22 @@ def _oracle_grid():
                 yield config, gamma
 
 
-def _oracle_equivalence(closed_form, oracle):
+def _trapezoid_grid():
+    """Systems past the OJS subset sum's 11 pairs, where the trapezoid answers, and SNRs."""
+    configs = [
+        make_symmetric_config(n, mer) for n in (12, 16, 64, 1024) for mer in (0.1, 1.0, 10.0)
+    ]
+    for n in (16, 32):  # each gain 10^U(-2, 2) on its own, from numpy default_rng(0)
+        gains = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, size=(n, 2))
+        configs.append(SystemConfig(tuple(PairParams(*g, 1.0 / n) for g in gains.tolist())))
+    for config in configs:
+        for gamma in (1e-1, 1e3, 1e12):
+            yield config, gamma
+
+
+def _oracle_equivalence(closed_form, oracle, grid=_oracle_grid):
     worst = 0.0
-    for config, gamma in _oracle_grid():
+    for config, gamma in grid():
         ref = oracle(config, gamma)
         worst = max(worst, abs(closed_form(config, gamma) - ref) / ref)
     return worst <= 1e-8, f"max_rel={worst:.3e}"
@@ -145,6 +158,9 @@ _CHECKS = (
     ("dominance", _dominance),
     ("mc-consistency", _mc_consistency),
     ("diversity", _diversity),
+    ("oracle-equivalence-ojs-trapezoid",
+     lambda *_: _oracle_equivalence(analytic.intercept_sc_ojs, analytic.intercept_sc_ojs_oracle,
+                                    _trapezoid_grid)),
 )
 
 

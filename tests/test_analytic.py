@@ -630,25 +630,26 @@ def test_ojs_oracle_matches_reference_on_wide_systems(n, gamma):
 
 @pytest.mark.parametrize("n", range(3, 21))
 def test_ojs_closed_form_matches_reference(n):
-    # validate's oracle bound: the subset sum answers up to 14 pairs, the trapezoid beyond
+    # validate's oracle bound: the subset sum answers up to 11 pairs, the trapezoid beyond
     for mer in (0.1, 1.0, 10.0):
         for gamma in (1e-3, 1.0, 1e3, 1e6):
             closed = intercept_sc_ojs(make_symmetric_config(n, mer), gamma)
             assert closed == pytest.approx(symmetric_ojs(n, mer, gamma), rel=1e-8, abs=0.0)
 
 
-# --- trapezoidal OJS (_ojs_pair_trapezoid) ------------------------------------
+# --- trapezoidal OJS (_ojs_trapezoid) -----------------------------------------
 
 
 def _trapezoid(config, i, gamma):
     """T_h for pair i, once the a-posteriori estimate |T_h - T_{h/2}| <= 1e-13 T_h holds.
 
-    The estimate is an estimate, not a bound: T_{h/2} adds the midpoints to T_h's nodes.
+    The estimate is an estimate, not a bound: T_{h/2} adds the midpoints to T_h's nodes.  Both
+    are the pair values intercept_sc_ojs sums, so both are capped at the pair's rjs value.
     """
-    value = analytic._ojs_pair_trapezoid(config, i, gamma)
+    value = analytic._ojs_trapezoid(config, gamma)(config, i, gamma)
     half = analytic._ojs_trapezoid_step(config.n_pairs) / 2.0
     with mock.patch.object(analytic, "_ojs_trapezoid_step", lambda n_pairs: half):
-        refined = analytic._ojs_pair_trapezoid(config, i, gamma)
+        refined = analytic._ojs_trapezoid(config, gamma)(config, i, gamma)
     assert refined == pytest.approx(value, rel=1e-13, abs=0.0)
     return value
 
@@ -740,17 +741,18 @@ def test_ojs_routes_by_pair_count(monkeypatch):
     def spy(name):
         pair_value = getattr(analytic, name)
 
-        def record(cfg, i, gamma):
+        def record(*args):
             seen.append(name)
-            return pair_value(cfg, i, gamma)
+            return pair_value(*args)
 
         return record
 
-    for name in ("_ojs_pair_bracket", "_ojs_pair_trapezoid"):
+    # one symmetric system: one subset sum per call, or one trapezoid lattice
+    for name in ("_ojs_pair_bracket", "_ojs_trapezoid"):
         monkeypatch.setattr(analytic, name, spy(name))
     intercept_sc_ojs(make_symmetric_config(11, 1.0), 10.0)
     intercept_sc_ojs(make_symmetric_config(12, 1.0), 10.0)
-    assert seen == ["_ojs_pair_bracket", "_ojs_pair_trapezoid"]
+    assert seen == ["_ojs_pair_bracket", "_ojs_trapezoid"]
 
 
 @pytest.mark.parametrize("seed, n, gamma", [(4, 14, 1e8), (1, 12, 1e10)])
@@ -763,11 +765,12 @@ def test_ojs_matches_oracle_on_wide_gain_spreads_above_the_switch(seed, n, gamma
 
 
 def test_ojs_trapezoid_working_set_is_bounded():
-    # all-distinct N=1024: 1023 classes at 1683 nodes would be 13 MiB in one array
+    # all-distinct N=1024: 1024 classes at about 1700 nodes would be 13 MiB in one array;
+    # the shared lattice holds one float per node, and a pair's arrays are node-sized
     cfg = _spread_config(1024)
     tracemalloc.start()
     try:
-        value = analytic._ojs_pair_trapezoid(cfg, 0, 10.0)
+        value = analytic._ojs_trapezoid(cfg, 10.0)(cfg, 0, 10.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -781,3 +784,45 @@ def test_ojs_trapezoid_refuses_out_of_range_snr():
     for gamma in (1e306, 1e-309):
         with pytest.raises(ValueError, match="out of range for these channel gains"):
             intercept_sc_ojs(cfg, gamma)
+
+
+def test_ojs_trapezoid_answers_past_a_pair_own_scale_and_rjs_range():
+    # gamma 1e306: pair 0's own kappa 1e3*1e306*1e3/4e3 and its sd*gamma overflow, so rjs
+    # refuses; but no pair jams itself, and no candidate's kappa overflows
+    mp = pytest.importorskip("mpmath")
+    cfg = SystemConfig((PairParams(1e3, 1e3, 1.0 / 3),) + (PairParams(1e-3, 1.0, 1.0 / 3),) * 2)
+    for i in (0, 2):
+        with mp.workdps(50):
+            exact = float(_mp_bracket(mp, cfg, i, analytic._candidates(cfg, i), 1e306))
+        assert _trapezoid(cfg, i, 1e306) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    wide = SystemConfig(
+        (PairParams(1e3, 1e3, 1.0 / 12),) + (PairParams(1e-3, 1.0, 1.0 / 12),) * 11
+    )
+    with pytest.raises(ValueError, match="out of range for these channel gains"):
+        intercept_sc_rjs(wide, 1e306)
+    assert 0.0 < intercept_sc_ojs(wide, 1e306) < intercept_noncoop(wide)
+
+
+def test_ojs_trapezoid_never_exceeds_rjs():
+    # the true ojs_i <= rjs_i; the trapezoid alone came up to 3 ulp above rjs at gamma <= 1e-16
+    for n in (12, 16, 40, 200):
+        for mer in (0.1, 1.0, 10.0):
+            cfg = make_symmetric_config(n, mer)
+            for gamma in np.logspace(-300, 12, 157):
+                assert intercept_sc_ojs(cfg, gamma) <= intercept_sc_rjs(cfg, gamma)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_ojs_trapezoid_is_independent_of_pair_order(n):
+    # sorted classes and exact fsums: any reordering of the pairs gives the same bits
+    rng = np.random.default_rng(n)
+    drawn = 10.0 ** rng.uniform(-2.0, 2.0, size=(4, 2))  # four gain pairs, drawn with repeats
+    repeats = SystemConfig(tuple(
+        PairParams(float(drawn[k, 0]), float(drawn[k, 1]), 1.0 / n) for k in rng.integers(0, 4, n)
+    ))
+    for cfg in (_distinct_config(rng, n, 2.0), _alternating_config(n), repeats):
+        for gamma in (10.0, 1e6):
+            value = intercept_sc_ojs(cfg, gamma)
+            for _ in range(5):
+                shuffled = SystemConfig(tuple(cfg.pairs[k] for k in rng.permutation(n)))
+                assert repr(intercept_sc_ojs(shuffled, gamma)) == repr(value)

@@ -323,6 +323,7 @@ _VALIDATION_CHECKS = [
     "dominance",
     "mc-consistency",
     "diversity",
+    "oracle-equivalence-ojs-trapezoid",
 ]
 
 
@@ -345,8 +346,12 @@ def test_validate_seed_choice_does_not_break_properties(tmp_path):
 
 
 def test_validate_catches_sign_flip_mutation(monkeypatch, capsys):
+    exact = analytic.intercept_sc_ojs
+
     def flipped_ojs(config, gamma):
-        # deliberate mutant: parity of the subset sign inverted
+        # deliberate mutant: parity of the subset sign inverted, on the subset sum's side only
+        if config.n_pairs > analytic._OJS_SUBSET_MAX_PAIRS:
+            return exact(config, gamma)
         total = 0.0
         for i in range(config.n_pairs):
             sd = config.pairs[i].sigma2_sd
@@ -533,7 +538,7 @@ def test_rejects_config_with_infinite_gain(schemes, tmp_path, capsys):
     "system", [["--symmetric", "N=24", "MER=1"], ["--config", "{cfg}"]], ids=["symmetric", "file"]
 )
 def test_ojs_answers_systems_past_the_subset_sum(system, tmp_path):
-    # beyond 14 pairs the ojs column comes from the trapezoid, with no pair limit
+    # beyond 11 pairs the ojs column comes from the trapezoid, with no pair limit
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("1.0 1.0 0.04\n" * 21)
     out = tmp_path / "fig2.csv"
