@@ -21,19 +21,23 @@ Random jammer selection averages the N-1 singleton terms.  Optimal selection
 alternating sum over subsets with the RJS terms as singleton layer, one term
 per non-empty subset of the candidates.  Both weight pair i's value by
 alpha_i, and refuse an intermediate that over- or underflows (a subnormal
-lost precision).
+lost precision).  The true values obey ojs <= rjs <= nonc, and the closed forms
+state that order once: intercept_sc_rjs returns the smaller of its sum and
+intercept_noncoop, intercept_sc_ojs the smaller of its sum and intercept_sc_rjs
+(intercept_noncoop where RJS refuses).  So the order holds exactly wherever they
+answer, and a min binds only where two computed values are within rounding.
 
 The subset sum costs 2^(N-1) - 1 terms per distinct pair and cancels harder as
 N and gamma grow, so intercept_sc_ojs uses it only up to 11 pairs.  Beyond,
 each pair's value is the trapezoidal rule on the oracle's all-positive
 integral below, at step h(N) = min(0.2, 0.45/ln(N-1)) (derived in
-_ojs_trapezoid), capped at the pair's RJS value.  With kappa_j = e^(b_i) *
-sigma2_se_j, every pair's jamming product is one function of t = s - b_i less
-its own factor, so one lattice serves every pair: O(nodes x classes) once per
-call plus O(nodes) per distinct pair, with no cancellation.  It was within 9e-16
-of a cancellation-free reference for symmetric N up to 200 and within 1.1e-14
-of the oracle up to N=1024; its a-posteriori estimate |T_h - T_{h/2}| stayed
-under 4e-16 relative for gamma 1e-3..1e9 and under 3.2e-15 out to 1e300.
+_ojs_trapezoid).  With kappa_j = e^(b_i) * sigma2_se_j, every pair's jamming
+product is one function of t = s - b_i less its own factor, so one lattice serves
+every pair: O(nodes x classes) once per call plus O(nodes) per distinct pair,
+with no cancellation.  It was within 9e-16 of a cancellation-free reference
+for symmetric N up to 200 and within 1.1e-14 of the oracle up to N=1024; its
+a-posteriori estimate |T_h - T_{h/2}| stayed under 4e-16 relative for gamma
+1e-3..1e9 and under 3.2e-15 out to 1e300.
 
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
@@ -121,8 +125,7 @@ def _cooperative(config: SystemConfig, gamma: float, pair_value) -> float:
     """Check gamma, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
 
     Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so pair_value(config, i, gamma) runs
-    once per distinct pair, i the last of its gains.  Weighting v_i, never its terms, keeps the
-    scheme ordering under rounding: it is monotone, so b_i <= m_i gives alpha_i*b_i <= alpha_i*m_i.
+    once per distinct pair, i the last of its gains.
     """
     gamma = require_snr(gamma)
     if config.n_pairs == 1:
@@ -155,9 +158,11 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     For a single pair there is no jammer to pick and the value degrades to
     the non-cooperation probability (see scheme_intercept for the flag).
     Pair i's value is the mean of its N-1 singleton jamming terms, one
-    e1_scaled call per distinct pair.
+    e1_scaled call per distinct pair.  The result is at most intercept_noncoop,
+    which the true value never exceeds; the min binds only at very low SNR,
+    where the two agree to rounding.
     """
-    return _cooperative(config, gamma, _rjs_pair_value)
+    return min(_cooperative(config, gamma, _rjs_pair_value), intercept_noncoop(config))
 
 
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
@@ -221,12 +226,10 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
     cover every pair's knees (t = -b_i and ln g_l) +-50; T_{h/2} has every node of T_h.  The
     returned pair_value(config, i, gamma) subtracts pair i's own factor, adds log sigma'(t + b_i),
     and scales the nodes to the largest before the fsum, so no node that matters over- or
-    underflows.  It returns the smaller of that sum and _rjs_pair_value, which the true value
-    never exceeds, or the sum alone where RJS refuses.  A candidate's kappa_j, or a step toward
-    it, that over- or underflows (subnormal included), or a value that is not a normal float, is
-    an SNR range error; kappa_j grows with sigma2_se_j, so each pair's smallest and largest
-    candidate gain decide.  The cost is O(nodes x classes) once plus O(nodes) per distinct pair,
-    and memory O(nodes).
+    underflows.  A candidate's kappa_j, or a step toward it, that over- or underflows (subnormal
+    included), or a value that is not a normal float, is an SNR range error; kappa_j grows with
+    sigma2_se_j, so each pair's smallest and largest candidate gain decide.  The cost is
+    O(nodes x classes) once plus O(nodes) per distinct pair, and memory O(nodes).
 
     Step rule.  The strip bound below does not depend on where the lattice sits, so a lattice in
     t, shifted by b_i in s, obeys it as one in s would.  f is analytic in the strip |Im s| < pi/2:
@@ -276,10 +279,7 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
         value = se[i] / (sd[i] + se[i]) * h * total * math.exp(-width[peak]) * math.exp(rest[peak])
         if not value >= sys.float_info.min:
             raise _snr_range_error(gamma, "the trapezoidal sum")
-        try:  # the true value is at most rjs's, where rjs has one
-            return min(value, _rjs_pair_value(config, i, gamma))
-        except ValueError:  # rjs's sd*gamma over- or underflows: no order to keep
-            return value
+        return value
 
     return pair_value
 
@@ -290,25 +290,28 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     Up to 11 pairs (_OJS_SUBSET_MAX_PAIRS) each distinct pair's value is the subset sum,
     _ojs_pair_bracket: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it comes
     from _ojs_trapezoid, the trapezoidal rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the
-    oracle's all-positive integral, one lattice for every pair, which does not cancel.  There
-    each pair's value is capped at its RJS value, which the true value never exceeds, so ojs <=
-    rjs holds exactly wherever both answer: rounding is monotone and fsum exact.  The switch
-    looks only at the pair count.  On all-distinct gains 10^U(-3, 3) (6 seeds, gamma
-    1e4..1e12) the subset sum was at most 5.5e-9 off the trapezoid up to 11 pairs, but 2.0e-8
-    at 12 and 8.3e-8 at 14, past the 1e-8 that validate allows.  Per call at gamma = 10, best
-    of three runs, subset sum against the capped trapezoid in ms, symmetric / all-distinct
-    gains 10^U(-1, 1): N=3 0.05 vs 0.23 / 0.15 vs 0.50, N=4 0.05 vs 0.21 / 0.19 vs 0.62, N=6
-    0.07 vs 0.21 / 0.37 vs 1.21, N=8 0.15 vs 0.20 / 1.0 vs 1.7, N=9 0.32 vs 0.33 / 1.9 vs 2.1,
-    N=10 0.55 vs 0.34 / 2.4 vs 1.4, N=11 0.95 vs 0.37 / 5.8 vs 1.6; so the two break even near
-    9 pairs.  Above the switch an all-distinct call (gains 10^U(-1, 1)) takes 2-5 ms at N=12
-    to 18, 12-20 ms at N=64 and 0.6 s at N=1024, two thirds of it the RJS cap; symmetric
-    N=1024 takes 2 ms.  The trapezoid was within 9e-16 of the symmetric reference up to N=200
-    and within 1.1e-14 of intercept_sc_ojs_oracle up to N=1024.  Two pairs equal
-    intercept_sc_rjs bit for bit; one pair degrades to non-cooperation.
+    oracle's all-positive integral, one lattice for every pair, which does not cancel.  On
+    either path the result is the smaller of the sum and intercept_sc_rjs, which the true value
+    never exceeds, or of the sum and intercept_noncoop where RJS refuses.  The switch looks only
+    at the pair count.  On all-distinct gains 10^U(-3, 3) (6 seeds, gamma 1e4..1e12) the subset
+    sum was at most 5.5e-9 off the trapezoid up to 11 pairs, but 2.0e-8 at 12 and 8.3e-8 at 14,
+    past the 1e-8 that validate allows.  Per call at gamma = 10, best of three runs, subset sum
+    against trapezoid in ms, both with the RJS call, symmetric / all-distinct gains 10^U(-1, 1):
+    N=3 0.05 vs 0.19 / 0.14 vs 0.42, N=4 0.05 vs 0.18 / 0.21 vs 0.51, N=6 0.07 vs 0.19 / 0.38
+    vs 0.76, N=8 0.15 vs 0.19 / 0.87 vs 0.93, N=9 0.23 vs 0.19 / 1.35 vs 1.09, N=10 0.39 vs
+    0.19 / 2.6 vs 1.2, N=11 0.67 vs 0.20 / 4.8 vs 1.3; so the two break even between 8 and 9
+    pairs.  Above the switch an all-distinct call (gains 10^U(-1, 1)) takes 1.5-2.4 ms at N=12
+    to 18, 10 ms at N=64 and 0.7 s at N=1024, two thirds of it the RJS call; symmetric N=1024
+    takes 2 ms.  The trapezoid was within 9e-16 of the symmetric reference up to N=200 and
+    within 1.1e-14 of intercept_sc_ojs_oracle up to N=1024.  Two pairs equal intercept_sc_rjs
+    bit for bit; one pair degrades to non-cooperation.
     """
-    if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS:
-        return _cooperative(config, gamma, _ojs_pair_bracket)
-    return _cooperative(config, gamma, _ojs_trapezoid(config, require_snr(gamma)))
+    value = _cooperative(config, gamma, _ojs_pair_bracket if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
+                         else _ojs_trapezoid(config, require_snr(gamma)))
+    try:
+        return min(value, intercept_sc_rjs(config, gamma))
+    except ValueError:  # rjs refuses where one of its intermediates over- or underflows
+        return min(value, intercept_noncoop(config))
 
 
 def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:

@@ -74,11 +74,13 @@ def e1_scaled(x):
     """
     x = np.asarray(x, dtype=float)
     _check_domain(x)
-    head = x <= _TAIL_CUTOFF
-    out = np.empty_like(x)
-    xh = x[head]
-    out[head] = special.exp1(xh) * np.exp(xh)
-    out[~head] = _asymptotic_e1_scaled(x[~head])
+    # clipped at the cutoff, exp1 stays a normal float and exp finite; the series overwrites
+    # the clipped entries, and runs only when there are some
+    h = np.minimum(x, _TAIL_CUTOFF)
+    out = np.asarray(special.exp1(h) * np.exp(h))
+    tail = x > _TAIL_CUTOFF
+    if tail.any():
+        out[tail] = _asymptotic_e1_scaled(x[tail])
     return float(out) if out.ndim == 0 else out
 
 

@@ -65,14 +65,18 @@ def _oracle_grid():
                 yield config, gamma
 
 
+def _spread_config(n: int) -> SystemConfig:
+    """N pairs of equal duty cycle, each gain 10^U(-2, 2) on its own, from numpy default_rng(0)."""
+    gains = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, size=(n, 2))
+    return SystemConfig(tuple(PairParams(*g, 1.0 / n) for g in gains.tolist()))
+
+
 def _trapezoid_grid():
     """Systems past the OJS subset sum's 11 pairs, where the trapezoid answers, and SNRs."""
     configs = [
         make_symmetric_config(n, mer) for n in (12, 16, 64, 1024) for mer in (0.1, 1.0, 10.0)
     ]
-    for n in (16, 32):  # each gain 10^U(-2, 2) on its own, from numpy default_rng(0)
-        gains = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, size=(n, 2))
-        configs.append(SystemConfig(tuple(PairParams(*g, 1.0 / n) for g in gains.tolist())))
+    configs += [_spread_config(16), _spread_config(32)]
     for config in configs:
         for gamma in (1e-1, 1e3, 1e12):
             yield config, gamma
@@ -86,14 +90,24 @@ def _oracle_equivalence(closed_form, oracle, grid=_oracle_grid):
     return worst <= 1e-8, f"max_rel={worst:.3e}"
 
 
+def _ordering_grid():
+    """Systems on both sides of the OJS switch, down to SNRs where the schemes agree to rounding."""
+    configs = [
+        make_symmetric_config(n, mer) for n in (2, 3, 4, 8, 11, 12, 16) for mer in (0.1, 1.0, 10.0)
+    ]
+    configs += [_spread_config(8), _spread_config(16)]
+    for config in configs:
+        for gamma in np.logspace(-300, 12, 40):
+            yield config, gamma
+
+
 def _scheme_ordering(seed, trials, workers):
+    # exact: the closed forms state the order themselves, so no rounding allowance
     ok = True
-    for config, gamma in _oracle_grid():
+    for config, gamma in _ordering_grid():
         rjs = analytic.intercept_sc_rjs(config, gamma)
         ojs = analytic.intercept_sc_ojs(config, gamma)
-        nonc = analytic.intercept_noncoop(config)
-        tol = 1e-12 * nonc
-        ok &= ojs <= rjs + tol and rjs <= nonc + tol
+        ok &= ojs <= rjs <= analytic.intercept_noncoop(config)
     return ok, "ojs <= rjs <= nonc on validation grid"
 
 

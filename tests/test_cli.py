@@ -349,8 +349,10 @@ def test_validate_catches_sign_flip_mutation(monkeypatch, capsys):
     exact = analytic.intercept_sc_ojs
 
     def flipped_ojs(config, gamma):
-        # deliberate mutant: parity of the subset sign inverted, on the subset sum's side only
-        if config.n_pairs > analytic._OJS_SUBSET_MAX_PAIRS:
+        # deliberate mutant: parity of the subset sign inverted, on the oracle-equivalence-ojs
+        # grid's N <= 4 only; its explicit subset loop would take a minute on the N = 8 and 11
+        # systems of the scheme-ordering row
+        if config.n_pairs > 4:
             return exact(config, gamma)
         total = 0.0
         for i in range(config.n_pairs):

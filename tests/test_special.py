@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secrecy_sim import special
 from secrecy_sim.special import _TAIL_CUTOFF, e1, e1_bounds, e1_scaled
 from secrecy_sim.validation import _e1_quadrature_reference as quadrature_e1
 
@@ -114,6 +115,17 @@ def test_vectorized_scaled_matches_scalar():
     assert vec.shape == xs.shape
     assert np.array_equal(vec, np.array([e1_scaled(float(x)) for x in xs]))
     assert np.array_equal(e1_scaled(xs.reshape(2, -1)), vec.reshape(2, -1))
+
+
+def test_e1_scaled_skips_the_tail_series_up_to_the_cutoff(monkeypatch):
+    # nearly every closed-form call has no argument past the cutoff; then the series must not run
+    def series(x):
+        raise AssertionError("tail series evaluated")
+
+    monkeypatch.setattr(special, "_asymptotic_e1_scaled", series)
+    xs = np.append(np.logspace(-5, 2.8, 40), _TAIL_CUTOFF)
+    assert np.array_equal(e1_scaled(xs), scipy.special.exp1(xs) * np.exp(xs))
+    assert e1_scaled(_TAIL_CUTOFF) == float(scipy.special.exp1(_TAIL_CUTOFF) * np.exp(_TAIL_CUTOFF))
 
 
 def test_e1_scaled_strictly_decreasing_across_tail_cutoff():
