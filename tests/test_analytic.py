@@ -813,6 +813,15 @@ def test_ojs_trapezoid_answers_past_a_pair_own_scale_and_rjs_range():
     assert 0.0 < intercept_sc_ojs(wide, 1e306) < intercept_noncoop(wide)
 
 
+def test_ojs_trapezoid_never_exceeds_rjs():
+    # the true ojs_i <= rjs_i; the trapezoid alone came up to 3 ulp above rjs at gamma <= 1e-16
+    for n in (12, 16, 40, 200):
+        for mer in (0.1, 1.0, 10.0):
+            cfg = make_symmetric_config(n, mer)
+            for gamma in np.logspace(-300, 12, 157):
+                assert intercept_sc_ojs(cfg, gamma) <= intercept_sc_rjs(cfg, gamma)
+
+
 @pytest.mark.parametrize("n", [16, 20])
 def test_ojs_trapezoid_is_independent_of_pair_order(n):
     # sorted classes and exact fsums: any reordering of the pairs gives the same bits
