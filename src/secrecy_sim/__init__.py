@@ -24,7 +24,6 @@ from .model import (
     SC_RJS,
     SCHEMES,
     PairParams,
-    SnrSweep,
     SystemConfig,
     load_config,
     make_symmetric_config,

@@ -48,6 +48,11 @@ channel scaled to a standard log-logistic law, so the integrand's knees sit
 at s = 0 and s = ln kappa_j (kappa_j is proportional to gamma) and the integral keeps
 its shape at any SNR.  The oracles accept every gamma at which each kappa_j
 is positive and finite, and refuse the rest as an SNR range error.
+
+The closed forms, on both OJS paths, and the oracles give the same bits for any
+order of the pairs: the subset sum and the OJS oracle order a pair's candidates
+by gain, the trapezoid its classes of equal gain, and every sum over pairs or
+terms is an exactly rounded fsum.
 """
 
 from __future__ import annotations
@@ -125,7 +130,8 @@ def _cooperative(config: SystemConfig, gamma: float, pair_value) -> float:
     """Check gamma, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
 
     Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so pair_value(config, i, gamma) runs
-    once per distinct pair, i the last of its gains.
+    once per distinct pair, i the last of its gains.  Every pair_value here gives the same bits
+    for any order of pair i's candidates, so which pair of those gains is i does not matter.
     """
     gamma = require_snr(gamma)
     if config.n_pairs == 1:
@@ -168,14 +174,15 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
     """Alternating subset sum for active pair i under optimal selection.
 
-    The candidates are every pair's 1/sigma2_se less the first equal to pair i's, so pairs
-    of equal gains sum the same recips in the same order.  Their 2^(N-1) - 1 non-empty
-    subsets run in binary-counter order, candidate l as bit l, each one term added for odd
-    sizes and subtracted for even.  fsum over the terms is exactly rounded; at high SNR it
-    cancels O(1/gamma) terms to an O(ln(gamma)/gamma) total.  tests/ojs_subsets.py holds
-    the explicit-subset slow path that checks it.
+    The candidates are every pair's 1/sigma2_se in ascending order, less one equal to pair
+    i's, so the reciprocal sums, and with them the bits, depend on the gains but not on the
+    order of the pairs.  Their 2^(N-1) - 1 non-empty subsets run in binary-counter order,
+    candidate l as bit l, each one term added for odd sizes and subtracted for even.  fsum
+    over the terms is exactly rounded; at high SNR it cancels O(1/gamma) terms to an
+    O(ln(gamma)/gamma) total.  tests/ojs_subsets.py holds the explicit-subset slow path that
+    checks it.
     """
-    jammers = [1.0 / p.sigma2_se for p in config.pairs]
+    jammers = sorted(1.0 / p.sigma2_se for p in config.pairs)
     jammers.remove(1.0 / config.pairs[i].sigma2_se)
     recip = np.zeros(1 << len(jammers))
     sign = np.full(recip.size, -1.0)  # entry 0 is the empty set
@@ -320,16 +327,20 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
     Given Z = g_se/g_sd > 1 (probability se/(sd + se)), the excess X = (Z -
     1)*sd/(sd + se) has P(X > x) = 1/(1 + x), so s = ln X is standard
     logistic.  Jammer j then fails to cover the event with probability 1 -
-    exp(-exp(s - ln kappa_j)), kappa_j = sd*gamma*se_j/(2*(sd + se)), and the
+    exp(-exp(s - ln kappa_j)), kappa_j = sd/(2*(sd + se))*gamma*se_j, and the
     product over `jammers` is integrated against the logistic density.  One
     jammer gives the per-(i, j) RJS term, every candidate the OJS bracket.
+    kappa_j is formed in that order, as _ojs_trapezoid forms it, so no
+    intermediate leaves the float range before kappa_j does, and the factors
+    are multiplied in ascending kappa_j, so the order of `jammers` does not
+    change the bits.
     Every feature sits at a knee {0, ln kappa_j} whatever gamma is, so the
     knees are the breakpoints; the range stops 50 past the outer ones, where
     the logistic or jamming tails left out are of order e^-50 of the value.
     """
     sd = config.pairs[i].sigma2_sd
     se = config.pairs[i].sigma2_se
-    kappas = [sd * gamma * config.pairs[j].sigma2_se / (2.0 * (sd + se)) for j in jammers]
+    kappas = sorted(sd / (2.0 * (sd + se)) * gamma * config.pairs[j].sigma2_se for j in jammers)
     if not all(0.0 < k < math.inf for k in kappas):
         raise _snr_range_error(gamma, "the jamming scale")
     log_kappas = [math.log(k) for k in kappas]

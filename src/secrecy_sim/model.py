@@ -22,7 +22,6 @@ __all__ = [
     "SCHEMES",
     "PairParams",
     "SystemConfig",
-    "SnrSweep",
     "MAX_PAIRS",
     "make_symmetric_config",
     "require_scheme",
@@ -98,32 +97,6 @@ class SystemConfig:
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class SnrSweep:
-    """Grid of transmit SNR values (linear scale), strictly increasing."""
-
-    gamma_values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(require_snr(g) for g in self.gamma_values)
-        if not values:
-            raise ValueError("SNR sweep must contain at least one value")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("SNR values must be strictly increasing")
-        object.__setattr__(self, "gamma_values", values)
-
-    @classmethod
-    def log_spaced(cls, gamma_lo: float, gamma_hi: float, points: int) -> "SnrSweep":
-        if points < 2:
-            raise ValueError("log-spaced sweep needs at least 2 points")
-        if not 0.0 < gamma_lo < gamma_hi:
-            raise ValueError("need 0 < gamma_lo < gamma_hi")
-        ratio = (gamma_hi / gamma_lo) ** (1.0 / (points - 1))
-        values = [gamma_lo * ratio**k for k in range(points - 1)]
-        values.append(gamma_hi)
-        return cls(tuple(values))
 
 
 def make_symmetric_config(n: int, mer: float) -> SystemConfig:

@@ -82,11 +82,34 @@ def _trapezoid_grid():
             yield config, gamma
 
 
-def _oracle_equivalence(closed_form, oracle, grid=_oracle_grid):
+def _asymmetric_grid():
+    """Systems of 3 to 11 pairs with distinct gains, where the OJS subset sum answers, and SNRs.
+
+    On a symmetric system every pair has the same candidates, so a subset sum over the wrong
+    candidates still meets the oracle there.
+    """
+    for n in range(3, 12):
+        config = _spread_config(n)
+        for gamma in (1e-1, 1e3, 1e12):
+            yield config, gamma
+
+
+def _rjs():
+    # looked up when a check runs, so a patched closed form or oracle is the one checked
+    return analytic.intercept_sc_rjs, analytic.intercept_sc_rjs_oracle
+
+
+def _ojs():
+    return analytic.intercept_sc_ojs, analytic.intercept_sc_ojs_oracle
+
+
+def _oracle_equivalence(forms, grid=_oracle_grid):
+    """Each (closed form, oracle) in forms within 1e-8 relative of each other at every point."""
     worst = 0.0
     for config, gamma in grid():
-        ref = oracle(config, gamma)
-        worst = max(worst, abs(closed_form(config, gamma) - ref) / ref)
+        for closed_form, oracle in forms:
+            ref = oracle(config, gamma)
+            worst = max(worst, abs(closed_form(config, gamma) - ref) / ref)
     return worst <= 1e-8, f"max_rel={worst:.3e}"
 
 
@@ -164,17 +187,15 @@ def _diversity(seed, trials, workers):
 _CHECKS = (
     ("e1-bounds", _e1_bounds),
     ("e1-quadrature", _e1_quadrature),
-    ("oracle-equivalence-rjs",
-     lambda *_: _oracle_equivalence(analytic.intercept_sc_rjs, analytic.intercept_sc_rjs_oracle)),
-    ("oracle-equivalence-ojs",
-     lambda *_: _oracle_equivalence(analytic.intercept_sc_ojs, analytic.intercept_sc_ojs_oracle)),
+    ("oracle-equivalence-rjs", lambda *_: _oracle_equivalence([_rjs()])),
+    ("oracle-equivalence-ojs", lambda *_: _oracle_equivalence([_ojs()])),
     ("scheme-ordering", _scheme_ordering),
     ("dominance", _dominance),
     ("mc-consistency", _mc_consistency),
     ("diversity", _diversity),
-    ("oracle-equivalence-ojs-trapezoid",
-     lambda *_: _oracle_equivalence(analytic.intercept_sc_ojs, analytic.intercept_sc_ojs_oracle,
-                                    _trapezoid_grid)),
+    ("oracle-equivalence-ojs-trapezoid", lambda *_: _oracle_equivalence([_ojs()], _trapezoid_grid)),
+    ("oracle-equivalence-asymmetric",
+     lambda *_: _oracle_equivalence([_rjs(), _ojs()], _asymmetric_grid)),
 )
 
 

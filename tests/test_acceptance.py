@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from secrecy_sim import analytic, cli, diversity, simulate
-from secrecy_sim.model import SnrSweep, make_symmetric_config
+from secrecy_sim.model import make_symmetric_config
 from secrecy_sim.special import e1, e1_bounds
 from secrecy_sim.validation import _e1_quadrature_reference as quadrature_e1
 
@@ -151,7 +151,7 @@ def test_criterion_6_e1_bounds_and_quadrature():
 
 def test_criterion_7_secrecy_diversity():
     config = make_symmetric_config(4, 1.0)
-    window = SnrSweep.log_spaced(1e5, 1e6, 9)
+    window = diversity.DEFAULT_WINDOW
     d_nonc = diversity.fit_diversity("nonc", config, window).diversity
     d_rjs = diversity.fit_diversity("rjs", config, window).diversity
     d_ojs = diversity.fit_diversity("ojs", config, window).diversity

@@ -285,7 +285,7 @@ def test_ojs_bracket_with_repeated_gain_classes():
         assert value == pytest.approx(intercept_sc_ojs_oracle(cfg, gamma), rel=1e-8, abs=0.0)
         for order in itertools.permutations(range(cfg.n_pairs)):
             permuted = SystemConfig(tuple(cfg.pairs[k] for k in order))
-            assert intercept_sc_ojs(permuted, gamma) == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert intercept_sc_ojs(permuted, gamma) == value
 
 
 @pytest.mark.parametrize(
@@ -540,12 +540,18 @@ def test_oracle_high_snr_and_wide_system_cases(scheme, config, gamma):
 
 
 def test_oracles_refuse_out_of_range_snr():
+    # kappa = sd/(2*(sd + se))*gamma*se_j is 2.5e307 at gamma 1e305, where the oracles answer
+    # though rjs's sd*gamma overflows, and overflows at 1e306, where they refuse
+    mp = pytest.importorskip("mpmath")
     cfg = SystemConfig(pairs=(PairParams(1e3, 1e3, 0.5),) * 2)
     with pytest.raises(ValueError, match="out of range for these channel gains"):
         intercept_sc_rjs(cfg, 1e305)
+    with mp.workdps(50):
+        exact = float(_mp_bracket(mp, cfg, 0, [1], 1e305))
     for oracle in (intercept_sc_rjs_oracle, intercept_sc_ojs_oracle):
+        assert oracle(cfg, 1e305) == pytest.approx(exact, rel=analytic._QUAD_EPSREL, abs=0.0)
         with pytest.raises(ValueError, match="out of range for these channel gains"):
-            oracle(cfg, 1e305)
+            oracle(cfg, 1e306)
 
 
 def test_closed_forms_refuse_subnormal_intermediates():
@@ -810,7 +816,10 @@ def test_ojs_trapezoid_answers_past_a_pair_own_scale_and_rjs_range():
     )
     with pytest.raises(ValueError, match="out of range for these channel gains"):
         intercept_sc_rjs(wide, 1e306)
-    assert 0.0 < intercept_sc_ojs(wide, 1e306) < intercept_noncoop(wide)
+    value = intercept_sc_ojs(wide, 1e306)
+    assert 0.0 < value < intercept_noncoop(wide)
+    # the oracle forms kappa_j as the trapezoid does, so no sd*gamma overflows on the way
+    assert intercept_sc_ojs_oracle(wide, 1e306) == pytest.approx(value, rel=1e-8, abs=0.0)
 
 
 def test_ojs_trapezoid_never_exceeds_rjs():
@@ -822,17 +831,23 @@ def test_ojs_trapezoid_never_exceeds_rjs():
                 assert intercept_sc_ojs(cfg, gamma) <= intercept_sc_rjs(cfg, gamma)
 
 
-@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("n", [5, 9, 11, 16, 20])
 def test_ojs_trapezoid_is_independent_of_pair_order(n):
-    # sorted classes and exact fsums: any reordering of the pairs gives the same bits
+    # sorted candidates, sorted classes and exact fsums: any reordering of the pairs gives the
+    # same bits from rjs, from ojs on both sides of its switch at 11 pairs and, up to 9 pairs,
+    # from both oracles (the ojs oracle's product in config order moved 6 of these at 9 pairs)
     rng = np.random.default_rng(n)
     drawn = 10.0 ** rng.uniform(-2.0, 2.0, size=(4, 2))  # four gain pairs, drawn with repeats
     repeats = SystemConfig(tuple(
         PairParams(float(drawn[k, 0]), float(drawn[k, 1]), 1.0 / n) for k in rng.integers(0, 4, n)
     ))
+    evaluations = [intercept_sc_rjs, intercept_sc_ojs]
+    if n <= 9:
+        evaluations += [intercept_sc_rjs_oracle, intercept_sc_ojs_oracle]
     for cfg in (_distinct_config(rng, n, 2.0), _alternating_config(n), repeats):
         for gamma in (10.0, 1e6):
-            value = intercept_sc_ojs(cfg, gamma)
-            for _ in range(5):
-                shuffled = SystemConfig(tuple(cfg.pairs[k] for k in rng.permutation(n)))
-                assert repr(intercept_sc_ojs(shuffled, gamma)) == repr(value)
+            shuffled = [SystemConfig(tuple(cfg.pairs[k] for k in rng.permutation(n)))
+                        for _ in range(5)]
+            for evaluate in evaluations:
+                value = repr(evaluate(cfg, gamma))
+                assert [repr(evaluate(other, gamma)) for other in shuffled] == [value] * 5, evaluate

@@ -8,7 +8,7 @@ import pytest
 
 from secrecy_sim import analytic, special, validation
 from secrecy_sim.cli import _parse_grid, _parse_symmetric, build_parser, main
-from secrecy_sim.model import MAX_PAIRS, load_config, make_symmetric_config
+from secrecy_sim.model import MAX_PAIRS, SystemConfig, load_config, make_symmetric_config
 from secrecy_sim.special import e1_scaled
 
 from ojs_subsets import SubsetIterator, phi_ojs
@@ -324,6 +324,7 @@ _VALIDATION_CHECKS = [
     "mc-consistency",
     "diversity",
     "oracle-equivalence-ojs-trapezoid",
+    "oracle-equivalence-asymmetric",
 ]
 
 
@@ -385,8 +386,30 @@ def test_validate_attributes_a_crash_to_its_own_check(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1].rstrip(":") for line in lines] == _VALIDATION_CHECKS
     assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL oracle-equivalence-rjs: exception: oracle down"
+        "FAIL oracle-equivalence-rjs: exception: oracle down",
+        "FAIL oracle-equivalence-asymmetric: exception: oracle down",
     ]
+
+
+def test_validate_catches_a_wrong_candidate_list(monkeypatch):
+    # deliberate mutant: pair i's subset sum runs over every pair but the one of largest
+    # sigma2_se, not over every pair but itself.  That is the true sum of pair k, the largest,
+    # with pair i's own gains put in its place.  On a symmetric system the two lists are the
+    # same, so only the asymmetric row sees it.
+    exact = analytic._ojs_pair_bracket
+
+    def wrong_candidates(config, i, gamma):
+        k = max(range(config.n_pairs), key=lambda j: config.pairs[j].sigma2_se)
+        pairs = list(config.pairs)
+        pairs[k] = pairs[i]
+        return exact(SystemConfig(tuple(pairs)), k, gamma)
+
+    monkeypatch.setattr(analytic, "_ojs_pair_bracket", wrong_candidates)
+    checks = dict(validation._CHECKS)
+    assert checks["oracle-equivalence-ojs"](0, 0, 1)[0]
+    passed, detail = checks["oracle-equivalence-asymmetric"](0, 0, 1)
+    assert not passed
+    assert float(detail.removeprefix("max_rel=")) > 0.1
 
 
 def test_validate_catches_tail_series_mutation(monkeypatch, capsys):

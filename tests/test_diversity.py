@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from secrecy_sim.analytic import intercept_sc_ojs, intercept_sc_rjs
+from secrecy_sim.diversity import DEFAULT_WINDOW as WINDOW
 from secrecy_sim.diversity import DiversityFit, fit_diversity
-from secrecy_sim.model import PairParams, SnrSweep, SystemConfig, make_symmetric_config
-
-WINDOW = SnrSweep.log_spaced(1e5, 1e6, 9)
+from secrecy_sim.model import PairParams, SystemConfig, make_symmetric_config
 
 
 def test_sc_local_slopes_inside_unit_band_and_approach_minus_one():
@@ -25,7 +24,7 @@ def test_sc_local_slopes_inside_unit_band_and_approach_minus_one():
 
 def test_noncoop_slopes_are_zero_to_roundoff():
     cfg = make_symmetric_config(4, 1.0)
-    fit = fit_diversity("nonc", cfg, SnrSweep.log_spaced(1e4, 1e6, 9))
+    fit = fit_diversity("nonc", cfg, np.logspace(4, 6, 9))
     assert abs(fit.diversity) <= 1e-10
     assert fit.max_residual <= 1e-12
 
@@ -64,12 +63,18 @@ def test_optimal_selection_estimate_converges_faster():
 
 
 def test_fit_reports_window_and_residual():
+    # a window is a set of SNRs: reversed, it is fitted on the same points
     cfg = make_symmetric_config(4, 1.0)
-    fit = fit_diversity("rjs", cfg, WINDOW)
-    assert fit.window == (1e5, 1e6)
-    assert fit.points == 9
-    assert 0.0 < fit.max_residual < 0.01
-    assert isinstance(fit, DiversityFit)
+    forward = fit_diversity("rjs", cfg, WINDOW)
+    for fit in (forward, fit_diversity("rjs", cfg, list(reversed(WINDOW)))):
+        assert fit.window == (1e5, 1e6)
+        assert fit.points == 9
+        assert 0.0 < fit.max_residual < 0.01
+        assert fit.diversity == pytest.approx(forward.diversity, rel=1e-12)
+        assert isinstance(fit, DiversityFit)
+    # nine SNRs at ratio 10^(1/8), ending exactly on the decade
+    assert WINDOW[0] == 1e5 and WINDOW[-1] == 1e6
+    assert [b / a for a, b in zip(WINDOW, WINDOW[1:])] == pytest.approx([10.0**0.125] * 8)
 
 
 def test_fit_diversity_zero_probability_errors():
@@ -81,5 +86,11 @@ def test_fit_diversity_zero_probability_errors():
 
 def test_fit_diversity_input_validation():
     cfg = make_symmetric_config(2, 1.0)
-    with pytest.raises(ValueError):
-        fit_diversity("rjs", cfg, SnrSweep((10.0,)))
+    for window in ((), (10.0,), (10.0, 10.0)):
+        with pytest.raises(ValueError, match="at least two distinct SNRs"):
+            fit_diversity("rjs", cfg, window)
+    # a non-finite SNR would otherwise pass on to the least-squares fit and fail inside LAPACK
+    for window in ((0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        for scheme in ("nonc", "rjs", "ojs"):
+            with pytest.raises(ValueError, match="SNR must be positive and finite"):
+                fit_diversity(scheme, cfg, window)

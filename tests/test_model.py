@@ -10,7 +10,6 @@ from secrecy_sim.model import (
     MAX_PAIRS,
     SCHEMES,
     PairParams,
-    SnrSweep,
     SystemConfig,
     make_symmetric_config,
     parse_config_text,
@@ -155,35 +154,6 @@ def test_config_is_immutable():
         cfg.pairs = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.pairs[0].alpha = 0.9
-
-
-def test_snr_sweep_checks_grid():
-    sweep = SnrSweep((1.0, 10.0, 100.0))
-    assert sweep.gamma_values == (1.0, 10.0, 100.0)
-    with pytest.raises(ValueError):
-        SnrSweep(())
-    with pytest.raises(ValueError):
-        SnrSweep((0.0, 1.0))
-    with pytest.raises(ValueError):
-        SnrSweep((1.0, 1.0))
-    with pytest.raises(ValueError):
-        SnrSweep((10.0, 1.0))
-    # a non-finite SNR would pass on to fit_diversity's least-squares fit
-    # and fail inside LAPACK
-    for values in ((1.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(ValueError, match="SNR must be positive and finite"):
-            SnrSweep(values)
-
-
-def test_snr_sweep_log_spaced():
-    sweep = SnrSweep.log_spaced(1e2, 1e6, 9)
-    assert len(sweep.gamma_values) == 9
-    assert sweep.gamma_values[0] == 1e2
-    assert sweep.gamma_values[-1] == 1e6
-    with pytest.raises(ValueError):
-        SnrSweep.log_spaced(1e2, 1e6, 1)
-    with pytest.raises(ValueError):
-        SnrSweep.log_spaced(1e6, 1e2, 5)
 
 
 def test_parse_pair_lines_with_comments():
