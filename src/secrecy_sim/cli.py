@@ -32,7 +32,6 @@ CSV_VERSION_LINE = "# secrecy-sim v1"
 _MIN_MC_TRIALS = 1000
 _MAX_WORKERS = 64
 _MAX_GRID_POINTS = 1_000_000
-_ALL_SCHEMES = ",".join(SCHEMES)
 
 
 def _db_to_linear(db: float) -> float:
@@ -96,6 +95,8 @@ def _parse_seed(text: str) -> int:
 
 
 def _selected_schemes(args) -> list[str]:
+    if args.schemes is None:
+        return list(SCHEMES)
     names = [require_scheme(s.strip()) for s in args.schemes.split(",") if s.strip()]
     if not names:
         raise ValueError("--schemes names no scheme")
@@ -217,7 +218,7 @@ def run_validate(args) -> int:
         "--symmetric": args.symmetric,
         "--gamma-db": args.gamma_db,
         "--mer-db": args.mer_db,
-        "--schemes": args.schemes != _ALL_SCHEMES,
+        "--schemes": args.schemes is not None,
     })
     checks = validation.run(args.seed, args.trials, args.workers)
     for c in checks:
@@ -263,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments (fig3/fig4/fig6) use the first grid value",
     )
     parser.add_argument("--mer-db", help="MER grid 'lo:hi:step' in dB, or one value")
-    parser.add_argument(
-        "--schemes", default=_ALL_SCHEMES, help="comma list from: nonc,rjs,ojs"
-    )
+    parser.add_argument("--schemes", help="comma list from: nonc,rjs,ojs")
     parser.add_argument(
         "--workers",
         type=int,

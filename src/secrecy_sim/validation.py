@@ -5,6 +5,7 @@ Each check returns (passed, detail); `run` evaluates them in table order.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -56,81 +57,42 @@ def _e1_quadrature(seed, trials, workers):
     return worst <= 1e-12, f"max_rel={worst:.3e}"
 
 
-def _oracle_grid():
-    """Symmetric systems and SNRs on which closed forms meet their oracles."""
-    for n in (2, 3, 4):
-        for mer in (0.1, 1.0, 10.0):
-            config = make_symmetric_config(n, mer)
-            for gamma in np.logspace(-1, 12, 14):
-                yield config, gamma
+def _symmetric(ns, mers=(0.1, 1.0, 10.0)) -> list[SystemConfig]:
+    """Symmetric systems of each pair count in ns at each MER in mers."""
+    return [make_symmetric_config(n, mer) for n in ns for mer in mers]
+
+
+def _equal_duty(sd_gains, se_gains) -> SystemConfig:
+    """One pair per main and eavesdropper gain, each of duty cycle 1/N."""
+    n = len(sd_gains)
+    return SystemConfig(tuple(PairParams(sd, se, 1.0 / n) for sd, se in zip(sd_gains, se_gains)))
 
 
 def _spread_config(n: int) -> SystemConfig:
     """N pairs of equal duty cycle, each gain 10^U(-2, 2) on its own, from numpy default_rng(0)."""
     gains = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, size=(n, 2))
-    return SystemConfig(tuple(PairParams(*g, 1.0 / n) for g in gains.tolist()))
+    return _equal_duty(*gains.T.tolist())
 
 
-def _trapezoid_grid():
-    """Systems past the OJS subset sum's 11 pairs, where the trapezoid answers, and SNRs."""
-    configs = [
-        make_symmetric_config(n, mer) for n in (12, 16, 64, 1024) for mer in (0.1, 1.0, 10.0)
-    ]
-    configs += [_spread_config(16), _spread_config(32)]
-    for config in configs:
-        for gamma in (1e-1, 1e3, 1e12):
-            yield config, gamma
-
-
-def _asymmetric_grid():
-    """Systems of 3 to 11 pairs with distinct gains, where the OJS subset sum answers, and SNRs.
-
-    On a symmetric system every pair has the same candidates, so a subset sum over the wrong
-    candidates still meets the oracle there.
-    """
-    for n in range(3, 12):
-        config = _spread_config(n)
-        for gamma in (1e-1, 1e3, 1e12):
-            yield config, gamma
-
-
-def _rjs():
-    # looked up when a check runs, so a patched closed form or oracle is the one checked
-    return analytic.intercept_sc_rjs, analytic.intercept_sc_rjs_oracle
-
-
-def _ojs():
-    return analytic.intercept_sc_ojs, analytic.intercept_sc_ojs_oracle
-
-
-def _oracle_equivalence(forms, grid=_oracle_grid):
-    """Each (closed form, oracle) in forms within 1e-8 relative of each other at every point."""
+def _oracle_equivalence(schemes, configs, gammas):
+    """Each scheme's closed form within 1e-8 relative of its quadrature oracle at every point."""
     worst = 0.0
-    for config, gamma in grid():
-        for closed_form, oracle in forms:
-            ref = oracle(config, gamma)
-            worst = max(worst, abs(closed_form(config, gamma) - ref) / ref)
+    for config, gamma, scheme in itertools.product(configs, gammas, schemes):
+        # looked up when the row runs, so a patched closed form or oracle is the one checked
+        ref = getattr(analytic, f"intercept_sc_{scheme}_oracle")(config, gamma)
+        value = getattr(analytic, f"intercept_sc_{scheme}")(config, gamma)
+        worst = max(worst, abs(value - ref) / ref)
     return worst <= 1e-8, f"max_rel={worst:.3e}"
 
 
-def _ordering_grid():
-    """Systems on both sides of the OJS switch, down to SNRs where the schemes agree to rounding."""
-    configs = [
-        make_symmetric_config(n, mer) for n in (2, 3, 4, 8, 11, 12, 16) for mer in (0.1, 1.0, 10.0)
-    ]
-    configs += [_spread_config(8), _spread_config(16)]
-    for config in configs:
-        for gamma in np.logspace(-300, 12, 40):
-            yield config, gamma
-
-
-def _scheme_ordering(seed, trials, workers):
+def _scheme_ordering(configs, gammas):
     # exact: the closed forms state the order themselves, so no rounding allowance
-    ok = True
-    for config, gamma in _ordering_grid():
-        rjs = analytic.intercept_sc_rjs(config, gamma)
-        ojs = analytic.intercept_sc_ojs(config, gamma)
-        ok &= ojs <= rjs <= analytic.intercept_noncoop(config)
+    ok = all(
+        analytic.intercept_sc_ojs(config, gamma)
+        <= analytic.intercept_sc_rjs(config, gamma)
+        <= analytic.intercept_noncoop(config)
+        for config, gamma in itertools.product(configs, gammas)
+    )
     return ok, "ojs <= rjs <= nonc on validation grid"
 
 
@@ -140,25 +102,21 @@ def _dominance(seed, trials, workers):
     return violations == 0, f"violations={violations}"
 
 
-def _mc_consistency(seed, trials, workers):
+def _mc_consistency(configs, gammas, seed, trials, workers):
     trials = max(trials, 100_000)
     # the retry's seed wraps, so the top seed 2**64 - 1 retries on 0
     for attempt_seed in (seed, (seed + 1) % 2**64):
-        misses = []
-        for n in (2, 4):
-            for mer in (0.5, 1.0, 2.0):
-                config = make_symmetric_config(n, mer)
-                for gamma in (1.0, 10.0, 100.0):
-                    estimates = simulate.estimate_intercepts(
-                        config, SCHEMES, gamma, trials, attempt_seed, workers=workers
-                    )
-                    for scheme, est in zip(SCHEMES, estimates):
-                        ref = analytic.scheme_intercept(config, scheme, gamma).value
-                        if abs(est.p_hat - ref) > 3.0 * max(est.std_err, 1e-300):
-                            misses.append((n, mer, gamma, scheme))
+        misses = 0
+        for config, gamma in itertools.product(configs, gammas):
+            estimates = simulate.estimate_intercepts(
+                config, SCHEMES, gamma, trials, attempt_seed, workers=workers
+            )
+            for scheme, est in zip(SCHEMES, estimates):
+                ref = analytic.scheme_intercept(config, scheme, gamma).value
+                misses += abs(est.p_hat - ref) > 3.0 * max(est.std_err, 1e-300)
         if not misses:
             break
-    return not misses, f"3-sigma misses={len(misses)} (retry-once rule)"
+    return not misses, f"3-sigma misses={misses} (retry-once rule)"
 
 
 def _diversity(seed, trials, workers):
@@ -184,18 +142,37 @@ def _diversity(seed, trials, workers):
     return ok, f"nonc={d_nonc:.2e} rjs={d_rjs:.4f} ojs={d_ojs:.4f}"
 
 
+# Rows are lambdas so that each grid is built when its row runs, not at import.
 _CHECKS = (
     ("e1-bounds", _e1_bounds),
     ("e1-quadrature", _e1_quadrature),
-    ("oracle-equivalence-rjs", lambda *_: _oracle_equivalence([_rjs()])),
-    ("oracle-equivalence-ojs", lambda *_: _oracle_equivalence([_ojs()])),
-    ("scheme-ordering", _scheme_ordering),
+    ("oracle-equivalence-rjs", lambda *_: _oracle_equivalence(
+        [SC_RJS], _symmetric((2, 3, 4)), np.logspace(-1, 12, 14))),
+    ("oracle-equivalence-ojs", lambda *_: _oracle_equivalence(
+        [SC_OJS], _symmetric((2, 3, 4)), np.logspace(-1, 12, 14))),
+    # both sides of the OJS switch, down to SNRs where the schemes agree to rounding
+    ("scheme-ordering", lambda *_: _scheme_ordering(
+        _symmetric((2, 3, 4, 8, 11, 12, 16)) + [_spread_config(8), _spread_config(16)],
+        np.logspace(-300, 12, 40))),
     ("dominance", _dominance),
-    ("mc-consistency", _mc_consistency),
+    ("mc-consistency", lambda *run: _mc_consistency(
+        _symmetric((2, 4), (0.5, 1.0, 2.0)), (1.0, 10.0, 100.0), *run)),
     ("diversity", _diversity),
-    ("oracle-equivalence-ojs-trapezoid", lambda *_: _oracle_equivalence([_ojs()], _trapezoid_grid)),
-    ("oracle-equivalence-asymmetric",
-     lambda *_: _oracle_equivalence([_rjs(), _ojs()], _asymmetric_grid)),
+    # past the OJS subset sum's 11 pairs, where the trapezoid answers
+    ("oracle-equivalence-ojs-trapezoid", lambda *_: _oracle_equivalence(
+        [SC_OJS], _symmetric((12, 16, 64, 1024)) + [_spread_config(16), _spread_config(32)],
+        (1e-1, 1e3, 1e12))),
+    # distinct gains below the switch: on a symmetric system every pair has the same
+    # candidates, so a subset sum over the wrong candidates still meets the oracle there
+    ("oracle-equivalence-asymmetric", lambda *_: _oracle_equivalence(
+        [SC_RJS, SC_OJS], [_spread_config(n) for n in range(3, 12)], (1e-1, 1e3, 1e12))),
+    # eavesdropper gains in runs, contiguous and interleaved: _batch_events takes each run's
+    # largest word before it converts, so a wrong run grouping shows here
+    ("mc-consistency-asymmetric", lambda *run: _mc_consistency([
+        _equal_duty((0.5, 1.0, 2.0, 4.0, 0.25, 1.5, 3.0, 0.75), se_gains) for se_gains in (
+            (0.25, 0.25, 0.25, 1.0, 1.0, 4.0, 4.0, 4.0),
+            (0.25, 4.0, 0.25, 4.0, 1.0, 0.25, 4.0, 1.0),
+        )], (1.0, 10.0, 100.0), *run)),
 )
 
 

@@ -22,6 +22,7 @@ from secrecy_sim.analytic import (
 )
 from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.special import e1_scaled
+from secrecy_sim.validation import _spread_config
 
 from ojs_reference import EPSREL as REFERENCE_EPSREL
 from ojs_reference import symmetric_ojs, symmetric_ojs_mpmath
@@ -512,11 +513,6 @@ def _distinct_config(rng, n, decades):
     """N pairs with every gain 10^U(-decades, decades) on its own, equal duty cycles."""
     gains = 10.0 ** rng.uniform(-decades, decades, size=(n, 2))
     return SystemConfig(tuple(PairParams(float(sd), float(se), 1.0 / n) for sd, se in gains))
-
-
-def _spread_config(n):
-    """N pairs with gains 10^U(-2, 2) from numpy default_rng(0), equal duty cycles."""
-    return _distinct_config(np.random.default_rng(0), n, 2.0)
 
 
 @pytest.mark.parametrize(

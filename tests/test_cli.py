@@ -325,6 +325,7 @@ _VALIDATION_CHECKS = [
     "diversity",
     "oracle-equivalence-ojs-trapezoid",
     "oracle-equivalence-asymmetric",
+    "mc-consistency-asymmetric",
 ]
 
 
@@ -341,20 +342,16 @@ def test_validate_default_passes(tmp_path, capsys):
     assert stdout.splitlines() == [f"PASS {rec['check']}: {rec['detail']}" for rec in records]
 
 
-def test_validate_seed_choice_does_not_break_properties(tmp_path):
-    rc = main(["--experiment", "validate", "--out", str(tmp_path / "r.jsonl"), "--seed", "1337"])
-    assert rc == 0
+def test_validate_seed_choice_does_not_break_properties():
+    checks = dict(validation._CHECKS)
+    for name in ("dominance", "mc-consistency", "mc-consistency-asymmetric"):
+        passed, detail = checks[name](1337, 10_000, 1)
+        assert passed, f"{name}: {detail}"
 
 
-def test_validate_catches_sign_flip_mutation(monkeypatch, capsys):
-    exact = analytic.intercept_sc_ojs
-
+def test_validate_catches_sign_flip_mutation(monkeypatch):
     def flipped_ojs(config, gamma):
-        # deliberate mutant: parity of the subset sign inverted, on the oracle-equivalence-ojs
-        # grid's N <= 4 only; its explicit subset loop would take a minute on the N = 8 and 11
-        # systems of the scheme-ordering row
-        if config.n_pairs > 4:
-            return exact(config, gamma)
+        # deliberate mutant: parity of the subset sign inverted
         total = 0.0
         for i in range(config.n_pairs):
             sd = config.pairs[i].sigma2_sd
@@ -371,10 +368,7 @@ def test_validate_catches_sign_flip_mutation(monkeypatch, capsys):
         return total
 
     monkeypatch.setattr(analytic, "intercept_sc_ojs", flipped_ojs)
-    rc = main(["--experiment", "validate"])
-    assert rc == 1
-    stdout = capsys.readouterr().out
-    assert "FAIL oracle-equivalence-ojs" in stdout
+    assert not dict(validation._CHECKS)["oracle-equivalence-ojs"](0, 0, 1)[0]
 
 
 def test_validate_attributes_a_crash_to_its_own_check(monkeypatch, capsys):
@@ -412,11 +406,10 @@ def test_validate_catches_a_wrong_candidate_list(monkeypatch):
     assert float(detail.removeprefix("max_rel=")) > 0.1
 
 
-def test_validate_catches_tail_series_mutation(monkeypatch, capsys):
+def test_validate_catches_tail_series_mutation(monkeypatch):
     # one series term leaves e1_scaled below its lower bound past the 700 cutoff
     monkeypatch.setattr(special, "_TAIL_TERMS", 1)
-    assert main(["--experiment", "validate"]) == 1
-    assert "FAIL e1-bounds" in capsys.readouterr().out
+    assert not dict(validation._CHECKS)["e1-bounds"](0, 0, 1)[0]
 
 
 def test_mc_consistency_retries_from_the_top_seed(monkeypatch):
@@ -428,7 +421,7 @@ def test_mc_consistency_retries_from_the_top_seed(monkeypatch):
         return value._replace(value=1.05 * value.value)
 
     monkeypatch.setattr(analytic, "scheme_intercept", shifted)
-    passed, detail = validation._mc_consistency(2**64 - 1, 0, 1)
+    passed, detail = dict(validation._CHECKS)["mc-consistency"](2**64 - 1, 0, 1)
     assert passed is False
     assert re.fullmatch(r"3-sigma misses=[1-9]\d* \(retry-once rule\)", detail)
 
@@ -478,6 +471,7 @@ def test_rejects_bad_worker_count(capsys, tmp_path):
         ["--experiment", "validate", "--gamma-db", "10"],
         ["--experiment", "validate", "--mer-db", "0"],
         ["--experiment", "validate", "--schemes", "nonc"],
+        ["--experiment", "validate", "--schemes", "nonc,rjs,ojs"],
         [
             "--experiment", "validate", "--mer-db", "nan", "--symmetric", "N=0", "MER=nan",
             "--gamma-db", "inf", "--schemes", "magic", "--config", "/nonexistent",
