@@ -27,7 +27,7 @@ from .model import (
 
 __all__ = ["main"]
 
-CSV_VERSION_LINE = "# secrecy-sim v1"
+CSV_VERSION_LINE = "# secrecy-sim v2"
 
 _MIN_MC_TRIALS = 1000
 _MAX_WORKERS = 64

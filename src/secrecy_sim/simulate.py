@@ -1,32 +1,45 @@
 """First-principles Monte Carlo estimation of intercept probabilities.
 
-Draws one Philox word per fading gain of the active pair and of every
-candidate jammer, turns those a scheme reads into uniforms and then into
-squared Rayleigh fading gains (exponentials, via inverse CDF), applies the
-per-scheme intercept condition directly to the gains, and aggregates a
-stratified estimate: each pair is simulated conditionally with its exact
-duty-cycle weight, which removes the scheduling variance a naive mixture
-sampler would add.
+Draws squared Rayleigh fading gains (exponentials, via inverse CDF) from
+Philox words, applies the per-scheme intercept condition directly to the
+gains, and aggregates a stratified estimate: each pair is simulated
+conditionally with its exact duty-cycle weight, which removes the
+scheduling variance a naive mixture sampler would add.
 
-A batch is a block of raw 64-bit words, one row per trial.  A word becomes
-its uniform only where a scheme reads it, as numpy's `Generator.random`
-would make it: the top 53 bits times 2**-53.  nonc converts the main and
-eavesdropper words; rjs also the pick word and the picked jammer's word of
-the trials where nonc holds; ojs takes the largest word of each run of
-jammers with equal mean on those trials and converts only that.  Every
-uniform a scheme reads is the double `Generator.random` gives on the same
-stream, so the estimates are those of converting the whole block.
+Layout v2.  A batch is a block of raw 64-bit words, one row of W words per
+trial.  A word becomes its uniform only where a scheme reads it, as numpy's
+`Generator.random` would make it: the top 53 bits times 2**-53.  The
+estimators read W = 4 + R words per trial, where R is the number of runs
+of equal eavesdropper gains among the active pair's jammers (the other
+pairs, in config order): the main gain g_sd, the eavesdropper gain g_se,
+the pick word, the rjs word, then one word per run.  A symmetric system
+draws 5 words per trial at any N, an all-distinct one N + 3.
+
+One word per run suffices because the largest of k i.i.d. uniforms has the
+law of U**(1/k) (Devroye, "Non-Uniform Random Variate Generation", 1986).
+ojs reads each run's strongest gain -mean*log(-expm1(log(U)/k)) from its
+word, and a run of one its plain gain -mean*log1p(-U).  rjs picks a jammer
+uniformly with the pick word, and so its run.  In a run of one its uniform
+is the run word.  In a run of k > 1 it is the run's largest uniform M with
+probability 1/k, and otherwise M*W with W uniform on [0, 1): given M, the
+other k - 1 uniforms are i.i.d. uniform below M.  The rjs word decides
+both.  The picked gain is computed so that it never exceeds its run's
+strongest gain, so on every trial the events nest, ojs within rjs within
+nonc, and so do the estimates of one seed.
+
+The dominance check needs every jammer on every trial and has its own
+layout: g_sd, g_se and one word per jammer, W = N + 1.
 
 Reproducibility contract: the seed is an integer in [0, 2**64).  The stream
-for pair i is the counter-based generator Philox keyed by (seed, i), and
-trial t of that stream starts at counter block t * draws_per_trial(N) / 4.
-The estimate is therefore a pure function of (seed, config, scheme, gamma,
-trials) no matter how trials are batched or how many workers run them.
-
-The schemes share draws by construction: the layout does not depend on the
-scheme, so every scheme reads the same gains for a given seed, and
-`estimate_intercepts` draws each batch once and evaluates every requested
-scheme on it.
+for pair i is the counter-based generator Philox keyed by (seed, i) (Salmon
+et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Trial t
+reads words t*W .. t*W + W - 1 of it; a batch starts there by advancing
+the counter floor(t*W / 4) blocks of four words and dropping t*W mod 4
+words.  An estimate is therefore a pure function of (seed, config, scheme,
+gamma, trials) no matter how trials are batched or how many workers run
+them.  The layout does not depend on the scheme, so every scheme reads the
+same gains for a given seed, and `estimate_intercepts` draws each batch
+once and evaluates every requested scheme on it.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,33 +67,56 @@ __all__ = [
 ]
 
 # Upper bound on one batch's word block, so that a worker's memory stays
-# bounded as N grows: 65536 trials for 3 to 6 pairs, fewer for more.  Every
-# trial reads a fixed slot of its pair's stream, so the batch size changes
-# memory and speed, never a result.
+# bounded as N grows: 104857 trials of a symmetric system, 7825 of an
+# all-distinct 64-pair one.  Every trial reads a fixed slot of its pair's
+# stream, so the batch size changes memory and speed, never a result.
 BATCH_BYTES = 4 << 20
 
-_PHILOX_WORDS_PER_BLOCK = 4
+# Words at the head of every estimation trial: g_sd, g_se, the pick word and
+# the rjs word.  The run words follow.
+_HEAD_WORDS = 4
 
 
 def draws_per_trial(n_pairs: int) -> int:
-    """Philox words consumed per trial: gains, jammer pick, block padding.
+    """Most Philox words one estimation trial of an N-pair system draws: N + 3.
 
-    One draw each for the main and eavesdropper gains, one per candidate
-    jammer, one for random jammer selection, rounded up to the Philox block
-    size (4) so that trial boundaries are exact counter offsets.
+    The four head words and one per run of equal jammer eavesdropper
+    gains, N - 1 runs when every gain differs.  Equal gains draw fewer.
     """
-    needed = n_pairs + 2
-    blocks = -(-needed // _PHILOX_WORDS_PER_BLOCK)
-    return blocks * _PHILOX_WORDS_PER_BLOCK
+    return _HEAD_WORDS + n_pairs - 1
 
 
-def _pair_stream(seed: int, pair_index: int, n_pairs: int, start_trial: int) -> Philox:
-    """Philox positioned at trial `start_trial` of pair `pair_index`'s stream."""
+def _runs(jammer_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First column and length of each run of equal jammer means, in config order."""
+    edge = np.ones(len(jammer_means) + 1, dtype=bool)
+    np.not_equal(jammer_means[1:], jammer_means[:-1], out=edge[1:-1])
+    at = np.flatnonzero(edge)
+    return at[:-1], at[1:] - at[:-1]
+
+
+def _estimate_words(jammer_means: np.ndarray) -> int:
+    """Words per estimation trial: the head words and one per run."""
+    return _HEAD_WORDS + len(_runs(jammer_means)[0])
+
+
+def _dominance_words(jammer_means: np.ndarray) -> int:
+    """Words per dominance-check trial: g_sd, g_se and one per jammer."""
+    return 2 + len(jammer_means)
+
+
+def _pair_stream(seed: int, pair_index: int, words: int, start_trial: int) -> Philox:
+    """Philox at trial `start_trial` of pair `pair_index`'s stream of `words` words per trial.
+
+    Philox makes four words per counter step, so the stream advances whole
+    steps and drops the words left before the trial's first.
+    """
     key = np.array([seed, pair_index], dtype=np.uint64)
     bit_gen = Philox(key=key)
-    if start_trial:
-        blocks = start_trial * draws_per_trial(n_pairs) // _PHILOX_WORDS_PER_BLOCK
-        bit_gen.advance(blocks)
+    steps, skip = divmod(start_trial * words, 4)
+    if steps:
+        bit_gen.advance(steps)
+    if skip:
+        bit_gen.random_raw(skip)
     return bit_gen
 
 
@@ -146,6 +182,104 @@ def _sc_intercept(g_je, gamma: float, g_sd, g_se):
         return np.fmax(g_je * gamma * g_sd + floor, floor) < 2.0 * g_se
 
 
+def _slack(k, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - u**(1/k), the gap below 1 of the largest of k uniforms, as -expm1(log(u)/k).
+
+    Keeps its relative precision as u nears 1, where 1 - u**(1/k) would
+    cancel.  u = 0 has log -inf and slack 1, with no warning.  k > 1, a
+    scalar or one per element; works in one array, `out` if given.
+    """
+    with np.errstate(divide="ignore"):
+        d = np.log(u, out=out)
+    d /= k
+    np.expm1(d, out=d)
+    return np.negative(d, out=d)
+
+
+def _run_max_gain(mean, k, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Strongest of k > 1 i.i.d. exponential gains of the given mean(s), from one uniform u."""
+    d = _slack(k, u, out)
+    return np.multiply(-mean, np.log(d, out=d), out=d)
+
+
+def _picked_gain(mean, k, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gain of a jammer picked uniformly from a run of k > 1, from run word u and rjs word v.
+
+    v*k < 1 picks the run's largest uniform M; otherwise the picked uniform
+    is M*W with W = (v*k - 1)/(k - 1).  Its gain -mean*log(1 - M*W) is
+    computed as -mean*log(d + q*(1 - d)) with d = 1 - M and q = 1 - W,
+    which is 0 when the largest is picked.  The rounded sum of d and a term
+    >= 0 is >= d and at most 1, so the gain lies between 0 and the run's
+    strongest gain -mean*log(d), and equals it bit for bit when q = 0.
+    Overwrites `u` and `v`.
+    """
+    d = _slack(k, u, out=u)
+    t = np.multiply(v, k, out=v)
+    largest = t < 1.0
+    q = np.subtract(k, t, out=t)
+    q /= k - 1
+    q[largest] = 0.0
+    q *= 1.0 - d
+    q += d
+    return np.multiply(-mean, np.log(q, out=q), out=q)
+
+
+def _row_max(g: np.ndarray) -> np.ndarray:
+    """Each row's maximum, exact either way.
+
+    Column by column, since numpy reduces a short contiguous axis slowly,
+    unless the rows are fewer than the columns, where one ufunc call per
+    column would cost more than the row-wise reduction.
+    """
+    if len(g) < g.shape[1]:
+        return g.max(axis=1)
+    return functools.reduce(np.maximum, g.T)
+
+
+def _ojs_gain(means: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row's strongest jammer gain from one uniform per run; overwrites `u`."""
+    if counts.max() == 1:
+        g = _exp_gain(means, u, out=u)
+    elif counts.min() > 1:
+        g = _run_max_gain(means, counts, u, out=u)
+    else:
+        # every column as a run of one, then the longer runs' columns, taken out first
+        many = np.flatnonzero(counts > 1)
+        top = _run_max_gain(means[many], counts[many], u[:, many])
+        g = _exp_gain(means, u, out=u)
+        g[:, many] = top
+    return _row_max(g)
+
+
+def _rjs_gain(means: np.ndarray, counts: np.ndarray, w: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The picked jammer's gain on each `live` row of word batch `w`.
+
+    The pick word chooses one of the m jammers uniformly and so fixes its
+    run; with one run it decides nothing and is not read.  A run of one
+    gives the gain of its own word, as ojs reads it.
+    """
+    if len(counts) == 1:
+        run = 0
+        u = _uniform(w[live, _HEAD_WORDS])
+    else:
+        m = int(counts.sum())
+        pick = np.minimum((_uniform(w[live, 2]) * m).astype(np.int64), m - 1)
+        run = pick if len(counts) == m else np.repeat(np.arange(len(counts)), counts).take(pick)
+        u = _uniform(w.ravel().take(live * w.shape[1] + _HEAD_WORDS + run))
+    mean = means.take(run)
+    if counts.max() == 1:
+        return _exp_gain(mean, u, out=u)
+    k = counts.take(run)
+    if counts.min() > 1:
+        return _picked_gain(mean, k, u, _uniform(w[live, 3]))
+    # every row as a run of one, then the rows of longer runs, taken out first
+    many = np.flatnonzero(k > 1)
+    top = _picked_gain(mean[many], k[many], u[many], _uniform(w[live[many], 3]))
+    g = _exp_gain(mean, u, out=u)
+    g[many] = top
+    return g
+
+
 def _batch_events(
     pair: PairParams,
     jammer_means: np.ndarray,
@@ -153,72 +287,67 @@ def _batch_events(
     gamma: float,
     w: np.ndarray,
 ) -> list[np.ndarray]:
-    """Boolean intercept indicators of each scheme for one word batch of one pair.
+    """Boolean intercept indicators of each scheme for one layout-v2 word batch of one pair.
 
     Computes g_sd and g_se once; the nonc event is g_sd < g_se.  On a row
     where it fails no jammer can give an intercept, since g_je*gamma*g_sd is
     >= 0 (or NaN) and rounded doubling and addition are monotone, so rjs
-    converts the pick word and the picked jammer's word, and ojs the jammer
-    words, only on the rows where nonc holds.  ojs takes the largest word
-    of each run of equal jammer means, in column order, before it converts:
-    the gain -mean*log1p(-u) does not decrease as the word grows, so the
-    run's strongest gain is the gain of its largest word.  Each gain read
-    is computed as transforming every column would compute it, so the
-    events equal those of the all-columns transform.  Returns one array per
-    entry of `schemes`, in order; `w` is left as it was.
+    and ojs convert words only on the rows where nonc holds.  Returns one
+    array per entry of `schemes`, in order; `w` is left as it was.
     """
     g_sd, g_se = _uniform(w[:, 0]), _uniform(w[:, 1])
     _exp_gain(pair.sigma2_sd, g_sd, out=g_sd)
     _exp_gain(pair.sigma2_se, g_se, out=g_se)
     events = {NONCOOP: g_sd < g_se}
-    m = len(jammer_means)
     jammed = [s for s in (SC_RJS, SC_OJS) if s in schemes]
-    if m == 0:
+    if not len(jammer_means):
         events |= dict.fromkeys(jammed, events[NONCOOP])
     elif jammed:
         live = np.flatnonzero(events[NONCOOP])
         g_sd, g_se = g_sd[live], g_se[live]
+        starts, counts = _runs(jammer_means)
+        means = jammer_means[starts]
         jammer_gain = {}
         if SC_RJS in jammed:
-            pick = np.minimum((_uniform(w[live, m + 2]) * m).astype(np.int64), m - 1)
-            flat = live * w.shape[1] + 2 + pick
-            picked = _uniform(w.ravel().take(flat))
-            jammer_gain[SC_RJS] = _exp_gain(jammer_means.take(pick), picked, out=picked)
+            jammer_gain[SC_RJS] = _rjs_gain(means, counts, w, live)
         if SC_OJS in jammed:
-            starts = np.flatnonzero(np.diff(jammer_means, prepend=np.nan) != 0)
-            top = w[live, 2 : m + 2]
-            if len(starts) < m:
-                top = np.maximum.reduceat(top, starts, axis=1)
-            g_je = _uniform(top, out=top)
-            _exp_gain(jammer_means[starts], g_je, out=g_je)
-            # Column by column: numpy reduces a short contiguous axis slowly.
-            jammer_gain[SC_OJS] = functools.reduce(np.maximum, g_je.T)
+            top = w[live, _HEAD_WORDS:]
+            jammer_gain[SC_OJS] = _ojs_gain(means, counts, _uniform(top, out=top))
         for scheme, g_j in jammer_gain.items():
             events[scheme] = np.zeros(len(w), dtype=bool)
             events[scheme][live] = _sc_intercept(g_j, gamma, g_sd, g_se)
     return [events[s] for s in schemes]
 
 
-def _batch_trials(n_pairs: int) -> int:
-    """Trials per batch: as many as fit in BATCH_BYTES of words, at least one."""
-    return max(1, BATCH_BYTES // (draws_per_trial(n_pairs) * 8))
+def _batch_trials(words: int) -> int:
+    """Trials per batch of `words` words each: as many as fit in BATCH_BYTES, at least one."""
+    return max(1, BATCH_BYTES // (words * 8))
 
 
-def _batch_ranges(trials_per_pair: int, n_pairs: int):
-    step = _batch_trials(n_pairs)
+def _batch_ranges(trials_per_pair: int, words: int):
+    step = _batch_trials(words)
     for start in range(0, trials_per_pair, step):
         yield start, min(start + step, trials_per_pair)
 
 
-def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, workers: int, count):
+def _run_batches(
+    config: SystemConfig,
+    gamma: float,
+    trials: int,
+    rng: int,
+    workers: int,
+    count,
+    words: Callable[[np.ndarray], int],
+):
     """Sum `count(pair, jammer_means, w)` over every word batch of every pair.
 
-    `w` is one batch's (rows, draws_per_trial) block of the pair's stream as
-    raw uint64 Philox words, which `count` may overwrite; `jammer_means`
-    holds the other pairs' sigma2_se in config order, one per jammer
-    column; `count` returns a number or a numpy count vector.  Each pair
-    runs ceil(trials / N) trials; returns the per-pair sums and that trial
-    count.  Checks every argument but the config, valid by type.
+    `jammer_means` holds the other pairs' sigma2_se in config order, and
+    `words(jammer_means)` is the pair's words per trial.  `w` is one batch's
+    (rows, words) block of the pair's stream as raw uint64 Philox words,
+    which `count` may overwrite; `count` returns a number or a numpy count
+    vector.  Each pair runs ceil(trials / N) trials; returns the per-pair
+    sums and that trial count.  Checks every argument but the config, valid
+    by type.
     """
     require_snr(gamma)
     trials = operator.index(trials)
@@ -231,12 +360,13 @@ def _run_batches(config: SystemConfig, gamma: float, trials: int, rng: int, work
     n = config.n_pairs
     per_pair = -(-trials // n)
     se_means = np.array([p.sigma2_se for p in config.pairs])
+    widths = [words(np.delete(se_means, i)) for i in range(n)]
 
     def run_batch(pair: int, start: int, stop: int):
-        w = _pair_stream(seed, pair, n, start).random_raw((stop - start, draws_per_trial(n)))
+        w = _pair_stream(seed, pair, widths[pair], start).random_raw((stop - start, widths[pair]))
         return count(config.pairs[pair], np.delete(se_means, pair), w)
 
-    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, n)]
+    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, widths[i])]
     workers = min(workers, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -277,6 +407,7 @@ def estimate_intercepts(
         lambda pair, means, w: np.array(
             [np.count_nonzero(e) for e in _batch_events(pair, means, schemes, gamma, w)]
         ),
+        _estimate_words,
     )
     n = config.n_pairs
     estimates = []
@@ -315,6 +446,7 @@ def _chain_violations(
 ) -> int:
     """Rows of one word batch where the event-inclusion chain fails, counted per link.
 
+    The batch holds g_sd, g_se and one word per jammer in each row.
     Converts the whole block to uniforms and transforms the jammer columns,
     both in place, and tests one column at a time, so the batch builds no
     (trials, N-1) temporary.  The strongest jammer's event is the condition
@@ -324,7 +456,7 @@ def _chain_violations(
     u = _uniform(w, out=w)
     g_sd = _exp_gain(pair.sigma2_sd, u[:, 0])
     g_se = _exp_gain(pair.sigma2_se, u[:, 1])
-    g_je = u[:, 2 : len(jammer_means) + 2]
+    g_je = u[:, 2:]
     _exp_gain(jammer_means, g_je, out=g_je)
     every = np.ones(len(u), dtype=bool)
     some = np.zeros(len(u), dtype=bool)
@@ -332,7 +464,7 @@ def _chain_violations(
         e = _sc_intercept(col, gamma, g_sd, g_se)
         every &= e
         some |= e
-    strongest = functools.reduce(np.maximum, g_je.T)
+    strongest = _row_max(g_je)
     e_ojs = _sc_intercept(strongest, gamma, g_sd, g_se)
     return int(np.count_nonzero(e_ojs & ~every) + np.count_nonzero(some & ~(g_sd < g_se)))
 
@@ -351,5 +483,5 @@ def coupled_dominance_check(
     if config.n_pairs < 2:
         raise ValueError("dominance check needs at least two pairs")
     count = functools.partial(_chain_violations, gamma)
-    counts, _ = _run_batches(config, gamma, trials, rng, 1, count)
+    counts, _ = _run_batches(config, gamma, trials, rng, 1, count, _dominance_words)
     return sum(counts)

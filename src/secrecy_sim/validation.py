@@ -166,8 +166,8 @@ _CHECKS = (
     # candidates, so a subset sum over the wrong candidates still meets the oracle there
     ("oracle-equivalence-asymmetric", lambda *_: _oracle_equivalence(
         [SC_RJS, SC_OJS], [_spread_config(n) for n in range(3, 12)], (1e-1, 1e3, 1e12))),
-    # eavesdropper gains in runs, contiguous and interleaved: _batch_events takes each run's
-    # largest word before it converts, so a wrong run grouping shows here
+    # eavesdropper gains in runs, contiguous and interleaved: Monte Carlo draws one word per
+    # run of equal jammer gains, so a wrong run grouping shows here
     ("mc-consistency-asymmetric", lambda *run: _mc_consistency([
         _equal_duty((0.5, 1.0, 2.0, 4.0, 0.25, 1.5, 3.0, 0.75), se_gains) for se_gains in (
             (0.25, 0.25, 0.25, 1.0, 1.0, 4.0, 4.0, 4.0),

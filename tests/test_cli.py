@@ -16,7 +16,7 @@ from ojs_subsets import SubsetIterator, phi_ojs
 
 def _rows(path):
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# secrecy-sim v1"
+    assert lines[0] == "# secrecy-sim v2"
     header = lines[1].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[2:]]
 
@@ -219,7 +219,7 @@ def test_golden_csv_bytes(tmp_path):
     )
     assert rc == 0
     assert out.read_bytes() == (
-        b"# secrecy-sim v1\n"
+        b"# secrecy-sim v2\n"
         b"gamma_db,scheme,p_analytic\n"
         b"10,nonc,5.000000000000e-01\n"
         b"10,rjs,2.095656016912e-01\n"
@@ -228,31 +228,32 @@ def test_golden_csv_bytes(tmp_path):
 
 
 # SHA-256 of each experiment's CSV, Monte Carlo columns included, recorded
-# before the experiments shared one grid runner.
+# when the Monte Carlo stream moved to layout v2 (one word per run of equal
+# jammers), which changed every p_mc and mc_stderr cell and the header.
 _PINNED_CSV = {
     "fig2": (
         ["--gamma-db", "0:10:5"],
-        "a304a1f6a76e517466e8acd6f7466586dc115da44324e484f4aef231017c00ba",
+        "b0c45616f2c8eb9f8a7ed8c47338a555aa3bc3982f7aff0d18e3f3e69298537a",
     ),
     "fig3": (
         ["--gamma-db", "5:15:5"],
-        "67367bf290fa235a8d2646b69f5ca8e25b22099d08324abc39ea1984cf5f3c48",
+        "71d480b5dd8646762e2faa7f5bc2cf60f6e3a1da105657696a8e2fb825f8e592",
     ),
     "fig4": (
         ["--mer-db=-10:10:10", "--symmetric", "N=3", "MER=1"],
-        "35c8cdfc663e19b911d251d4813a72fd32d76dd7c14cf99ba56d17a3450bf235",
+        "5bc48a8d7965d8f96be5e43ba53c1a22e7fcce44cc4ec539d84dc97d2f7bb83e",
     ),
     "fig5": (
         ["--mer-db=-5:5:10", "--gamma-db", "0:10:10"],
-        "e8634699c47d9284c38ba45e410bec4505de1a65869de1f1346433a22a9a2cb0",
+        "9ae8306cf1d4dfc9e599983f4bece96e917760f6fb494d93b2448cc8d0dd5a36",
     ),
     "fig6": (
         ["--mer-db", "0", "--gamma-db", "20"],
-        "3d58b57bf66dfb55719a4b6accc1d924cf735c55aa7c72cdd241d2965619b711",
+        "56c952401b4728286a1de6232834bfb136547642686ea6f7ae14de411f3a114a",
     ),
     "sweep": (
         ["--gamma-db", "0:10:5", "--symmetric", "N=3", "MER=2"],
-        "5fccef97f417848f7d39edc1c98a9461c13d58a8a15192139aeddcba8a5cb531",
+        "5d14995edbbd2b61292bb69e15598124ca32cb55e58a09e56592168979303142",
     ),
 }
 
@@ -267,19 +268,20 @@ def test_every_experiment_csv_bytes_pinned(experiment, tmp_path):
 
 
 # SHA-256 of closed-form-only CSVs over wide grids, recorded before RJS and
-# OJS shared one jamming-term kernel.
+# OJS shared one jamming-term kernel.  Only the header line has changed since:
+# the same bytes under "# secrecy-sim v1" give the digests first recorded.
 _PINNED_ANALYTIC_CSV = [
     (
         ["--experiment", "fig2", "--gamma-db=-20:60:1"],
-        "b24b6c4cfae35ec4f9797a8589307fca2a1474730fea0a4cd668472442e3a0ab",
+        "b5d542439b15389f670eb21055808109429443b827ec53fa44d62f2282019e9c",
     ),
     (
         ["--experiment", "fig2", "--symmetric", "N=8", "MER=0.3", "--gamma-db=-10:60:0.5"],
-        "c45ecab1f1e17a4433fe8caf09210b737b7755c67c113f1dd0b7e298d79fd1f3",
+        "e525167f9f3d0d336f2a443c48fa842049146118da98c546cbfb1d908ba633a7",
     ),
     (
         ["--experiment", "fig6", "--mer-db=-20:20:1", "--gamma-db", "25"],
-        "2099900403a857550b946a7e0580aa498c15bb16b36bb1676ed2df675b380cde",
+        "7af77bd516155109f37c98da7c15b125874dec7dba1f1b6b598fe2d3f7880d8f",
     ),
 ]
 
@@ -295,7 +297,7 @@ def test_output_defaults_to_stdout(capsys):
     rc = main(["--experiment", "sweep", "--trials", "0", "--gamma-db", "0", "--schemes", "nonc"])
     assert rc == 0
     stdout = capsys.readouterr().out
-    assert stdout.startswith("# secrecy-sim v1\n")
+    assert stdout.startswith("# secrecy-sim v2\n")
     assert "0,nonc,5.000000000000e-01" in stdout
 
 

@@ -31,12 +31,13 @@ from secrecy_sim.simulate import (
 )
 
 UNIT_PAIR = PairParams(1.0, 1.0, 0.25)
+MAX_UNIFORM = 1.0 - 2.0**-53  # the uniform of word 2**64 - 1
 
 
-def _block(seed, pair, n, trials, start_trial=0):
-    """A pair's uniforms as numpy's own `Generator.random` makes them from its stream."""
-    gen = Generator(_pair_stream(seed, pair, n, start_trial))
-    return gen.random((trials, draws_per_trial(n)))
+def _block(seed, pair, words, trials, start_trial=0):
+    """A pair's uniforms, `words` per trial, as numpy's own `Generator.random` makes them."""
+    gen = Generator(_pair_stream(seed, pair, words, start_trial))
+    return gen.random((trials, words))
 
 
 def _snap(u):
@@ -51,35 +52,43 @@ def _words(u):
     return k.astype(np.uint64) << 11
 
 
-def _unit_gain_rows(rows, n):
-    """Uniforms whose unit-mean gains are the given (g_sd, g_se, *g_je) rows, to 1e-14."""
+def _gain_rows(rows, means):
+    """Layout-v2 uniforms of a unit-mean pair whose rows are (g_sd, g_se, *jammer gains).
+
+    No two neighbours in `means` are equal, so every jammer is a run of one
+    and its word gives its gain; the pick and rjs words are 0.  Gains hold
+    to 1e-14.
+    """
     gains = np.asarray(rows, dtype=float)
-    u = np.zeros((len(gains), draws_per_trial(n)))
-    u[:, : gains.shape[1]] = _snap(-np.expm1(-gains))
-    assert np.allclose(-np.log1p(-u[:, : gains.shape[1]]), gains, rtol=1e-14, atol=0.0)
+    scale = np.array([1.0, 1.0, *means])[: gains.shape[1]]
+    cols = [0, 1, *range(4, 4 + len(means))][: gains.shape[1]]
+    u = np.zeros((len(gains), 4 + len(means)))
+    u[:, cols] = _snap(-np.expm1(-gains / scale))
+    assert np.allclose(-scale * np.log1p(-u[:, cols]), gains, rtol=1e-14, atol=0.0)
     return u
 
 
-def _events(u, m, scheme, gamma):
-    """Kernel events for a unit-mean active pair with m unit-mean candidate jammers."""
-    return _batch_events(UNIT_PAIR, np.ones(m), (scheme,), gamma, _words(u))[0]
+def _events(u, means, scheme, gamma):
+    """Kernel events for a unit-mean active pair with the given jammer means."""
+    return _batch_events(UNIT_PAIR, np.asarray(means, dtype=float), (scheme,), gamma, _words(u))[0]
 
 
-def _rjs_picks(u, m):
+def _rjs_picks(u, means):
     """The jammer the rjs kernel picks in each row of `u`, read off its events.
 
-    In a copy of the block jammer k gets zero gain, every other jammer a
-    huge one, and g_se > g_sd, so the rjs event holds exactly where k is
-    picked.  Only the jammer and gain columns change; the pick column does
-    not.
+    Every jammer is a run of one.  In a copy of the block jammer k gets zero
+    gain, every other jammer a huge one, and g_se > g_sd, so the rjs event
+    holds exactly where k is picked.  Only the gain words change; the pick
+    word does not.
     """
+    m = len(means)
     picks = np.full(len(u), -1)
     for k in range(m):
         v = u.copy()
         v[:, 0], v[:, 1] = 0.5, 0.9
-        v[:, 2 : m + 2] = np.nextafter(1.0, 0.0)
-        v[:, 2 + k] = 0.0
-        hit = _events(v, m, "rjs", 1e6)
+        v[:, 4 : 4 + m] = MAX_UNIFORM
+        v[:, 4 + k] = 0.0
+        hit = _events(v, means, "rjs", 1e6)
         assert not (hit & (picks >= 0)).any()
         picks[hit] = k
     assert (picks >= 0).all()
@@ -95,7 +104,7 @@ def _random_config(rng, n):
 
 
 def _jammer_means(config, i):
-    """Pair i's jammer means by column: column 2 + k of its block is the k-th other pair.
+    """Pair i's jammer means in config order: the other pairs' eavesdropper gains.
 
     The other pairs keep their config order with pair i left out, so pair j
     sits at k = j for j < i and at k = j - 1 for j > i.
@@ -105,32 +114,67 @@ def _jammer_means(config, i):
 
 
 def _all_gains(pair, jammer_means, u):
-    """Every gain of a uniform block: main, eavesdropper, one column per jammer."""
+    """Every gain of a dominance-layout block: main, eavesdropper, one column per jammer."""
     g_je = -jammer_means[None, :] * np.log1p(-u[:, 2 : len(jammer_means) + 2])
     return -pair.sigma2_sd * np.log1p(-u[:, 0]), -pair.sigma2_se * np.log1p(-u[:, 1]), g_je
 
 
-def _reference_events(config, i, scheme, gamma, u):
-    """Intercept events from every gain of the block, then the max or the pick."""
-    n = config.n_pairs
-    g_sd, g_se, g_je = _all_gains(config.pairs[i], _jammer_means(config, i), u)
-    if scheme == "nonc" or n == 1:
-        return g_sd < g_se
-    if scheme == "rjs":
-        m = n - 1
-        pick = np.minimum((u[:, n + 1] * m).astype(np.int64), m - 1)
-        gj = g_je[np.arange(len(u)), pick]
-    else:
-        gj = g_je.max(axis=1)
-    return gj * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se
+def _decoded_events(pair, jammer_means, gamma, u):
+    """(nonc, rjs, ojs) events of layout-v2 uniforms `u`, decoded row by row in plain Python.
+
+    An independent reading of the layout: the runs by a scan of the means,
+    the pick by integer arithmetic, and each gain from numpy's scalar
+    log1p, log and expm1, which give the bits the kernel's array calls give.
+    """
+    runs = []  # [mean, k] of each run of equal jammer means, in config order
+    for mean in map(float, jammer_means):
+        if runs and runs[-1][0] == mean:
+            runs[-1][1] += 1
+        else:
+            runs.append([mean, 1])
+    run_of = [r for r, (_, k) in enumerate(runs) for _ in range(k)]
+
+    def gain(mean, k, x, q=0.0):
+        # the picked jammer's gain -mean*log(1 - M*(1 - q)), M the largest of the run's k
+        # uniforms; q = 0 gives the run's strongest gain
+        if k == 1:
+            return -mean * np.log1p(-x)
+        with np.errstate(divide="ignore"):
+            d = -np.expm1(np.log(x) / k)
+        return -mean * np.log(d + q * (1.0 - d))
+
+    def intercept(g_j, g_sd, g_se):
+        return bool(g_j * gamma * g_sd + 2.0 * g_sd < 2.0 * g_se)
+
+    events = []
+    for row in u:
+        g_sd = -pair.sigma2_sd * np.log1p(-row[0])
+        g_se = -pair.sigma2_se * np.log1p(-row[1])
+        nonc = bool(g_sd < g_se)
+        if not (runs and nonc):
+            events.append((nonc, nonc, nonc))
+            continue
+        strongest = max(gain(mean, k, row[4 + r]) for r, (mean, k) in enumerate(runs))
+        r = run_of[min(int(row[2] * len(run_of)), len(run_of) - 1)]
+        mean, k = runs[r]
+        t = row[3] * k
+        q = 0.0 if k == 1 or t < 1.0 else (k - t) / (k - 1)
+        events.append((True, intercept(gain(mean, k, row[4 + r], q), g_sd, g_se),
+                       intercept(strongest, g_sd, g_se)))
+    return dict(zip(SCHEMES, np.array(events, dtype=bool).reshape(-1, 3).T))
 
 
 # --- stream layout and sampling ----------------------------------------------
 
 
-@pytest.mark.parametrize("n,expected", [(1, 4), (2, 4), (3, 8), (6, 8), (7, 12), (14, 16)])
-def test_draws_per_trial_block_aligned(n, expected):
-    assert draws_per_trial(n) == expected
+def test_words_per_trial_count_runs_of_equal_jammer_gains():
+    # four head words, then one per run of equal jammer means in config order
+    assert [draws_per_trial(n) for n in (1, 2, 3, 64)] == [4, 5, 6, 67]
+    for means, runs in (([], 0), ([2.0], 1), ([1.0] * 63, 1), ([1.0, 1.0, 2.0, 2.0, 2.0], 2),
+                        ([1.0, 2.0, 1.0, 2.0], 4), (list(range(63)), 63)):
+        assert simulate._estimate_words(np.array(means, dtype=float)) == 4 + runs
+        assert simulate._dominance_words(np.array(means, dtype=float)) == 2 + len(means)
+    assert all(simulate._estimate_words(np.arange(n - 1.0)) == draws_per_trial(n) for n in (1, 9))
 
 
 def test_rejects_out_of_range_seed():
@@ -162,26 +206,30 @@ def test_rejects_non_integer_trials():
 
 
 def test_pair_streams_differ_and_reproduce():
-    a = _block(5, 0, 3, 3)
-    assert np.array_equal(a, _block(5, 0, 3, 3))
-    assert not np.array_equal(a, _block(5, 1, 3, 3))
-    assert not np.array_equal(a, _block(6, 0, 3, 3))
+    a = _block(5, 0, 6, 3)
+    assert np.array_equal(a, _block(5, 0, 6, 3))
+    assert not np.array_equal(a, _block(5, 1, 6, 3))
+    assert not np.array_equal(a, _block(6, 0, 6, 3))
 
 
 def test_advance_to_trial_matches_sequential_consumption():
-    n = 4
-    gen = Generator(_pair_stream(99, 2, n, 0))
-    sequential = np.vstack([gen.random((1, draws_per_trial(n))) for _ in range(6)])
-    assert np.array_equal(sequential, _block(99, 2, n, 6))
-    assert np.array_equal(_block(99, 2, n, 2, start_trial=4), sequential[4:])
+    # trial t starts at word t*W: the stream advances whole four-word
+    # counter steps and drops the rest, at every offset mod 4
+    for words in (3, 4, 5, 6, 7, 67):
+        gen = Generator(_pair_stream(99, 2, words, 0))
+        sequential = np.vstack([gen.random((1, words)) for _ in range(9)])
+        assert np.array_equal(sequential, _block(99, 2, words, 9))
+        for start in range(1, 8):
+            got = _block(99, 2, words, 9 - start, start_trial=start)
+            assert np.array_equal(got, sequential[start:]), (words, start)
 
 
 @pytest.mark.parametrize("n,start", [(4, 0), (3, 0), (5, 0), (4, 7), (3, 1001), (64, 5)])
 def test_uniforms_of_words_are_generator_random(n, start):
-    # N + 2 is not a multiple of 4 for N = 3 and 5, so a trial's row ends in
-    # padding words; an advanced start reads a block the stream skips to
-    words = _pair_stream(31, 2, n, start).random_raw((50, draws_per_trial(n)))
-    want = Generator(_pair_stream(31, 2, n, start)).random((50, draws_per_trial(n)))
+    # N + 3 words per trial, so a trial may start inside a counter step; an
+    # advanced start reads a block the stream skips and drops words to
+    words = _pair_stream(31, 2, draws_per_trial(n), start).random_raw((50, draws_per_trial(n)))
+    want = _block(31, 2, draws_per_trial(n), 50, start_trial=start)
     assert np.array_equal(_uniform(words), want)
     assert np.array_equal(_uniform(words[:, 1]), want[:, 1])
     assert np.array_equal(_words(want) >> 11, words >> 11)
@@ -190,16 +238,25 @@ def test_uniforms_of_words_are_generator_random(n, start):
 
 
 def test_extreme_words_give_extreme_finite_gains():
+    # word 0 and word 2**64 - 1 on every path: a run of one, the strongest of
+    # a run of k, and a picked jammer that is or is not the run's largest
     u = _uniform(np.array([0, 2**64 - 1], dtype=np.uint64))
-    assert u.tolist() == [0.0, 1.0 - 2.0**-53]
+    assert u.tolist() == [0.0, MAX_UNIFORM]
     g = _exp_gain(2.0, u)
     assert g[0] == 0.0 and np.isfinite(g[1]) and g[1] == pytest.approx(2.0 * 53 * math.log(2.0))
+    for k in (2, 3, 1023):
+        top = simulate._run_max_gain(2.0, k, u.copy())
+        assert top[0] == 0.0 and top[1] == pytest.approx(2.0 * math.log(k * 2.0**53), rel=1e-12)
+        for v in u:
+            picked = simulate._picked_gain(2.0, k, u.copy(), np.full(2, v))
+            assert picked[0] == 0.0 and np.isfinite(picked[1]) and 0.0 <= picked[1] <= top[1]
+            assert (picked[1] == top[1]) == (v == 0.0)
 
 
 def test_gains_shapes_and_positivity():
     cfg = make_symmetric_config(5, 2.0)
     means = _jammer_means(cfg, 1)
-    u = _block(0, 1, cfg.n_pairs, 1000)
+    u = _block(0, 1, cfg.n_pairs + 1, 1000)
     u[0] = 0.0
     g_sd, g_se, g_je = _all_gains(cfg.pairs[1], means, u)
     assert np.array_equal(_exp_gain(cfg.pairs[1].sigma2_sd, u[:, 0]), g_sd)
@@ -218,7 +275,7 @@ def test_gains_shapes_and_positivity():
 def test_sample_marginals_match_exponential_distribution():
     cfg = SystemConfig(pairs=(PairParams(1.0, 2.0, 0.5), PairParams(1.0, 3.0, 0.5)))
     n = 10**6
-    u = _block(1234, 0, cfg.n_pairs, n)
+    u = _block(1234, 0, 5, n)
     g_sd = -1.0 * np.log1p(-u[:, 0])
     g_se = -2.0 * np.log1p(-u[:, 1])
     assert g_sd.mean() == pytest.approx(1.0, abs=0.004)
@@ -238,10 +295,10 @@ def test_symmetric_gains_tie_probability():
 
 
 def test_event_noncoop_examples():
-    u = _unit_gain_rows([(2.0, 1.0, 0.5), (1.0, 2.0, 0.5)], 2)
+    u = _gain_rows([(2.0, 1.0, 0.5), (1.0, 2.0, 0.5)], [1.0])
     u = np.vstack([u, u[:1]])
     u[2, 1] = u[2, 0]  # equal gains
-    assert _events(u, 1, "nonc", 10.0).tolist() == [False, True, False]
+    assert _events(u, [1.0], "nonc", 10.0).tolist() == [False, True, False]
 
 
 def test_event_sc_boundary_and_examples():
@@ -250,22 +307,22 @@ def test_event_sc_boundary_and_examples():
     for gamma in (0.1, 10.0, 1e6):
         assert not _sc_intercept(0.1, gamma, 2.0, 1.0)
     # exact equality of the main and eavesdropper gains, with zero jamming,
-    # is no intercept for any scheme
-    u = _block(3, 0, 4, 500)
+    # is no intercept for any scheme: one run of three jammers whose word is 0
+    u = _block(3, 0, 5, 500)
     u[:, 1] = u[:, 0]
-    u[:, 2:5] = 0.0
+    u[:, 4] = 0.0
     for scheme in SCHEMES:
-        assert not _events(u, 3, scheme, 10.0).any()
+        assert not _events(u, np.ones(3), scheme, 10.0).any()
 
 
 def test_event_sc_zero_main_gain_counts_as_intercept():
     assert _sc_intercept(5.0, 10.0, 0.0, 1.0)
-    u = _block(4, 0, 4, 500)
+    u = _block(4, 0, 5, 500)
     u[:, 0] = 0.0
     u[:, 1] = np.maximum(u[:, 1], _snap(1e-12))
     assert (u[:, 1] > 0.0).all()
     for scheme in SCHEMES:
-        assert _events(u, 3, scheme, 1e6).all()
+        assert _events(u, np.ones(3), scheme, 1e6).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -314,33 +371,61 @@ def test_event_sc_rejects_bad_gamma():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda m: st.tuples(
-            st.just(m),
+    st.lists(st.sampled_from((1e-3, 0.5, 1.0, 2.0, 1e3)), min_size=1, max_size=7).flatmap(
+        lambda means: st.tuples(
+            st.just(np.array(means)),
             hnp.arrays(
-                np.int64,
-                st.tuples(st.integers(min_value=1, max_value=20), st.just(draws_per_trial(m + 1))),
-                elements=st.integers(min_value=0, max_value=2**53 - 1),
+                np.uint64,
+                st.tuples(st.integers(min_value=1, max_value=20), st.just(4 + len(means))),
+                elements=st.one_of(
+                    st.sampled_from((0, 2**64 - 1)), st.integers(min_value=0, max_value=2**64 - 1)
+                ),
             ),
         )
     ),
-    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=6, max_size=6),
     st.floats(min_value=1e-6, max_value=1e6),
 )
-def test_event_inclusion_chain_on_arbitrary_draws(block, means, gamma):
-    m, k = block
-    u = k * 2.0**-53
-    jammer_means = np.array(means[:m])
+def test_event_inclusion_chain_on_arbitrary_draws(block, gamma):
+    # arbitrary words, 0 and 2**64 - 1 among them, and jammer means in runs
+    means, w = block
     pair = PairParams(1.0, 1.0, 0.5)
-    g_sd, g_se, g_je = _all_gains(pair, jammer_means, u)
+    # the dominance layout reads every jammer's own word
+    dominance = w[:, : 2 + len(means)].copy()
+    g_sd, g_se, g_je = _all_gains(pair, means, _uniform(dominance))
     e_nonc = g_sd < g_se
     e_sc = _sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
-    e_best = e_sc[np.arange(len(u)), g_je.argmax(axis=1)]
+    e_best = e_sc[np.arange(len(w)), g_je.argmax(axis=1)]
     assert not (e_best & ~e_sc.all(axis=1)).any()
     assert not (e_sc & ~e_nonc[:, None]).any()
-    assert _chain_violations(gamma, pair, jammer_means, _words(u)) == 0
-    nonc, rjs, ojs = _batch_events(pair, jammer_means, SCHEMES, gamma, _words(u))
+    assert _chain_violations(gamma, pair, means, dominance) == 0
+    # layout v2 reads one word per run; the picked gain never exceeds the strongest
+    v2 = w[:, : simulate._estimate_words(means)].copy()
+    nonc, rjs, ojs = _batch_events(pair, means, SCHEMES, gamma, v2)
     assert not (ojs & ~rjs).any() and not (rjs & ~nonc).any()
+    starts, counts = simulate._runs(means)
+    g_rjs = simulate._rjs_gain(means[starts], counts, v2, np.arange(len(w)))
+    g_ojs = simulate._ojs_gain(means[starts], counts, _uniform(v2[:, 4:]))
+    assert np.isfinite(g_ojs).all() and (g_rjs >= 0.0).all() and (g_rjs <= g_ojs).all()
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 64])
+def test_run_word_gains_follow_the_order_statistic_law(k):
+    # the strongest gain a run's one word gives, and the picked jammer's gain,
+    # against the maximum and the first of k explicit exponentials.  Each
+    # two-sample KS test rejects a correct law with probability at most
+    # 1e-3, so the 8 of this test together at most 8e-3.
+    rng = np.random.default_rng(4000 + k)
+    n, mean = 20_000, 2.0
+    explicit = rng.exponential(mean, size=(n, k))
+    u, v = rng.random(n), rng.random(n)
+    top = simulate._run_max_gain(mean, k, u.copy())
+    picked = simulate._picked_gain(mean, k, u, v)
+    assert (picked <= top).all()
+    assert stats.ks_2samp(top, explicit.max(axis=1)).pvalue > 1e-3
+    assert stats.ks_2samp(picked, explicit[:, 0]).pvalue > 1e-3
+    # the pick is the run's strongest with probability 1/k
+    hits = np.count_nonzero(picked == top)
+    assert abs(hits - n / k) <= 4.0 * math.sqrt(n / k * (1.0 - 1.0 / k))
 
 
 # --- jammer selection -----------------------------------------------------
@@ -350,39 +435,43 @@ def test_select_jammer_optimal_examples():
     # at gamma = 2 with g_sd = 1 and g_se = 2, a jammer gain of 1 or more
     # stops the intercept, so in the first row only the strongest jammer
     # (1.7) can decide the event
+    means = [1.0, 2.0, 1.0]
     rows = [(1.0, 2.0, 0.2, 1.7, 0.9), (1.0, 2.0, 0.2, 0.3, 0.9)]
-    assert _events(_unit_gain_rows(rows, 4), 3, "ojs", 2.0).tolist() == [False, True]
+    assert _events(_gain_rows(rows, means), means, "ojs", 2.0).tolist() == [False, True]
     for g_j in (0.2, 0.9, 1.7):
-        single = _events(_unit_gain_rows([(1.0, 2.0, g_j)], 2), 1, "ojs", 2.0)
+        single = _events(_gain_rows([(1.0, 2.0, g_j)], [1.0]), [1.0], "ojs", 2.0)
         assert single.tolist() == [g_j < 1.0]
 
 
 def test_select_jammer_optimal_permutation_equivariance():
     rng = np.random.default_rng(11)
     n = 6
-    u = _block(8, 0, n, 4000)
+    u = _block(8, 0, n + 3, 4000)
     means = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
     pair = PairParams(1.0, 2.0, 1.0 / n)
     base = _batch_events(pair, means, ("ojs",), 10.0, _words(u))[0]
     for perm in (np.arange(n - 1)[::-1], rng.permutation(n - 1), rng.permutation(n - 1)):
         shuffled = u.copy()
-        shuffled[:, 2 : n + 1] = u[:, 2 + perm]
+        shuffled[:, 4 : n + 3] = u[:, 4 + perm]
         got = _batch_events(pair, means[perm], ("ojs",), 10.0, _words(shuffled))[0]
         assert np.array_equal(got, base)
 
 
 def test_tied_strongest_jammers_give_same_ojs_event():
-    u = _block(12, 0, 4, 4000)
-    u[:, 3] = u[:, 2]
-    u[:, 4] = _snap(u[:, 2] * 0.5)
-    assert (u[:, 4] < u[:, 2]).sum() == (u[:, 2] > 0.0).sum()
-    events = _events(u, 3, "ojs", 10.0)
-    g_sd, g_se, g_je = _all_gains(UNIT_PAIR, np.ones(3), u)
-    assert np.array_equal(events, _sc_intercept(g_je[:, 0], 10.0, g_sd, g_se))
-    for tied in (2, 3):
+    # interleaved means: the two outer jammers are runs of one with one mean,
+    # so their words can tie exactly
+    means = [1.0, 0.5, 1.0]
+    u = _block(12, 0, 7, 4000)
+    u[:, 6] = u[:, 4]
+    u[:, 5] = _snap(u[:, 4] * 0.5)
+    assert (u[:, 5] < u[:, 4]).sum() == (u[:, 4] > 0.0).sum()
+    events = _events(u, means, "ojs", 10.0)
+    g_sd, g_se = -np.log1p(-u[:, 0]), -np.log1p(-u[:, 1])
+    assert np.array_equal(events, _sc_intercept(-np.log1p(-u[:, 4]), 10.0, g_sd, g_se))
+    for tied in (4, 6):
         one_left = u.copy()
         one_left[:, tied] = 0.0
-        assert np.array_equal(_events(one_left, 3, "ojs", 10.0), events)
+        assert np.array_equal(_events(one_left, means, "ojs", 10.0), events)
     assert events.any() and not events.all()
 
 
@@ -400,59 +489,64 @@ def _repeated_gain_config(n, kind):
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "two runs", "interleaved", "all distinct"])
-@pytest.mark.parametrize("n", [3, 9, 64])
+@pytest.mark.parametrize("n", [2, 3, 9, 64])
 def test_ojs_runs_of_equal_jammer_means_match_reference(n, kind):
-    # ojs takes the largest word of each run of equal jammer means; its
-    # events must equal the maximum over every transformed column, bit for
-    # bit, with ties inside and across runs and zero words
+    # runs of equal jammer means, alone, beside runs of one and interleaved:
+    # every scheme's events must equal the plain-Python decoder's, bit for
+    # bit, with the smallest and largest words in the pick, rjs and run words
     cfg = _repeated_gain_config(n, kind)
-    wide_beside_other = False
+    wide_beside_other = beside_single = False
     for i in sorted({0, n // 2, n - 1}):
         means = _jammer_means(cfg, i)
-        runs = np.flatnonzero(np.diff(means, prepend=np.nan) != 0)
-        wide_beside_other |= 1 < len(runs) < len(means)
-        u = _block(50 + i, i, n, 4000)
-        u[:500, 2 : n + 1] = u[:500, 2:3]
-        u[500:1000, 3 : n + 1 : 2] = u[500:1000, 2 : n : 2]
-        u[1000:1100, 2 : n + 1] = 0.0
+        counts = simulate._runs(means)[1]
+        wide_beside_other |= 1 < len(counts) < len(means)
+        beside_single |= 1 == counts.min() < counts.max()
+        u = _block(50 + i, i, simulate._estimate_words(means), 2000)
+        u[:100, 2:] = 0.0
+        u[100:200, 2:] = MAX_UNIFORM
+        u[200:300, 3] = 0.0
+        u[300:400, 3] = MAX_UNIFORM
         for gamma in (0.3, 3.0):
-            want = _reference_events(cfg, i, "ojs", gamma, u)
-            got = _batch_events(cfg.pairs[i], means, ("ojs",), gamma, _words(u))[0]
-            assert np.array_equal(got, want), (i, gamma)
-            assert want.any() and not want.all()
+            want = _decoded_events(cfg.pairs[i], means, gamma, u)
+            got = _batch_events(cfg.pairs[i], means, SCHEMES, gamma, _words(u))
+            for scheme, events in zip(SCHEMES, got):
+                assert np.array_equal(events, want[scheme]), (i, gamma, scheme)
+            assert want["ojs"].any() and not want["ojs"].all()
     assert wide_beside_other == (n > 3 and kind in ("two runs", "interleaved"))
+    assert beside_single == (n > 3 and kind == "interleaved")
 
 
 def test_select_jammer_random_uniform():
     # equally spaced pick uniforms must spread exactly evenly over the
     # candidates, and the extreme uniforms must pick the first and last
     for m in (2, 3, 5, 7):
-        u = _block(42, 0, m + 1, 300 * m + 2)
-        u[:-2, m + 2] = _snap((np.arange(300 * m) + 0.5) / (300 * m))
-        u[-2:, m + 2] = 0.0, np.nextafter(1.0, 0.0)
-        picks = _rjs_picks(u, m)
+        means = np.arange(1.0, m + 1.0)
+        u = _block(42, 0, 4 + m, 300 * m + 2)
+        u[:-2, 2] = _snap((np.arange(300 * m) + 0.5) / (300 * m))
+        u[-2:, 2] = 0.0, MAX_UNIFORM
+        picks = _rjs_picks(u, means)
         assert (np.bincount(picks[:-2], minlength=m) == 300).all()
         assert picks[-2:].tolist() == [0, m - 1]
 
 
 def test_select_jammer_random_single_candidate():
     # with one candidate the random pick is the optimal one
-    u = _block(0, 0, 2, 5000)
-    assert np.array_equal(_events(u, 1, "rjs", 10.0), _events(u, 1, "ojs", 10.0))
-    assert (_rjs_picks(u, 1) == 0).all()
+    u = _block(0, 0, 5, 5000)
+    assert np.array_equal(_events(u, [1.0], "rjs", 10.0), _events(u, [1.0], "ojs", 10.0))
+    assert (_rjs_picks(u, [1.0]) == 0).all()
     # with none, both cooperative schemes fall back to the noncoop event
     for scheme in ("rjs", "ojs"):
-        assert np.array_equal(_events(u, 0, scheme, 10.0), _events(u, 0, "nonc", 10.0))
+        assert np.array_equal(_events(u, [], scheme, 10.0), _events(u, [], "nonc", 10.0))
 
 
 def test_select_jammer_random_independent_of_gains():
     # contingency of the picked jammer vs the strongest jammer must look
     # independent: chi-square test not rejecting at alpha = 0.01
-    cfg = make_symmetric_config(4, 1.0)
-    u = _block(2024, 0, cfg.n_pairs, 30_000)
-    _, _, g_je = _all_gains(cfg.pairs[0], _jammer_means(cfg, 0), u)
+    means = np.array([1.0, 2.0, 3.0])
+    u = _block(2024, 0, 7, 30_000)
+    g_je = -means * np.log1p(-u[:, 4:7])
     table = np.zeros((3, 3), dtype=int)
-    np.add.at(table, (_rjs_picks(u, 3), g_je.argmax(axis=1)), 1)
+    np.add.at(table, (_rjs_picks(u, means), g_je.argmax(axis=1)), 1)
     _, p_value, _, _ = stats.chi2_contingency(table)
     assert p_value > 0.01
 
@@ -469,7 +563,7 @@ def test_estimator_is_deterministic():
 
 def test_estimator_worker_count_invariance():
     cfg = make_symmetric_config(3, 2.0)
-    trials = cfg.n_pairs * (3 * _batch_trials(cfg.n_pairs) + 1234)  # 4 batches per pair
+    trials = cfg.n_pairs * (3 * _batch_trials(5) + 1234)  # 5 words a trial, 4 batches per pair
     single = estimate_intercept(cfg, "ojs", 10.0, trials, 9, workers=1)
     multi = estimate_intercept(cfg, "ojs", 10.0, trials, 9, workers=4)
     assert single == multi
@@ -477,12 +571,12 @@ def test_estimator_worker_count_invariance():
 
 def test_estimator_batching_matches_single_pass():
     cfg = make_symmetric_config(2, 1.0)
-    trials = cfg.n_pairs * (3 * _batch_trials(cfg.n_pairs) + 5000)  # 4 batches per pair
+    trials = cfg.n_pairs * (3 * _batch_trials(5) + 5000)  # 5 words a trial, 4 batches per pair
     per_pair = -(-trials // cfg.n_pairs)
     est = estimate_intercept(cfg, "nonc", 1.0, trials, 11)
     hits = []
     for i in range(cfg.n_pairs):
-        u = _block(11, i, cfg.n_pairs, per_pair)
+        u = _block(11, i, 5, per_pair)
         g_sd = -np.log1p(-u[:, 0])
         g_se = -np.log1p(-u[:, 1])
         hits.append(int((g_sd < g_se).sum()))
@@ -492,18 +586,20 @@ def test_estimator_batching_matches_single_pass():
 
 @pytest.mark.parametrize("scheme", ["rjs", "ojs"])
 def test_wide_system_batches_match_single_block(scheme):
-    # 64 pairs: one batch holds fewer trials than a pair runs, so every
-    # pair spans three batches, split over two workers
+    # 64 pairs with distinct gains: one batch holds fewer trials than a pair
+    # runs, so every pair spans three batches, split over two workers; the
+    # kernel on each pair's whole stream read in one piece must agree
     cfg = _random_config(np.random.default_rng(64), 64)
     n, gamma = cfg.n_pairs, 30.0
-    per_pair = 2 * _batch_trials(n) + 321
+    per_pair = 2 * _batch_trials(draws_per_trial(n)) + 321
     one = estimate_intercept(cfg, scheme, gamma, n * per_pair, 5, workers=1)
     two = estimate_intercept(cfg, scheme, gamma, n * per_pair, 5, workers=2)
     assert one == two
     hits = []
     for i in range(n):
-        u = _block(5, i, n, per_pair)
-        hits.append(int(_reference_events(cfg, i, scheme, gamma, u).sum()))
+        w = _pair_stream(5, i, draws_per_trial(n), 0).random_raw((per_pair, draws_per_trial(n)))
+        events = _batch_events(cfg.pairs[i], _jammer_means(cfg, i), (scheme,), gamma, w)[0]
+        hits.append(int(events.sum()))
     assert one.p_hat == math.fsum(p.alpha * h / per_pair for p, h in zip(cfg.pairs, hits))
 
 
@@ -538,22 +634,26 @@ def _estimate_from_hits(cfg, scheme, gamma, hits, per_pair):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 64])
 def test_shared_block_estimates_match_reference_and_single_scheme(n, monkeypatch):
     # every scheme is evaluated on one draw of each batch; in any subset and
-    # order each estimate must equal the all-columns reference on the raw
+    # order each estimate must equal the plain-Python decoder's on the raw
     # stream and the single-scheme call, field for field.  Small batches put
     # two batch boundaries inside every pair's trials.
     monkeypatch.setattr(simulate, "BATCH_BYTES", 1 << 14)
     rng = np.random.default_rng(9000 + n)
     cfg = _random_config(rng, n)
     gamma = 10.0 ** rng.uniform(-4.0, 8.0)
-    step = _batch_trials(n)
+    words = draws_per_trial(n)  # every gain differs
+    step = _batch_trials(words)
     per_pair = 2 * step + int(rng.integers(1, step + 1))
     trials = n * per_pair - int(rng.integers(n))
     seed = int(rng.integers(2**64, dtype=np.uint64))
-    blocks = [_block(seed, i, n, per_pair) for i in range(n)]
+    decoded = [
+        _decoded_events(cfg.pairs[i], _jammer_means(cfg, i), gamma, _block(seed, i, words, per_pair))
+        for i in range(n)
+    ]
     reference = {
-        scheme: _estimate_from_hits(cfg, scheme, gamma, [
-            int(_reference_events(cfg, i, scheme, gamma, u).sum()) for i, u in enumerate(blocks)
-        ], per_pair)
+        scheme: _estimate_from_hits(
+            cfg, scheme, gamma, [int(events[scheme].sum()) for events in decoded], per_pair
+        )
         for scheme in SCHEMES
     }
     for scheme in SCHEMES:
@@ -585,9 +685,9 @@ def test_rejects_bad_worker_count():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 14, 23, 40, 64, 79])
 def test_batch_events_match_all_columns_reference(n):
-    # the kernel converts only the words each scheme reads; its events
-    # must equal those of transforming every column of the uniforms, bit
-    # for bit
+    # the kernel converts only the words each scheme reads; on all-distinct
+    # gains its events must equal those of the plain-Python decoder, which
+    # converts every word of every row, bit for bit
     rng = np.random.default_rng(7000 + n)
     near = np.zeros(3, dtype=int)  # boundary rows below, at and above g_sd
     for gamma in (1e-4, 10.0 ** rng.uniform(-4.0, 8.0), 1e8):
@@ -595,6 +695,7 @@ def test_batch_events_match_all_columns_reference(n):
         i = int(rng.integers(n))
         u = rng.random((3000, draws_per_trial(n)))
         u[rng.random(u.shape) < 0.01] = 0.0
+        u[rng.random(u.shape) < 0.01] = MAX_UNIFORM
         # a third of the rows sit at the non-cooperative boundary: g_se
         # within a relative 1e-16..1e-2 of g_sd, on either side, before the
         # snap to the grid of word uniforms
@@ -609,7 +710,8 @@ def test_batch_events_match_all_columns_reference(n):
                  np.count_nonzero(g_se == g_sd),
                  np.count_nonzero((snapped_rel > 0.0) & (snapped_rel < 1e-12))]
         means = _jammer_means(cfg, i)
-        expected = [_reference_events(cfg, i, scheme, gamma, u) for scheme in SCHEMES]
+        decoded = _decoded_events(pair, means, gamma, u)
+        expected = [decoded[scheme] for scheme in SCHEMES]
         for scheme, want in zip(SCHEMES, expected):
             got = _batch_events(pair, means, (scheme,), gamma, _words(u))[0]
             assert np.array_equal(got, want), (scheme, gamma)
@@ -640,7 +742,7 @@ def test_estimator_clamps_workers_to_task_count(monkeypatch):
     cfg = make_symmetric_config(3, 1.0)
     est = estimate_intercept(cfg, "rjs", 10.0, 300, 5, workers=1_000_000)
     assert pool_sizes == [3]  # one batch per pair
-    trials = cfg.n_pairs * (2 * _batch_trials(cfg.n_pairs) + 1)
+    trials = cfg.n_pairs * (2 * _batch_trials(5) + 1)
     estimate_intercept(cfg, "rjs", 10.0, trials, 5, workers=4)
     assert pool_sizes == [3, 4]
     assert est == estimate_intercept(cfg, "rjs", 10.0, 300, 5, workers=1)
@@ -788,7 +890,7 @@ def _reference_violations(cfg, gamma, trials, seed):
     per_pair = -(-trials // n)
     violations = 0
     for i in range(n):
-        u = _block(seed, i, n, per_pair)
+        u = _block(seed, i, n + 1, per_pair)
         g_sd, g_se, g_je = _all_gains(cfg.pairs[i], _jammer_means(cfg, i), u)
         e_sc = simulate._sc_intercept(g_je, gamma, g_sd[:, None], g_se[:, None])
         e_best = e_sc[np.arange(per_pair), g_je.argmax(axis=1)]
@@ -830,7 +932,7 @@ def test_dominance_check_counts_mutant_violations(condition, chain_holds, monkey
     # all-columns form counts, and it can only read 0 where the chain holds
     monkeypatch.setattr(simulate, "_sc_intercept", condition)
     rng = np.random.default_rng(2026)
-    for n, per_pair in ((2, _batch_trials(2) + 77), (3, 4000), (5, 3000), (64, 300)):
+    for n, per_pair in ((2, _batch_trials(3) + 77), (3, 4000), (5, 3000), (64, 300)):
         cfg = _random_config(rng, n)
         gamma = 10.0 ** rng.uniform(-2.0, 4.0)
         seed = int(rng.integers(2**32))
