@@ -15,7 +15,7 @@ from .analytic import (
     intercept_sc_ojs_oracle,
     intercept_sc_rjs,
     intercept_sc_rjs_oracle,
-    scheme_intercept,
+    intercepts,
 )
 from .diversity import DiversityFit, fit_diversity
 from .model import (

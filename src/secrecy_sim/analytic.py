@@ -21,11 +21,8 @@ Random jammer selection averages the N-1 singleton terms.  Optimal selection
 alternating sum over subsets with the RJS terms as singleton layer, one term
 per non-empty subset of the candidates.  Both weight pair i's value by
 alpha_i, and refuse an intermediate that over- or underflows (a subnormal
-lost precision).  The true values obey ojs <= rjs <= nonc, and the closed forms
-state that order once: intercept_sc_rjs returns the smaller of its sum and
-intercept_noncoop, intercept_sc_ojs the smaller of its sum and intercept_sc_rjs
-(intercept_noncoop where RJS refuses).  So the order holds exactly wherever they
-answer, and a min binds only where two computed values are within rounding.
+lost precision).  The true values obey ojs <= rjs <= nonc, and intercepts,
+which answers every scheme at one point, keeps that order wherever they answer.
 
 The subset sum costs 2^(N-1) - 1 terms per distinct pair and cancels harder as
 N and gamma grow, so intercept_sc_ojs uses it only up to 11 pairs.  Beyond,
@@ -35,9 +32,9 @@ _ojs_trapezoid).  With kappa_j = e^(b_i) * sigma2_se_j, every pair's jamming
 product is one function of t = s - b_i less its own factor, so one lattice serves
 every pair: O(nodes x classes) once per call plus O(nodes) per distinct pair,
 with no cancellation.  It was within 9e-16 of a cancellation-free reference
-for symmetric N up to 200 and within 1.1e-14 of the oracle up to N=1024; its
-a-posteriori estimate |T_h - T_{h/2}| stayed under 4e-16 relative for gamma
-1e-3..1e9 and under 3.2e-15 out to 1e300.
+for symmetric N up to 200 and within 1.1e-14 of the oracle on symmetric N up to
+1024 and spread N up to 32; its a-posteriori estimate |T_h - T_{h/2}| stayed
+under 4e-16 relative for gamma 1e-3..1e9 and under 3.2e-15 out to 1e300.
 
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
@@ -59,12 +56,12 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
 
-from .model import NONCOOP, SC_RJS, SystemConfig, require_scheme, require_snr
+from .model import NONCOOP, SC_OJS, SC_RJS, SystemConfig, require_scheme, require_snr
 from .special import e1_scaled
 
 __all__ = [
@@ -75,7 +72,7 @@ __all__ = [
     "intercept_sc_rjs_oracle",
     "intercept_sc_ojs",
     "intercept_sc_ojs_oracle",
-    "scheme_intercept",
+    "intercepts",
 ]
 
 # intercept_sc_ojs answers up to this many pairs by the subset sum, beyond by the trapezoid.
@@ -161,14 +158,11 @@ def _rjs_pair_value(config: SystemConfig, i: int, gamma: float) -> float:
 def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under random jammer selection.
 
-    For a single pair there is no jammer to pick and the value degrades to
-    the non-cooperation probability (see scheme_intercept for the flag).
-    Pair i's value is the mean of its N-1 singleton jamming terms, one
-    e1_scaled call per distinct pair.  The result is at most intercept_noncoop,
-    which the true value never exceeds; the min binds only at very low SNR,
-    where the two agree to rounding.
+    For a single pair there is no jammer to pick and the value degrades to the non-cooperation
+    probability.  Pair i's value is the mean of its N-1 singleton jamming terms, one e1_scaled
+    call per distinct pair.  The result is at most intercept_noncoop (see intercepts).
     """
-    return min(_cooperative(config, gamma, _rjs_pair_value), intercept_noncoop(config))
+    return intercepts(config, (SC_RJS,), gamma)[0].value
 
 
 def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
@@ -298,8 +292,7 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     _ojs_pair_bracket: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it comes
     from _ojs_trapezoid, the trapezoidal rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the
     oracle's all-positive integral, one lattice for every pair, which does not cancel.  On
-    either path the result is the smaller of the sum and intercept_sc_rjs, which the true value
-    never exceeds, or of the sum and intercept_noncoop where RJS refuses.  The switch looks only
+    either path the result is at most intercept_sc_rjs (see intercepts).  The switch looks only
     at the pair count.  On all-distinct gains 10^U(-3, 3) (6 seeds, gamma 1e4..1e12) the subset
     sum was at most 5.5e-9 off the trapezoid up to 11 pairs, but 2.0e-8 at 12 and 8.3e-8 at 14,
     past the 1e-8 that validate allows.  Per call at gamma = 10, best of three runs, subset sum
@@ -310,15 +303,38 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     pairs.  Above the switch an all-distinct call (gains 10^U(-1, 1)) takes 1.5-2.4 ms at N=12
     to 18, 10 ms at N=64 and 0.7 s at N=1024, two thirds of it the RJS call; symmetric N=1024
     takes 2 ms.  The trapezoid was within 9e-16 of the symmetric reference up to N=200 and
-    within 1.1e-14 of intercept_sc_ojs_oracle up to N=1024.  Two pairs equal intercept_sc_rjs
+    within 1.1e-14 of intercept_sc_ojs_oracle on symmetric N up to 1024 and spread N up to 32
+    (the oracle refuses all-distinct N of about 290 or more).  Two pairs equal intercept_sc_rjs
     bit for bit; one pair degrades to non-cooperation.
     """
-    value = _cooperative(config, gamma, _ojs_pair_bracket if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
-                         else _ojs_trapezoid(config, require_snr(gamma)))
-    try:
-        return min(value, intercept_sc_rjs(config, gamma))
-    except ValueError:  # rjs refuses where one of its intermediates over- or underflows
-        return min(value, intercept_noncoop(config))
+    return intercepts(config, (SC_OJS,), gamma)[0].value
+
+
+def intercepts(config: SystemConfig, schemes: Sequence[str], gamma: float) -> list[InterceptValue]:
+    """Each scheme's closed form at gamma: one InterceptValue per entry of schemes, in order.
+
+    nonc is computed once, the RJS sum once if rjs or ojs is asked for.  The closed forms keep
+    the true order ojs <= rjs <= nonc here: rjs = min(sum, nonc), ojs = min(sum, rjs), or
+    min(sum, nonc) where RJS refuses, which a request with rjs raises.  A min binds only where
+    two values agree to rounding.  A single pair's rjs and ojs are nonc, flagged degraded.
+    """
+    schemes = tuple(map(require_scheme, schemes))
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    gamma = require_snr(gamma)
+    values = {NONCOOP: intercept_noncoop(config)}
+    if SC_RJS in schemes or SC_OJS in schemes:
+        try:
+            values[SC_RJS] = min(_cooperative(config, gamma, _rjs_pair_value), values[NONCOOP])
+        except ValueError:  # rjs refuses where one of its intermediates over- or underflows
+            if SC_RJS in schemes:
+                raise
+            values[SC_RJS] = values[NONCOOP]
+    if SC_OJS in schemes:
+        pair_value = (_ojs_pair_bracket if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
+                      else _ojs_trapezoid(config, gamma))
+        values[SC_OJS] = min(_cooperative(config, gamma, pair_value), values[SC_RJS])
+    return [InterceptValue(values[s], config.n_pairs == 1 and s != NONCOOP) for s in schemes]
 
 
 def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: float) -> float:
@@ -345,6 +361,8 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
         raise _snr_range_error(gamma, "the jamming scale")
     log_kappas = [math.log(k) for k in kappas]
     knees = sorted({0.0, *log_kappas})
+    if len(knees) >= _QUAD_LIMIT:  # QUADPACK needs more subintervals than breakpoints
+        raise QuadratureError(f"quadrature cannot run: {len(knees)} knees, limit {_QUAD_LIMIT}")
 
     def integrand(s: float) -> float:
         # logistic density e/(1 + e)^2 with e = exp(-|s|): no overflow at any s
@@ -384,12 +402,3 @@ def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     return _cooperative(
         config, gamma, lambda cfg, i, g: _jammed_oracle(cfg, i, _candidates(cfg, i), g)
     )
-
-
-def scheme_intercept(config: SystemConfig, scheme: str, gamma: float) -> InterceptValue:
-    """Evaluate one scheme's closed form, reporting degraded-mode fallback."""
-    gamma = require_snr(gamma)
-    if require_scheme(scheme) == NONCOOP:
-        return InterceptValue(intercept_noncoop(config), degraded=False)
-    evaluate = intercept_sc_rjs if scheme == SC_RJS else intercept_sc_ojs
-    return InterceptValue(evaluate(config, gamma), degraded=config.n_pairs == 1)

@@ -194,11 +194,8 @@ def run_grid(args) -> int:
             config = make_symmetric_config(at.get("n", n), point_mer)
         axis_cells = {axis: _fmt_axis(value) for axis, value in at.items()}
         cells = [
-            axis_cells | {
-                "scheme": scheme,
-                "p_analytic": _fmt_prob(analytic.scheme_intercept(config, scheme, gamma).value),
-            }
-            for scheme in schemes
+            axis_cells | {"scheme": scheme, "p_analytic": _fmt_prob(closed.value)}
+            for scheme, closed in zip(schemes, analytic.intercepts(config, schemes, gamma))
         ]
         if args.trials > 0:
             estimates = simulate.estimate_intercepts(

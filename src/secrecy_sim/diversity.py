@@ -51,14 +51,13 @@ class DiversityFit:
 def fit_diversity(scheme: str, config: SystemConfig, window: Sequence[float]) -> DiversityFit:
     """Least-squares diversity estimate from the closed form over the SNRs in window.
 
-    Refuses, with ValueError, a window of fewer than two distinct SNRs and, through
-    scheme_intercept, an SNR that is not positive and finite.  The fit reports the window
-    as (smallest, largest) SNR.
+    Refuses, with ValueError, a window of fewer than two distinct SNRs and an SNR that is not
+    positive and finite.  The fit reports the window as (smallest, largest) SNR.
     """
     gammas = tuple(window)
     if len(set(gammas)) < 2:
         raise ValueError("diversity fit needs at least two distinct SNRs")
-    probs = [analytic.scheme_intercept(config, scheme, g).value for g in gammas]
+    probs = [analytic.intercepts(config, (scheme,), g)[0].value for g in gammas]
     if any(not (p > 0.0 and math.isfinite(p)) for p in probs):
         raise ValueError("window contains zero or non-finite probabilities")
     x = np.log(np.asarray(gammas))

@@ -65,9 +65,9 @@ def test_criterion_2_closed_form_vs_monte_carlo():
         for n, mer, gamma in grid:
             config = make_symmetric_config(n, mer)
             estimates = simulate.estimate_intercepts(config, ("rjs", "ojs"), gamma, 10**6, seed)
-            for scheme, est in zip(("rjs", "ojs"), estimates):
-                ref = analytic.scheme_intercept(config, scheme, gamma).value
-                if abs(est.p_hat - ref) > 3.0 * max(est.std_err, 1e-300):
+            refs = analytic.intercepts(config, ("rjs", "ojs"), gamma)
+            for scheme, est, ref in zip(("rjs", "ojs"), estimates, refs):
+                if abs(est.p_hat - ref.value) > 3.0 * max(est.std_err, 1e-300):
                     misses.append((n, mer, gamma, scheme))
         return misses
 
@@ -91,7 +91,7 @@ def test_criterion_3_noncoop_symmetric_exact_half():
     exact = True
     for n in range(1, 13):
         config = make_symmetric_config(n, 1.0)
-        values = [analytic.scheme_intercept(config, "nonc", g).value for g in (1.0, 1e3, 1e6)]
+        values = [analytic.intercepts(config, ("nonc",), g)[0].value for g in (1.0, 1e3, 1e6)]
         exact &= values[0] == 0.5 and values[0] == values[1] == values[2]
     _report("3 noncoop-exact-half", exact, "N=1..12, bit-identical across gamma")
     assert exact
@@ -126,7 +126,7 @@ def test_criterion_5_degenerate_coincidences():
     nonc = analytic.intercept_noncoop(single)
     flags = []
     for scheme in ("rjs", "ojs"):
-        result = analytic.scheme_intercept(single, scheme, 10.0)
+        [result] = analytic.intercepts(single, (scheme,), 10.0)
         flags.append(result.degraded and result.value == nonc)
         est = simulate.estimate_intercept(single, scheme, 10.0, 10_000, 0)
         flags.append(est.degraded)

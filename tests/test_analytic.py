@@ -18,7 +18,7 @@ from secrecy_sim.analytic import (
     intercept_sc_ojs_oracle,
     intercept_sc_rjs,
     intercept_sc_rjs_oracle,
-    scheme_intercept,
+    intercepts,
 )
 from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.special import e1_scaled
@@ -68,7 +68,7 @@ def test_noncoop_single_pair_value():
 
 def test_noncoop_independent_of_snr():
     cfg = make_symmetric_config(3, 2.0)
-    values = {scheme_intercept(cfg, "nonc", g).value for g in (1.0, 1e3, 1e6)}
+    values = {intercepts(cfg, ("nonc",), g)[0].value for g in (1.0, 1e3, 1e6)}
     assert len(values) == 1
 
 
@@ -450,20 +450,22 @@ def test_degraded_single_pair_falls_back_to_noncoop():
     assert intercept_sc_rjs(cfg, 10.0) == nonc
     assert intercept_sc_ojs(cfg, 10.0) == nonc
     for scheme in ("rjs", "ojs"):
-        result = scheme_intercept(cfg, scheme, 10.0)
+        result = intercepts(cfg, (scheme,), 10.0)[0]
         assert result.value == nonc
         assert result.degraded is True
-    assert scheme_intercept(cfg, "nonc", 10.0).degraded is False
+    assert intercepts(cfg, ("nonc",), 10.0)[0].degraded is False
 
 
 def test_scheme_intercept_multi_pair_not_degraded():
     cfg = make_symmetric_config(3, 1.0)
-    assert scheme_intercept(cfg, "rjs", 5.0).degraded is False
+    assert [v.degraded for v in intercepts(cfg, SCHEMES, 5.0)] == [False] * 3
 
 
 def test_scheme_intercept_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
-        scheme_intercept(make_symmetric_config(2, 1.0), "best", 1.0)
+        intercepts(make_symmetric_config(2, 1.0), ("rjs", "best"), 1.0)
+    with pytest.raises(ValueError, match="need at least one scheme"):
+        intercepts(make_symmetric_config(2, 1.0), (), 1.0)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, -1.0, 0.0, math.inf])
@@ -471,7 +473,62 @@ def test_scheme_intercept_rejects_unknown_scheme():
 def test_scheme_intercept_refuses_bad_snr_for_every_scheme(scheme, gamma):
     # nonc does not read the SNR, but a bad one is refused all the same
     with pytest.raises(ValueError, match="SNR must be positive and finite"):
-        scheme_intercept(make_symmetric_config(4, 1.0), scheme, gamma)
+        intercepts(make_symmetric_config(4, 1.0), (scheme,), gamma)
+
+
+_ORDERINGS = [order for k in (1, 2, 3) for order in itertools.permutations(SCHEMES, k)]
+
+
+# the spread configs sit on both sides of the OJS switch at 11 pairs
+_SINGLE_CALL_CONFIGS = {
+    f"sym{n}-mer{mer:g}": make_symmetric_config(n, mer)
+    for n in (1, 2, 4, 11, 12, 64) for mer in (0.1, 1.0, 10.0)
+} | {f"spread{n}": _spread_config(n) for n in (3, 8, 11, 12, 16)}
+
+
+@pytest.mark.parametrize("cfg", _SINGLE_CALL_CONFIGS.values(), ids=_SINGLE_CALL_CONFIGS.keys())
+def test_intercepts_match_one_scheme_calls_in_every_order(cfg):
+    for gamma in (1e-300, 1e-20, 0.5, 10.0, 1e6, 1e12):
+        single = {"nonc": intercept_noncoop(cfg), "rjs": intercept_sc_rjs(cfg, gamma),
+                  "ojs": intercept_sc_ojs(cfg, gamma)}
+        for order in _ORDERINGS:
+            values = intercepts(cfg, order, gamma)
+            assert [repr(v.value) for v in values] == [repr(single[s]) for s in order]
+            assert [v.degraded for v in values] == [cfg.n_pairs == 1 and s != "nonc" for s in order]
+
+
+def test_intercepts_raise_rjs_refusal_where_only_ojs_answers():
+    # the wide config of test_ojs_trapezoid_answers_past_a_pair_own_scale_and_rjs_range
+    wide = SystemConfig(
+        (PairParams(1e3, 1e3, 1.0 / 12),) + (PairParams(1e-3, 1.0, 1.0 / 12),) * 11
+    )
+    with pytest.raises(ValueError, match="out of range for these channel gains") as refusal:
+        intercept_sc_rjs(wide, 1e306)
+    [ojs] = intercepts(wide, ("ojs",), 1e306)
+    assert 0.0 < ojs.value < intercept_noncoop(wide)
+    assert ojs.value == intercept_sc_ojs(wide, 1e306)
+    assert intercepts(wide, ("nonc", "ojs"), 1e306)[1] == ojs
+    for order in (order for order in _ORDERINGS if "rjs" in order):
+        with pytest.raises(ValueError) as info:
+            intercepts(wide, order, 1e306)
+        assert str(info.value) == str(refusal.value)
+
+
+def test_intercepts_evaluate_each_distinct_rjs_pair_once(monkeypatch):
+    # four distinct (sd, se) among six pairs, each evaluated at its last pair: 2, 4, 3, 5
+    seen = []
+    rjs_pair_value = analytic._rjs_pair_value
+
+    def spy(cfg, i, gamma):
+        seen.append(i)
+        return rjs_pair_value(cfg, i, gamma)
+
+    monkeypatch.setattr(analytic, "_rjs_pair_value", spy)
+    intercepts(REPEATED_CLASSES, SCHEMES, 25.0)
+    assert seen == [2, 4, 3, 5]
+    seen.clear()
+    intercepts(REPEATED_CLASSES, ("nonc",), 25.0)
+    assert seen == []
 
 
 def test_quadrature_nonconvergence_raises(monkeypatch):
@@ -481,6 +538,19 @@ def test_quadrature_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(analytic.integrate, "quad", fake_quad)
     with pytest.raises(QuadratureError, match="subdivision limit"):
         intercept_sc_rjs_oracle(make_symmetric_config(2, 1.0), 10.0)
+
+
+@pytest.mark.parametrize("n", [300, 1024])
+def test_ojs_oracle_refuses_more_knees_than_its_subdivision_limit(monkeypatch, n):
+    # all-distinct gains give every pair N - 1 jammer knees and the knee at 0; QUADPACK refuses
+    # as many breakpoints as subintervals as invalid input, so the oracle refuses before quad
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quad called")
+
+    monkeypatch.setattr(analytic.integrate, "quad", no_quad)
+    cfg = _distinct_config(np.random.default_rng(5), n, 1.0)
+    with pytest.raises(QuadratureError, match=f"^quadrature cannot run: {n} knees, limit 300$"):
+        intercept_sc_ojs_oracle(cfg, 10.0)
 
 
 def test_assembled_oracles_match_closed_forms():

@@ -22,7 +22,8 @@ def test_public_names_exist_and_star_import():
         namespace = {}
         exec(f"from secrecy_sim.{name} import *", namespace)
         assert set(module.__all__) <= namespace.keys()
-    for gone in ("varphi_rjs", "rjs_integral_oracle", "ojs_integral_oracle", "RngSpec"):
+    for gone in ("varphi_rjs", "rjs_integral_oracle", "ojs_integral_oracle", "RngSpec",
+                 "scheme_intercept"):
         assert not hasattr(secrecy_sim, gone)
         assert not hasattr(analytic, gone)
     # each input check lives once, in the module that owns the type

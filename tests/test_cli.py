@@ -416,13 +416,12 @@ def test_validate_catches_tail_series_mutation(monkeypatch):
 
 def test_mc_consistency_retries_from_the_top_seed(monkeypatch):
     # a closed form 5% high misses on both attempts; the retry's seed wraps to 0
-    exact = analytic.scheme_intercept
+    exact = analytic.intercepts
 
-    def shifted(config, scheme, gamma):
-        value = exact(config, scheme, gamma)
-        return value._replace(value=1.05 * value.value)
+    def shifted(config, schemes, gamma):
+        return [value._replace(value=1.05 * value.value) for value in exact(config, schemes, gamma)]
 
-    monkeypatch.setattr(analytic, "scheme_intercept", shifted)
+    monkeypatch.setattr(analytic, "intercepts", shifted)
     passed, detail = dict(validation._CHECKS)["mc-consistency"](2**64 - 1, 0, 1)
     assert passed is False
     assert re.fullmatch(r"3-sigma misses=[1-9]\d* \(retry-once rule\)", detail)

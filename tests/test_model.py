@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from secrecy_sim.analytic import scheme_intercept
+from secrecy_sim.analytic import intercepts
 from secrecy_sim.model import (
     MAX_PAIRS,
     SCHEMES,
@@ -140,7 +140,7 @@ def test_every_entry_point_refuses_an_unknown_scheme_alike():
     cfg = make_symmetric_config(2, 1.0)
     for refuse in (
         require_scheme,
-        lambda name: scheme_intercept(cfg, name, 1.0),
+        lambda name: intercepts(cfg, ["nonc", name], 1.0),
         lambda name: estimate_intercepts(cfg, ["nonc", name], 1.0, 10, 0),
     ):
         with pytest.raises(ValueError) as info:
