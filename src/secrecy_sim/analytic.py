@@ -31,7 +31,11 @@ integral below, at step h(N) = min(0.2, 0.45/ln(N-1)) (derived in
 _ojs_trapezoid).  With kappa_j = e^(b_i) * sigma2_se_j, every pair's jamming
 product is one function of t = s - b_i less its own factor, so one lattice serves
 every pair: O(nodes x classes) once per call plus O(nodes) per distinct pair,
-with no cancellation.  It was within 9e-16 of a cancellation-free reference
+with no cancellation.  Each closed form takes its distinct pairs as the rows of
+one call and evaluates them together, one e1_scaled call or one block of
+trapezoid rows per chunk of rows, each chunk's arrays at most 64 KiB
+(_CHUNK_BYTES); the fixed cost of a numpy call is paid per chunk, not per pair,
+and no array grows as N^2.  It was within 9e-16 of a cancellation-free reference
 for symmetric N up to 200 and within 1.1e-14 of the oracle on symmetric N up to
 1024 and spread N up to 32; its a-posteriori estimate |T_h - T_{h/2}| stayed
 under 4e-16 relative for gamma 1e-3..1e9 and under 3.2e-15 out to 1e300.
@@ -77,6 +81,10 @@ __all__ = [
 
 # intercept_sc_ojs answers up to this many pairs by the subset sum, beyond by the trapezoid.
 _OJS_SUBSET_MAX_PAIRS = 11
+# The closed forms take their distinct pairs in chunks of rows whose float arrays hold at most
+# this many bytes each, at least one row, so no array grows as N^2.  Every row is computed
+# alone, so the chunking changes memory and speed, never a bit.
+_CHUNK_BYTES = 64 << 10
 _LN2 = math.log(2.0)
 
 _QUAD_EPSREL = 1e-10
@@ -105,36 +113,50 @@ def _snr_range_error(gamma: float, what: str) -> ValueError:
     )
 
 
-def _jamming_terms(pair, recip, gamma):
-    """Jamming terms of pair (sd, se) past jammer sets of reciprocal gain sums recip.
+def _jamming_terms(sd, se, recip, gamma):
+    """Jamming terms of pairs (sd, se), one per row, past jammer sets of reciprocal gain sums recip.
 
-    Elementwise (2*se/(sd*gamma)) * recip * e1_scaled(phi), phi = (2*sd + 2*se)/(sd*gamma) *
-    recip; recip = 1/sigma2_se_j gives the per-(i, j) RJS term.  Refuses an over/underflow,
-    or an E1 argument it left at 0 or inf, as an SNR range error.
+    sd and se are (rows, 1) columns and recip a (rows, sets) block.  Elementwise
+    (2*se/(sd*gamma)) * recip * e1_scaled(phi), phi = (2*sd + 2*se)/(sd*gamma) * recip; recip =
+    1/sigma2_se_j gives the per-(i, j) RJS term.  Refuses an over/underflow, or an E1 argument it
+    left at 0 or inf, as an SNR range error.
     """
-    sd, se = np.array([pair.sigma2_sd, pair.sigma2_se])  # numpy scalars obey errstate, floats not
     try:
         with np.errstate(over="raise", under="raise"):
-            phi = (2.0 * sd + 2.0 * se) / (sd * gamma) * recip
+            se2, sd_gamma = 2.0 * se, sd * gamma
+            phi = (2.0 * sd + se2) / sd_gamma * recip
             terms = e1_scaled(phi)  # phi's buffer is free from here on
-            scale = np.multiply(2.0 * se / (sd * gamma), recip, out=phi)
+            scale = np.multiply(se2 / sd_gamma, recip, out=phi)
             return np.multiply(terms, scale, out=terms)
     except (FloatingPointError, ValueError):
         raise _snr_range_error(gamma, "the closed form") from None
 
 
-def _cooperative(config: SystemConfig, gamma: float, pair_value) -> float:
+def _chunks(rows, columns: int):
+    """rows as an index array, in consecutive slices of at most _CHUNK_BYTES of float columns."""
+    rows = np.asarray(rows)
+    step = max(1, _CHUNK_BYTES // (8 * columns))
+    return (rows[start : start + step] for start in range(0, len(rows), step))
+
+
+def _gains(config: SystemConfig):
+    """Every pair's (sigma2_sd, sigma2_se), as two arrays in config order."""
+    return np.array([(p.sigma2_sd, p.sigma2_se) for p in config.pairs]).T
+
+
+def _cooperative(config: SystemConfig, gamma: float, pair_values) -> float:
     """Check gamma, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
 
-    Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so pair_value(config, i, gamma) runs
-    once per distinct pair, i the last of its gains.  Every pair_value here gives the same bits
-    for any order of pair i's candidates, so which pair of those gains is i does not matter.
+    Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so one call pair_values(config, rows,
+    gamma) gets one value per distinct pair, each row i the last pair of its gains, in order of
+    first appearance.  Every pair_values here gives the same bits for any order of pair i's
+    candidates, so which pair of those gains is i does not matter.
     """
     gamma = require_snr(gamma)
     if config.n_pairs == 1:
         return intercept_noncoop(config)
     rows = {(p.sigma2_sd, p.sigma2_se): i for i, p in enumerate(config.pairs)}
-    shared = {key: pair_value(config, i, gamma) for key, i in rows.items()}
+    shared = dict(zip(rows, pair_values(config, list(rows.values()), gamma)))
     return math.fsum(p.alpha * shared[p.sigma2_sd, p.sigma2_se] for p in config.pairs)
 
 
@@ -149,45 +171,62 @@ def intercept_noncoop(config: SystemConfig) -> float:
     )
 
 
-def _rjs_pair_value(config: SystemConfig, i: int, gamma: float) -> float:
-    recip = np.array([1.0 / config.pairs[j].sigma2_se for j in _candidates(config, i)])
-    terms = _jamming_terms(config.pairs[i], recip, gamma)
-    return math.fsum(memoryview(terms)) / (config.n_pairs - 1)
+def _rjs_values(config: SystemConfig, rows, gamma: float) -> list[float]:
+    """Each row i's mean of its N-1 singleton jamming terms, its candidates in config order."""
+    n = config.n_pairs
+    sd, se = _gains(config)
+    inv = 1.0 / se
+    cols = np.arange(n - 1)
+    values = []
+    for chunk in _chunks(rows, n - 1):
+        recip = inv[cols + (cols >= chunk[:, None])]  # row i skips column i
+        terms = _jamming_terms(sd[chunk, None], se[chunk, None], recip, gamma)
+        values += [math.fsum(memoryview(row)) / (n - 1) for row in terms]
+    return values
 
 
 def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under random jammer selection.
 
     For a single pair there is no jammer to pick and the value degrades to the non-cooperation
-    probability.  Pair i's value is the mean of its N-1 singleton jamming terms, one e1_scaled
-    call per distinct pair.  The result is at most intercept_noncoop (see intercepts).
+    probability.  Pair i's value is the mean of its N-1 singleton jamming terms; every distinct
+    pair is a row of one (rows x N-1) block, one e1_scaled call per chunk of rows.  The result
+    is at most intercept_noncoop (see intercepts).
     """
     return intercepts(config, (SC_RJS,), gamma)[0].value
 
 
-def _ojs_pair_bracket(config: SystemConfig, i: int, gamma: float) -> float:
-    """Alternating subset sum for active pair i under optimal selection.
+def _ojs_subset_values(config: SystemConfig, rows, gamma: float) -> list[float]:
+    """Each row i's alternating subset sum under optimal selection.
 
-    The candidates are every pair's 1/sigma2_se in ascending order, less one equal to pair
+    Row i's candidates are every pair's 1/sigma2_se in ascending order, less one equal to pair
     i's, so the reciprocal sums, and with them the bits, depend on the gains but not on the
     order of the pairs.  Their 2^(N-1) - 1 non-empty subsets run in binary-counter order,
     candidate l as bit l, each one term added for odd sizes and subtracted for even.  fsum
-    over the terms is exactly rounded; at high SNR it cancels O(1/gamma) terms to an
+    over a row's terms is exactly rounded; at high SNR it cancels O(1/gamma) terms to an
     O(ln(gamma)/gamma) total.  tests/ojs_subsets.py holds the explicit-subset slow path that
     checks it.
     """
-    jammers = sorted(1.0 / p.sigma2_se for p in config.pairs)
-    jammers.remove(1.0 / config.pairs[i].sigma2_se)
-    recip = np.zeros(1 << len(jammers))
-    sign = np.full(recip.size, -1.0)  # entry 0 is the empty set
-    for bit, inv in enumerate(jammers):
-        block = 1 << bit
-        recip[block : 2 * block] = recip[:block] + inv
-        sign[block : 2 * block] = -sign[:block]
-    terms = _jamming_terms(config.pairs[i], recip[1:], gamma)
-    np.copysign(terms, sign[1:], out=terms)  # exact: every term is positive
-    # A memoryview yields plain floats: no numpy scalar per term, no list copy.
-    return math.fsum(memoryview(terms))
+    n = config.n_pairs
+    sd, se = _gains(config)
+    inv = 1.0 / se
+    jammers = np.sort(inv)
+    sign = np.full(1 << (n - 1), -1.0)  # entry 0 is the empty set
+    for bit in range(n - 1):
+        sign[1 << bit : 2 << bit] = -sign[: 1 << bit]
+    cols = np.arange(n - 1)
+    values = []
+    for chunk in _chunks(rows, sign.size):
+        own = np.searchsorted(jammers, inv[chunk])[:, None]  # the first equal to row i's
+        candidates = jammers[cols + (cols >= own)]
+        recip = np.zeros((len(chunk), sign.size))
+        for bit in range(n - 1):
+            recip[:, 1 << bit : 2 << bit] = recip[:, : 1 << bit] + candidates[:, bit, None]
+        terms = _jamming_terms(sd[chunk, None], se[chunk, None], recip[:, 1:], gamma)
+        np.copysign(terms, sign[1:], out=terms)  # exact: every term is positive
+        # A memoryview yields plain floats: no numpy scalar per term, no list copy.
+        values += [math.fsum(memoryview(row)) for row in terms]
+    return values
 
 
 def _log_jamming_factors(t):
@@ -215,7 +254,7 @@ def _ojs_trapezoid_step(n_pairs: int) -> float:
 
 
 def _ojs_trapezoid(config: SystemConfig, gamma: float):
-    """Every pair's OJS value by the trapezoidal rule on one lattice, as a pair_value.
+    """Every pair's OJS value by the trapezoidal rule on one lattice, as a pair_values.
 
     Pair i's value is se/(sd + se) * integral of sigma'(s) * prod_j (1 - exp(-e^(s - ln kappa_j)))
     over the real line: sigma' is the logistic density, and candidate j jams at scale kappa_j =
@@ -225,12 +264,14 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
     of equal sigma2_se, gain g_l and c_l pairs each, in sorted order.  So log G is summed once
     per call, one class at a time into one float per node, on the integer multiples of h that
     cover every pair's knees (t = -b_i and ln g_l) +-50; T_{h/2} has every node of T_h.  The
-    returned pair_value(config, i, gamma) subtracts pair i's own factor, adds log sigma'(t + b_i),
-    and scales the nodes to the largest before the fsum, so no node that matters over- or
-    underflows.  A candidate's kappa_j, or a step toward it, that over- or underflows (subnormal
-    included), or a value that is not a normal float, is an SNR range error; kappa_j grows with
-    sigma2_se_j, so each pair's smallest and largest candidate gain decide.  The cost is
-    O(nodes x classes) once plus O(nodes) per distinct pair, and memory O(nodes).
+    returned pair_values(config, rows, gamma) takes its rows as (rows x nodes) blocks: for each
+    row i it subtracts pair i's own factor, adds log sigma'(t + b_i), and scales the nodes to
+    the row's largest before the row's fsum, so no node that matters over- or underflows.  A
+    candidate's kappa_j, or a step toward it, that over- or underflows (subnormal included), or
+    a value that is not a normal float, is an SNR range error; kappa_j grows with sigma2_se_j,
+    so each pair's smallest and largest candidate gain decide.  The cost is
+    O(nodes x classes) once plus O(nodes) per distinct pair, and memory O(nodes) plus one chunk
+    of rows (_CHUNK_BYTES per array).
 
     Step rule.  The strip bound below does not depend on where the lattice sits, so a lattice in
     t, shifted by b_i in s, obeys it as one in s would.  f is analytic in the strip |Im s| < pi/2:
@@ -251,7 +292,7 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
     |T_h - T_{h/2}| stayed under 4e-16 * T_h for gamma 1e-3..1e9, 2e-15 at 1e+-100 and 3.2e-15
     at 1e300, where rounding b_i alone moves the value that much.
     """
-    sd, se = np.array([(p.sigma2_sd, p.sigma2_se) for p in config.pairs]).T
+    sd, se = _gains(config)
     gains, own, counts = np.unique(se, return_inverse=True, return_counts=True)
     outer = np.sort(se)  # each pair's candidates: every gain but one instance of its own
     try:
@@ -268,44 +309,54 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
     t = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1) * h
     log_g = sum(c * _log_jamming_factors(t - log_gain) for log_gain, c in zip(log_gains, counts))
 
-    def pair_value(config, i, gamma):
-        width = np.abs(t + shift[i])
-        # log f(s) = -|s| + rest(s); rest holds the jamming factors and the logistic's O(1) part
-        rest = log_g - _log_jamming_factors(t - log_gains[own[i]]) - 2.0 * np.log1p(np.exp(-width))
-        # scaled to the peak node; |s_peak| - |s| is exact near the peak (Sterbenz)
-        peak = np.argmax(rest - width)
-        scaled = (width[peak] - width) + (rest - rest[peak])
-        # nodes under e^-60 of the peak add under 1e-22 in all, but one fsum partial each
-        total = math.fsum(memoryview(np.exp(scaled[scaled > -60.0])))
-        value = se[i] / (sd[i] + se[i]) * h * total * math.exp(-width[peak]) * math.exp(rest[peak])
-        if not value >= sys.float_info.min:
-            raise _snr_range_error(gamma, "the trapezoidal sum")
-        return value
+    def pair_values(config, rows, gamma):
+        values = []
+        for chunk in _chunks(rows, t.size):
+            width = np.abs(t + shift[chunk, None])
+            # log f(s) = -|s| + rest(s); rest: the jamming factors and the logistic's O(1) part
+            rest = (log_g - _log_jamming_factors(t - log_gains[own[chunk], None])
+                    - 2.0 * np.log1p(np.exp(-width)))
+            # scaled to the peak node; |s_peak| - |s| is exact near the peak (Sterbenz)
+            peak = np.argmax(rest - width, axis=1)[:, None]
+            width_peak = np.take_along_axis(width, peak, axis=1)
+            rest_peak = np.take_along_axis(rest, peak, axis=1)
+            scaled = (width_peak - width) + (rest - rest_peak)
+            # nodes under e^-60 of the peak add under 1e-22 in all, but one fsum partial each
+            kept = scaled > -60.0
+            nodes = np.exp(scaled)
+            for i, row, keep, w, r in zip(chunk, nodes, kept, width_peak[:, 0], rest_peak[:, 0]):
+                total = math.fsum(memoryview(row[keep]))
+                value = se[i] / (sd[i] + se[i]) * h * total * math.exp(-w) * math.exp(r)
+                if not value >= sys.float_info.min:
+                    raise _snr_range_error(gamma, "the trapezoidal sum")
+                values.append(value)
+        return values
 
-    return pair_value
+    return pair_values
 
 
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     """Intercept probability under optimal jammer selection.
 
     Up to 11 pairs (_OJS_SUBSET_MAX_PAIRS) each distinct pair's value is the subset sum,
-    _ojs_pair_bracket: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it comes
+    _ojs_subset_values: (distinct pairs) x (2^(N-1) - 1) E1 terms per call.  Beyond, it comes
     from _ojs_trapezoid, the trapezoidal rule at step h(N) = min(0.2, 0.45/ln(N - 1)) on the
     oracle's all-positive integral, one lattice for every pair, which does not cancel.  On
     either path the result is at most intercept_sc_rjs (see intercepts).  The switch looks only
     at the pair count.  On all-distinct gains 10^U(-3, 3) (6 seeds, gamma 1e4..1e12) the subset
     sum was at most 5.5e-9 off the trapezoid up to 11 pairs, but 2.0e-8 at 12 and 8.3e-8 at 14,
-    past the 1e-8 that validate allows.  Per call at gamma = 10, best of three runs, subset sum
-    against trapezoid in ms, both with the RJS call, symmetric / all-distinct gains 10^U(-1, 1):
-    N=3 0.05 vs 0.19 / 0.14 vs 0.42, N=4 0.05 vs 0.18 / 0.21 vs 0.51, N=6 0.07 vs 0.19 / 0.38
-    vs 0.76, N=8 0.15 vs 0.19 / 0.87 vs 0.93, N=9 0.23 vs 0.19 / 1.35 vs 1.09, N=10 0.39 vs
-    0.19 / 2.6 vs 1.2, N=11 0.67 vs 0.20 / 4.8 vs 1.3; so the two break even between 8 and 9
-    pairs.  Above the switch an all-distinct call (gains 10^U(-1, 1)) takes 1.5-2.4 ms at N=12
-    to 18, 10 ms at N=64 and 0.7 s at N=1024, two thirds of it the RJS call; symmetric N=1024
-    takes 2 ms.  The trapezoid was within 9e-16 of the symmetric reference up to N=200 and
-    within 1.1e-14 of intercept_sc_ojs_oracle on symmetric N up to 1024 and spread N up to 32
-    (the oracle refuses all-distinct N of about 290 or more).  Two pairs equal intercept_sc_rjs
-    bit for bit; one pair degrades to non-cooperation.
+    past the 1e-8 that validate allows.  Per call at gamma = 10 on a shared 2-vCPU host, best of
+    three runs, subset sum against trapezoid in ms, both with the RJS sum, symmetric /
+    all-distinct gains 10^U(-1, 1) from default_rng(5): N=3 0.07 vs 0.19 / 0.08 vs 0.30, N=4
+    0.08 vs 0.19 / 0.13 vs 0.37, N=6 0.10 vs 0.19 / 0.15 vs 0.48, N=8 0.16 vs 0.19 / 0.40 vs
+    0.58, N=9 0.23 vs 0.19 / 0.77 vs 0.64, N=10 0.35 vs 0.20 / 1.5 vs 0.66, N=11 0.58 vs 0.19
+    / 3.3 vs 0.71; so the two break even between 8 and 9 pairs.  Above the switch an
+    all-distinct call takes 0.8-1.4 ms at N=12 to 18, 6 ms at N=64 and 0.39 s at N=1024, three
+    quarters of it the RJS sum; symmetric N=1024 takes 1.3 ms.  The trapezoid was within 9e-16
+    of the symmetric reference up to N=200 and within 1.1e-14 of intercept_sc_ojs_oracle on
+    symmetric N up to 1024 and spread N up to 32 (the oracle refuses all-distinct N of about 290
+    or more).  Two pairs equal intercept_sc_rjs bit for bit; one pair degrades to
+    non-cooperation.
     """
     return intercepts(config, (SC_OJS,), gamma)[0].value
 
@@ -325,15 +376,15 @@ def intercepts(config: SystemConfig, schemes: Sequence[str], gamma: float) -> li
     values = {NONCOOP: intercept_noncoop(config)}
     if SC_RJS in schemes or SC_OJS in schemes:
         try:
-            values[SC_RJS] = min(_cooperative(config, gamma, _rjs_pair_value), values[NONCOOP])
+            values[SC_RJS] = min(_cooperative(config, gamma, _rjs_values), values[NONCOOP])
         except ValueError:  # rjs refuses where one of its intermediates over- or underflows
             if SC_RJS in schemes:
                 raise
             values[SC_RJS] = values[NONCOOP]
     if SC_OJS in schemes:
-        pair_value = (_ojs_pair_bracket if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
-                      else _ojs_trapezoid(config, gamma))
-        values[SC_OJS] = min(_cooperative(config, gamma, pair_value), values[SC_RJS])
+        pair_values = (_ojs_subset_values if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
+                       else _ojs_trapezoid(config, gamma))
+        values[SC_OJS] = min(_cooperative(config, gamma, pair_values), values[SC_RJS])
     return [InterceptValue(values[s], config.n_pairs == 1 and s != NONCOOP) for s in schemes]
 
 
@@ -385,20 +436,22 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
         points=knees,
         full_output=1,
     )
-    if rest:
-        raise QuadratureError(f"quadrature did not converge: {rest[0]}")
+    if rest:  # scipy's message runs over several lines; the first says what went wrong
+        reason = rest[0].partition("\n")[0]
+        raise QuadratureError(f"quadrature did not converge: {reason}")
     return se / (sd + se) * result
 
 
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system RJS intercept probability assembled from quadrature."""
-    return _cooperative(config, gamma, lambda cfg, i, g: math.fsum(
+    return _cooperative(config, gamma, lambda cfg, rows, g: [math.fsum(
         _jammed_oracle(cfg, i, [j], g) for j in _candidates(cfg, i)
-    ) / (cfg.n_pairs - 1))
+    ) / (cfg.n_pairs - 1) for i in rows])
 
 
 def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system OJS intercept probability assembled from quadrature."""
     return _cooperative(
-        config, gamma, lambda cfg, i, g: _jammed_oracle(cfg, i, _candidates(cfg, i), g)
+        config, gamma, lambda cfg, rows, g: [_jammed_oracle(cfg, i, _candidates(cfg, i), g)
+                                             for i in rows]
     )

@@ -87,21 +87,33 @@ def draws_per_trial(n_pairs: int) -> int:
 
 
 def _runs(jammer_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First column and length of each run of equal jammer means, in config order."""
+    """Mean and length of each run of equal jammer means, in config order."""
     edge = np.ones(len(jammer_means) + 1, dtype=bool)
     np.not_equal(jammer_means[1:], jammer_means[:-1], out=edge[1:-1])
     at = np.flatnonzero(edge)
-    return at[:-1], at[1:] - at[:-1]
+    return jammer_means[at[:-1]], at[1:] - at[:-1]
 
 
-def _estimate_words(jammer_means: np.ndarray) -> int:
-    """Words per estimation trial: the head words and one per run."""
-    return _HEAD_WORDS + len(_runs(jammer_means)[0])
+def _estimate_words(se_means: np.ndarray) -> np.ndarray:
+    """Each pair's words per estimation trial: the head words and one per run of its jammers.
+
+    Pair i's jammers are the other pairs' means in config order.  Taking pair i
+    out of the means removes the run edges on either side of it and adds one
+    between its neighbours where they differ.
+    """
+    n = len(se_means)
+    if n == 1:
+        return np.array([_HEAD_WORDS])
+    edge = np.zeros(n + 1, dtype=np.int64)  # edge[k]: means k - 1 and k differ
+    edge[1:-1] = se_means[1:] != se_means[:-1]
+    bridge = np.zeros(n, dtype=np.int64)  # bridge[k]: means k - 1 and k + 1 differ
+    bridge[1:-1] = se_means[2:] != se_means[:-2]
+    return _HEAD_WORDS + 1 + edge.sum() - edge[:-1] - edge[1:] + bridge
 
 
-def _dominance_words(jammer_means: np.ndarray) -> int:
-    """Words per dominance-check trial: g_sd, g_se and one per jammer."""
-    return 2 + len(jammer_means)
+def _dominance_words(se_means: np.ndarray) -> np.ndarray:
+    """Each pair's words per dominance-check trial: g_sd, g_se and one per jammer."""
+    return np.full(len(se_means), 1 + len(se_means))
 
 
 def _pair_stream(seed: int, pair_index: int, words: int, start_trial: int) -> Philox:
@@ -282,31 +294,32 @@ def _rjs_gain(means: np.ndarray, counts: np.ndarray, w: np.ndarray, live: np.nda
 
 def _batch_events(
     pair: PairParams,
-    jammer_means: np.ndarray,
+    runs: tuple[np.ndarray, np.ndarray],
     schemes: Sequence[str],
     gamma: float,
     w: np.ndarray,
 ) -> list[np.ndarray]:
     """Boolean intercept indicators of each scheme for one layout-v2 word batch of one pair.
 
-    Computes g_sd and g_se once; the nonc event is g_sd < g_se.  On a row
-    where it fails no jammer can give an intercept, since g_je*gamma*g_sd is
-    >= 0 (or NaN) and rounded doubling and addition are monotone, so rjs
-    and ojs convert words only on the rows where nonc holds.  Returns one
-    array per entry of `schemes`, in order; `w` is left as it was.
+    `runs` are the mean and length of each run of the pair's jammer means,
+    as `_runs` gives them.  Computes g_sd and g_se once; the nonc event is
+    g_sd < g_se.  On a row where it fails no jammer can give an intercept,
+    since g_je*gamma*g_sd is >= 0 (or NaN) and rounded doubling and addition
+    are monotone, so rjs and ojs convert words only on the rows where nonc
+    holds.  Returns one array per entry of `schemes`, in order; `w` is left
+    as it was.
     """
     g_sd, g_se = _uniform(w[:, 0]), _uniform(w[:, 1])
     _exp_gain(pair.sigma2_sd, g_sd, out=g_sd)
     _exp_gain(pair.sigma2_se, g_se, out=g_se)
     events = {NONCOOP: g_sd < g_se}
     jammed = [s for s in (SC_RJS, SC_OJS) if s in schemes]
-    if not len(jammer_means):
+    means, counts = runs
+    if not len(counts):
         events |= dict.fromkeys(jammed, events[NONCOOP])
     elif jammed:
         live = np.flatnonzero(events[NONCOOP])
         g_sd, g_se = g_sd[live], g_se[live]
-        starts, counts = _runs(jammer_means)
-        means = jammer_means[starts]
         jammer_gain = {}
         if SC_RJS in jammed:
             jammer_gain[SC_RJS] = _rjs_gain(means, counts, w, live)
@@ -337,17 +350,20 @@ def _run_batches(
     rng: int,
     workers: int,
     count,
-    words: Callable[[np.ndarray], int],
+    words: Callable[[np.ndarray], np.ndarray],
+    plan: Callable[[np.ndarray], object],
 ):
-    """Sum `count(pair, jammer_means, w)` over every word batch of every pair.
+    """Sum `count(pair, plan(jammer_means), w)` over every word batch of every pair.
 
-    `jammer_means` holds the other pairs' sigma2_se in config order, and
-    `words(jammer_means)` is the pair's words per trial.  `w` is one batch's
-    (rows, words) block of the pair's stream as raw uint64 Philox words,
-    which `count` may overwrite; `count` returns a number or a numpy count
-    vector.  Each pair runs ceil(trials / N) trials; returns the per-pair
-    sums and that trial count.  Checks every argument but the config, valid
-    by type.
+    `words(se_means)` gives every pair's words per trial from all pairs'
+    sigma2_se.  A pair's `jammer_means` holds the other pairs' sigma2_se in
+    config order; its plan is made when its first batch runs and handed to
+    its other batches from a cache of at most `workers` plans, so no table
+    grows as N^2.  `w` is one batch's (rows, words) block of the
+    pair's stream as raw uint64 Philox words, which `count` may overwrite;
+    `count` returns a number or a numpy count vector.  Each pair runs
+    ceil(trials / N) trials; returns the per-pair sums and that trial count.
+    Checks every argument but the config, valid by type.
     """
     require_snr(gamma)
     trials = operator.index(trials)
@@ -360,14 +376,18 @@ def _run_batches(
     n = config.n_pairs
     per_pair = -(-trials // n)
     se_means = np.array([p.sigma2_se for p in config.pairs])
-    widths = [words(np.delete(se_means, i)) for i in range(n)]
-
-    def run_batch(pair: int, start: int, stop: int):
-        w = _pair_stream(seed, pair, widths[pair], start).random_raw((stop - start, widths[pair]))
-        return count(config.pairs[pair], np.delete(se_means, pair), w)
-
+    widths = words(se_means).tolist()
     tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, widths[i])]
     workers = min(workers, len(tasks))
+    # workers take the batches in order, so a pair's batches run close together and find its
+    # plan here; one that has left the cache is made again, the same
+    plans = functools.lru_cache(maxsize=workers)(lambda pair: plan(np.delete(se_means, pair)))
+
+    def run_batch(pair: int, start: int, stop: int):
+        jammers = plans(pair)
+        w = _pair_stream(seed, pair, widths[pair], start).random_raw((stop - start, widths[pair]))
+        return count(config.pairs[pair], jammers, w)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(lambda t: run_batch(*t), tasks))
@@ -404,10 +424,11 @@ def estimate_intercepts(
         raise ValueError("need at least one scheme")
     successes, per_pair = _run_batches(
         config, gamma, trials, rng, workers,
-        lambda pair, means, w: np.array(
-            [np.count_nonzero(e) for e in _batch_events(pair, means, schemes, gamma, w)]
+        lambda pair, runs, w: np.array(
+            [np.count_nonzero(e) for e in _batch_events(pair, runs, schemes, gamma, w)]
         ),
         _estimate_words,
+        _runs,
     )
     n = config.n_pairs
     estimates = []
@@ -483,5 +504,7 @@ def coupled_dominance_check(
     if config.n_pairs < 2:
         raise ValueError("dominance check needs at least two pairs")
     count = functools.partial(_chain_violations, gamma)
-    counts, _ = _run_batches(config, gamma, trials, rng, 1, count, _dominance_words)
+    counts, _ = _run_batches(
+        config, gamma, trials, rng, 1, count, _dominance_words, lambda means: means
+    )
     return sum(counts)

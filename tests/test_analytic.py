@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -250,7 +251,7 @@ def test_ojs_matches_subset_iterator_form():
                 2.0 * se / (sd * ASYMMETRIC.pairs[j].sigma2_se * gamma) for j in subset
             )
             total += (-1.0) ** (len(subset) + 1) * inner * e1_scaled(phi)
-        assert analytic._ojs_pair_bracket(ASYMMETRIC, i, gamma) == pytest.approx(
+        assert analytic._ojs_subset_values(ASYMMETRIC, [i], gamma)[0] == pytest.approx(
             total, rel=1e-12, abs=0.0
         )
 
@@ -278,7 +279,7 @@ def test_ojs_bracket_with_repeated_gain_classes():
                 * e1_scaled(phi_ojs(cfg, i, subset, gamma))
                 for subset in SubsetIterator(candidates)
             )
-            assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
+            assert analytic._ojs_subset_values(cfg, [i], gamma)[0] == pytest.approx(
                 explicit, rel=1e-12, abs=0.0
             )
     for gamma in (0.5, 50.0, 5e4, 1e6):
@@ -290,57 +291,60 @@ def test_ojs_bracket_with_repeated_gain_classes():
 
 
 @pytest.mark.parametrize(
-    "evaluate, pair_value, rel",
+    "evaluate, pair_values, rel",
     [
-        (intercept_sc_rjs, analytic._rjs_pair_value, 0.0),
-        (intercept_sc_ojs, analytic._ojs_pair_bracket, 0.0),
+        (intercept_sc_rjs, analytic._rjs_values, 0.0),
+        (intercept_sc_ojs, analytic._ojs_subset_values, 0.0),
         (
             intercept_sc_rjs_oracle,
-            lambda cfg, i, g: math.fsum(
+            lambda cfg, rows, g: [math.fsum(
                 analytic._jammed_oracle(cfg, i, [j], g) for j in analytic._candidates(cfg, i)
-            ) / (cfg.n_pairs - 1),
+            ) / (cfg.n_pairs - 1) for i in rows],
             1e-15,
         ),
         (
             intercept_sc_ojs_oracle,
-            lambda cfg, i, g: analytic._jammed_oracle(cfg, i, analytic._candidates(cfg, i), g),
+            lambda cfg, rows, g: [
+                analytic._jammed_oracle(cfg, i, analytic._candidates(cfg, i), g) for i in rows
+            ],
             1e-15,
         ),
     ],
     ids=["rjs", "ojs", "rjs-oracle", "ojs-oracle"],
 )
-def test_equal_pairs_share_one_value(evaluate, pair_value, rel):
+def test_equal_pairs_share_one_value(evaluate, pair_values, rel):
     # pairs 0/2 and 1/4 have equal gains; pair 5 shares only pair 1's sigma2_se
     cfg = REPEATED_CLASSES
     for gamma in (0.5, 25.0, 1e3):
-        per_pair = [pair_value(cfg, i, gamma) for i in range(cfg.n_pairs)]
+        per_pair = pair_values(cfg, list(range(cfg.n_pairs)), gamma)
         expected = math.fsum(p.alpha * v for p, v in zip(cfg.pairs, per_pair))
         assert evaluate(cfg, gamma) == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize(
-    "evaluate, per_pair, calls_per_pair",
+    "evaluate, spied, expected",
     [
-        (intercept_sc_rjs, "_rjs_pair_value", 1),
-        (intercept_sc_ojs, "_ojs_pair_bracket", 1),
-        (intercept_sc_rjs_oracle, "_jammed_oracle", 5),
-        (intercept_sc_ojs_oracle, "_jammed_oracle", 1),
+        (intercept_sc_rjs, "_rjs_values", [[2, 4, 3, 5]]),
+        (intercept_sc_ojs, "_ojs_subset_values", [[2, 4, 3, 5]]),
+        (intercept_sc_rjs_oracle, "_jammed_oracle", [i for i in (2, 4, 3, 5) for _ in range(5)]),
+        (intercept_sc_ojs_oracle, "_jammed_oracle", [2, 4, 3, 5]),
     ],
     ids=["rjs", "ojs", "rjs-oracle", "ojs-oracle"],
 )
-def test_each_distinct_pair_is_evaluated_once(monkeypatch, evaluate, per_pair, calls_per_pair):
-    # four distinct (sd, se) among six pairs, each evaluated at its last pair: 2, 4, 3, 5;
-    # the RJS oracle integrates once per candidate, N - 1 = 5 times
+def test_each_distinct_pair_is_evaluated_once(monkeypatch, evaluate, spied, expected):
+    # four distinct (sd, se) among six pairs, each evaluated at its last pair: 2, 4, 3, 5.  A
+    # closed form gets all four rows in one call; the oracles integrate pair by pair, the RJS
+    # oracle once per candidate, N - 1 = 5 times
     seen = []
-    evaluate_pair = getattr(analytic, per_pair)
+    original = getattr(analytic, spied)
 
-    def spy(cfg, i, *rest):
-        seen.append(i)
-        return evaluate_pair(cfg, i, *rest)
+    def spy(cfg, which, *rest):
+        seen.append(which)
+        return original(cfg, which, *rest)
 
-    monkeypatch.setattr(analytic, per_pair, spy)
+    monkeypatch.setattr(analytic, spied, spy)
     evaluate(REPEATED_CLASSES, 25.0)
-    assert seen == [i for i in (2, 4, 3, 5) for _ in range(calls_per_pair)]
+    assert seen == expected
 
 
 def test_ojs_matches_integral_oracle():
@@ -517,15 +521,15 @@ def test_intercepts_raise_rjs_refusal_where_only_ojs_answers():
 def test_intercepts_evaluate_each_distinct_rjs_pair_once(monkeypatch):
     # four distinct (sd, se) among six pairs, each evaluated at its last pair: 2, 4, 3, 5
     seen = []
-    rjs_pair_value = analytic._rjs_pair_value
+    rjs_values = analytic._rjs_values
 
-    def spy(cfg, i, gamma):
-        seen.append(i)
-        return rjs_pair_value(cfg, i, gamma)
+    def spy(cfg, rows, gamma):
+        seen.append(rows)
+        return rjs_values(cfg, rows, gamma)
 
-    monkeypatch.setattr(analytic, "_rjs_pair_value", spy)
+    monkeypatch.setattr(analytic, "_rjs_values", spy)
     intercepts(REPEATED_CLASSES, SCHEMES, 25.0)
-    assert seen == [2, 4, 3, 5]
+    assert seen == [[2, 4, 3, 5]]
     seen.clear()
     intercepts(REPEATED_CLASSES, ("nonc",), 25.0)
     assert seen == []
@@ -538,6 +542,26 @@ def test_quadrature_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(analytic.integrate, "quad", fake_quad)
     with pytest.raises(QuadratureError, match="subdivision limit"):
         intercept_sc_rjs_oracle(make_symmetric_config(2, 1.0), 10.0)
+
+
+def test_quadrature_refusal_is_one_line(monkeypatch):
+    # scipy explains a subdivision limit in six lines; a validate row keeps to the first
+    message = (
+        "The maximum number of subdivisions (300) has been achieved.\n"
+        "  If increasing the limit yields no improvement it is advised to analyze \n"
+        "  the integrand in order to determine the difficulties.  If the position of a \n"
+        "  local difficulty can be determined (singularity, discontinuity) one will \n"
+        "  probably gain from splitting up the interval and calling the integrator \n"
+        "  on the subranges.  Perhaps a special-purpose integrator should be used."
+    )
+    monkeypatch.setattr(analytic.integrate, "quad", lambda *args, **kwargs: (0.0, 1.0, {}, message))
+    for oracle in (intercept_sc_rjs_oracle, intercept_sc_ojs_oracle):
+        with pytest.raises(QuadratureError) as info:
+            oracle(make_symmetric_config(3, 1.0), 10.0)
+        assert str(info.value) == (
+            "quadrature did not converge: "
+            "The maximum number of subdivisions (300) has been achieved."
+        )
 
 
 @pytest.mark.parametrize("n", [300, 1024])
@@ -728,10 +752,10 @@ def _trapezoid(config, i, gamma):
     The estimate is an estimate, not a bound: T_{h/2} adds the midpoints to T_h's nodes.  Both
     are the pair values intercept_sc_ojs sums, before its min with intercept_sc_rjs.
     """
-    value = analytic._ojs_trapezoid(config, gamma)(config, i, gamma)
+    [value] = analytic._ojs_trapezoid(config, gamma)(config, [i], gamma)
     half = analytic._ojs_trapezoid_step(config.n_pairs) / 2.0
     with mock.patch.object(analytic, "_ojs_trapezoid_step", lambda n_pairs: half):
-        refined = analytic._ojs_trapezoid(config, gamma)(config, i, gamma)
+        [refined] = analytic._ojs_trapezoid(config, gamma)(config, [i], gamma)
     assert refined == pytest.approx(value, rel=1e-13, abs=0.0)
     return value
 
@@ -794,7 +818,7 @@ def test_ojs_subset_sum_and_trapezoid_agree_past_the_switch(n):
     cfg = _distinct_config(np.random.default_rng(n), n, 1.0)
     for gamma in (10.0, 1e6):
         for i in (0, n - 1):
-            assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
+            assert analytic._ojs_subset_values(cfg, [i], gamma)[0] == pytest.approx(
                 _trapezoid(cfg, i, gamma), rel=1e-8, abs=0.0
             )
 
@@ -812,7 +836,7 @@ def test_ojs_subset_sum_and_trapezoid_agree_on_repeated_gains(n):
                 _alternating_config(n)):
         for gamma in (10.0, 1e6):
             for i in (0, n - 1):
-                assert analytic._ojs_pair_bracket(cfg, i, gamma) == pytest.approx(
+                assert analytic._ojs_subset_values(cfg, [i], gamma)[0] == pytest.approx(
                     _trapezoid(cfg, i, gamma), rel=1e-8, abs=0.0
                 )
 
@@ -821,20 +845,20 @@ def test_ojs_routes_by_pair_count(monkeypatch):
     seen = []
 
     def spy(name):
-        pair_value = getattr(analytic, name)
+        evaluator = getattr(analytic, name)
 
         def record(*args):
             seen.append(name)
-            return pair_value(*args)
+            return evaluator(*args)
 
         return record
 
     # one symmetric system: one subset sum per call, or one trapezoid lattice
-    for name in ("_ojs_pair_bracket", "_ojs_trapezoid"):
+    for name in ("_ojs_subset_values", "_ojs_trapezoid"):
         monkeypatch.setattr(analytic, name, spy(name))
     intercept_sc_ojs(make_symmetric_config(11, 1.0), 10.0)
     intercept_sc_ojs(make_symmetric_config(12, 1.0), 10.0)
-    assert seen == ["_ojs_pair_bracket", "_ojs_trapezoid"]
+    assert seen == ["_ojs_subset_values", "_ojs_trapezoid"]
 
 
 @pytest.mark.parametrize("seed, n, gamma", [(4, 14, 1e8), (1, 12, 1e10)])
@@ -852,7 +876,7 @@ def test_ojs_trapezoid_working_set_is_bounded():
     cfg = _spread_config(1024)
     tracemalloc.start()
     try:
-        value = analytic._ojs_trapezoid(cfg, 10.0)(cfg, 0, 10.0)
+        [value] = analytic._ojs_trapezoid(cfg, 10.0)(cfg, [0], 10.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -917,3 +941,90 @@ def test_ojs_trapezoid_is_independent_of_pair_order(n):
             for evaluate in evaluations:
                 value = repr(evaluate(cfg, gamma))
                 assert [repr(evaluate(other, gamma)) for other in shuffled] == [value] * 5, evaluate
+
+
+# --- batched evaluators ------------------------------------------------------
+
+# symmetric, repeated-class and all-distinct systems on both sides of the OJS switch at 11 pairs
+_BATCH_CONFIGS = {
+    "sym4": make_symmetric_config(4, 0.1),
+    "sym13": make_symmetric_config(13, 10.0),
+    "repeated6": REPEATED_CLASSES,
+    "alternating12": _alternating_config(12),
+    "distinct7": _distinct_config(np.random.default_rng(7), 7, 2.0),
+    "distinct13": _distinct_config(np.random.default_rng(13), 13, 2.0),
+}
+_EVALUATORS = {
+    "rjs": lambda cfg, gamma: analytic._rjs_values,
+    "subset": lambda cfg, gamma: analytic._ojs_subset_values,
+    "trapezoid": analytic._ojs_trapezoid,
+}
+
+
+@pytest.mark.parametrize("one_row_chunks", [False, True], ids=["chunked", "one-row-chunks"])
+@pytest.mark.parametrize("evaluator", _EVALUATORS)
+@pytest.mark.parametrize("cfg", _BATCH_CONFIGS.values(), ids=_BATCH_CONFIGS.keys())
+def test_batched_values_equal_one_row_calls(monkeypatch, cfg, evaluator, one_row_chunks):
+    # every pair as a row, repeats and reversed order included: each row's value has the bits
+    # of the same evaluator asked for that row alone, whatever chunk it falls in
+    if one_row_chunks:
+        monkeypatch.setattr(analytic, "_CHUNK_BYTES", 1)
+    rows = list(range(cfg.n_pairs)) + list(range(cfg.n_pairs))[::-1]
+    for gamma in (0.5, 10.0, 1e6):
+        pair_values = _EVALUATORS[evaluator](cfg, gamma)
+        batched = pair_values(cfg, rows, gamma)
+        assert [repr(v) for v in batched] == [repr(pair_values(cfg, [i], gamma)[0]) for i in rows]
+
+
+@pytest.mark.parametrize("chunk_bytes, calls", [(None, 2), (1, 8)], ids=["default", "one-row"])
+def test_intercepts_make_one_e1_call_per_chunk(monkeypatch, chunk_bytes, calls):
+    # four distinct pairs: one rjs and one subset-sum call, each one e1_scaled call per chunk,
+    # and the same bits however the rows are chunked
+    expected = intercepts(REPEATED_CLASSES, SCHEMES, 25.0)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(analytic, "_CHUNK_BYTES", chunk_bytes)
+    sizes = []
+
+    def spy(x):
+        sizes.append(np.shape(x))
+        return e1_scaled(x)
+
+    monkeypatch.setattr(analytic, "e1_scaled", spy)
+    assert intercepts(REPEATED_CLASSES, SCHEMES, 25.0) == expected
+    assert len(sizes) == calls
+    assert sum(math.prod(size) for size in sizes) == 4 * 5 + 4 * 31
+
+
+def _pinned_lines():
+    """repr of every intercepts answer, or its refusal, over configs and SNRs wider than the CLI's.
+
+    Each point is asked for all schemes at once and for ojs alone, which answers where rjs
+    refuses.  Symmetric, spread, repeated-class and all-distinct systems sit on both sides of
+    the OJS switch at 11 pairs; SNRs run from subnormal to the edge of overflow.
+    """
+    configs = [make_symmetric_config(n, mer) for n in (1, 2, 3, 5, 8, 11, 12, 16, 40)
+               for mer in (0.1, 1.0, 10.0)]
+    configs += [_spread_config(n) for n in (2, 3, 5, 8, 11, 12, 16, 24, 40)]
+    configs += [REPEATED_CLASSES] + [_alternating_config(n) for n in (9, 11, 12, 14, 40)]
+    configs += [_distinct_config(np.random.default_rng(n), n, 3.0) for n in (4, 9, 11, 13, 20)]
+    configs.append(SystemConfig(
+        (PairParams(1e3, 1e3, 1.0 / 12),) + (PairParams(1e-3, 1.0, 1.0 / 12),) * 11
+    ))
+    gammas = (1e-310, 1e-300, 1e-200, 1e-100, 1e-20, 1e-3, 0.5, 10.0, 1e3, 1e6, 1e9, 1e12,
+              1e20, 1e100, 1e200, 1e300, 1e306, 1.7e308)
+    for cfg, gamma in itertools.product(configs, gammas):
+        for schemes in (SCHEMES, ("ojs",)):
+            try:
+                answer = repr([tuple(v) for v in intercepts(cfg, schemes, gamma)])
+            except ValueError as refusal:
+                answer = f"refused: {refusal}"
+            yield f"{cfg.pairs!r} {gamma!r} {schemes}: {answer}"
+
+
+def test_intercepts_bits_are_pinned():
+    # the digest was recorded before the closed forms were batched over pairs; a change to any
+    # bit of any value, or to any refusal message, moves it
+    lines = list(_pinned_lines())
+    assert len(lines) == 2 * 18 * 48
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ef2590d86ea23eb0551c14a1e4aed4314be3e9452cd62d765441eb5aa8dc2364"

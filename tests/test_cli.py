@@ -392,15 +392,18 @@ def test_validate_catches_a_wrong_candidate_list(monkeypatch):
     # sigma2_se, not over every pair but itself.  That is the true sum of pair k, the largest,
     # with pair i's own gains put in its place.  On a symmetric system the two lists are the
     # same, so only the asymmetric row sees it.
-    exact = analytic._ojs_pair_bracket
+    exact = analytic._ojs_subset_values
 
-    def wrong_candidates(config, i, gamma):
+    def wrong_candidates(config, rows, gamma):
         k = max(range(config.n_pairs), key=lambda j: config.pairs[j].sigma2_se)
-        pairs = list(config.pairs)
-        pairs[k] = pairs[i]
-        return exact(SystemConfig(tuple(pairs)), k, gamma)
+        values = []
+        for i in rows:
+            pairs = list(config.pairs)
+            pairs[k] = pairs[i]
+            values += exact(SystemConfig(tuple(pairs)), [k], gamma)
+        return values
 
-    monkeypatch.setattr(analytic, "_ojs_pair_bracket", wrong_candidates)
+    monkeypatch.setattr(analytic, "_ojs_subset_values", wrong_candidates)
     checks = dict(validation._CHECKS)
     assert checks["oracle-equivalence-ojs"](0, 0, 1)[0]
     passed, detail = checks["oracle-equivalence-asymmetric"](0, 0, 1)
