@@ -58,6 +58,7 @@ terms is an exactly rounded fsum.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Iterable, NamedTuple, Sequence
@@ -121,6 +122,8 @@ def _jamming_terms(sd, se, recip, gamma):
     1/sigma2_se_j gives the per-(i, j) RJS term.  Refuses an over/underflow, or an E1 argument it
     left at 0 or inf, as an SNR range error.
     """
+    if len(sd) == 1:  # numpy scalars, which obey errstate too, cost a fifth of a column's ops
+        sd, se = sd[0, 0], se[0, 0]
     try:
         with np.errstate(over="raise", under="raise"):
             se2, sd_gamma = 2.0 * se, sd * gamma
@@ -133,30 +136,36 @@ def _jamming_terms(sd, se, recip, gamma):
 
 
 def _chunks(rows, columns: int):
-    """rows as an index array, in consecutive slices of at most _CHUNK_BYTES of float columns."""
-    rows = np.asarray(rows)
+    """rows as (rows, 1) index columns, in slices of at most _CHUNK_BYTES of float columns."""
+    rows = np.asarray(rows)[:, None]
     step = max(1, _CHUNK_BYTES // (8 * columns))
+    if len(rows) <= step:
+        return (rows,)
     return (rows[start : start + step] for start in range(0, len(rows), step))
 
 
 def _gains(config: SystemConfig):
-    """Every pair's (sigma2_sd, sigma2_se), as two arrays in config order."""
-    return np.array([(p.sigma2_sd, p.sigma2_se) for p in config.pairs]).T
+    """Every pair's sigma2_sd, sigma2_se and 1/sigma2_se, as three arrays in config order.
+
+    The closed forms take these, made once per intercepts call, in place of the config.
+    """
+    sd, se = np.array([(p.sigma2_sd, p.sigma2_se) for p in config.pairs]).T
+    return sd, se, 1.0 / se
 
 
 def _cooperative(config: SystemConfig, gamma: float, pair_values) -> float:
     """Check gamma, degrade one pair to non-cooperation, else fsum alpha_i * v_i over all pairs.
 
-    Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so one call pair_values(config, rows,
-    gamma) gets one value per distinct pair, each row i the last pair of its gains, in order of
-    first appearance.  Every pair_values here gives the same bits for any order of pair i's
+    Pairs of equal (sigma2_sd, sigma2_se) have equal v_i, so one call pair_values(rows, gamma)
+    gets one value per distinct pair, each row i the last pair of its gains, in order of first
+    appearance.  Every pair_values here gives the same bits for any order of pair i's
     candidates, so which pair of those gains is i does not matter.
     """
     gamma = require_snr(gamma)
     if config.n_pairs == 1:
         return intercept_noncoop(config)
     rows = {(p.sigma2_sd, p.sigma2_se): i for i, p in enumerate(config.pairs)}
-    shared = dict(zip(rows, pair_values(config, list(rows.values()), gamma)))
+    shared = dict(zip(rows, pair_values(list(rows.values()), gamma)))
     return math.fsum(p.alpha * shared[p.sigma2_sd, p.sigma2_se] for p in config.pairs)
 
 
@@ -171,17 +180,16 @@ def intercept_noncoop(config: SystemConfig) -> float:
     )
 
 
-def _rjs_values(config: SystemConfig, rows, gamma: float) -> list[float]:
+def _rjs_values(gains, rows, gamma: float) -> list[float]:
     """Each row i's mean of its N-1 singleton jamming terms, its candidates in config order."""
-    n = config.n_pairs
-    sd, se = _gains(config)
-    inv = 1.0 / se
-    cols = np.arange(n - 1)
+    sd, se, inv = gains
+    m = len(inv) - 1
+    cols = np.arange(m)
     values = []
-    for chunk in _chunks(rows, n - 1):
-        recip = inv[cols + (cols >= chunk[:, None])]  # row i skips column i
-        terms = _jamming_terms(sd[chunk, None], se[chunk, None], recip, gamma)
-        values += [math.fsum(memoryview(row)) / (n - 1) for row in terms]
+    for chunk in _chunks(rows, m):
+        recip = inv[cols + (cols >= chunk)]  # row i skips column i
+        terms = _jamming_terms(sd[chunk], se[chunk], recip, gamma)
+        values += [math.fsum(memoryview(row)) / m for row in terms]
     return values
 
 
@@ -196,7 +204,7 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
     return intercepts(config, (SC_RJS,), gamma)[0].value
 
 
-def _ojs_subset_values(config: SystemConfig, rows, gamma: float) -> list[float]:
+def _ojs_subset_values(gains, rows, gamma: float) -> list[float]:
     """Each row i's alternating subset sum under optimal selection.
 
     Row i's candidates are every pair's 1/sigma2_se in ascending order, less one equal to pair
@@ -207,23 +215,21 @@ def _ojs_subset_values(config: SystemConfig, rows, gamma: float) -> list[float]:
     O(ln(gamma)/gamma) total.  tests/ojs_subsets.py holds the explicit-subset slow path that
     checks it.
     """
-    n = config.n_pairs
-    sd, se = _gains(config)
-    inv = 1.0 / se
+    sd, se, inv = gains
+    m = len(inv) - 1
     jammers = np.sort(inv)
-    sign = np.full(1 << (n - 1), -1.0)  # entry 0 is the empty set
-    for bit in range(n - 1):
-        sign[1 << bit : 2 << bit] = -sign[: 1 << bit]
-    cols = np.arange(n - 1)
+    odd = np.bitwise_count(np.arange(1, 1 << m)) & 1  # each non-empty subset's size parity
+    sign = np.where(odd, 1.0, -1.0)
+    cols = np.arange(m)
     values = []
-    for chunk in _chunks(rows, sign.size):
-        own = np.searchsorted(jammers, inv[chunk])[:, None]  # the first equal to row i's
-        candidates = jammers[cols + (cols >= own)]
-        recip = np.zeros((len(chunk), sign.size))
-        for bit in range(n - 1):
-            recip[:, 1 << bit : 2 << bit] = recip[:, : 1 << bit] + candidates[:, bit, None]
-        terms = _jamming_terms(sd[chunk, None], se[chunk, None], recip[:, 1:], gamma)
-        np.copysign(terms, sign[1:], out=terms)  # exact: every term is positive
+    for chunk in _chunks(rows, 1 << m):
+        own = np.searchsorted(jammers, inv[chunk])  # the first equal to row i's
+        candidates = jammers[(cols + (cols >= own)).T[..., None]]  # bit l's as a (rows, 1) column
+        recip = np.zeros((len(chunk), 1 << m))  # column 0 is the empty set
+        for bit, candidate in enumerate(candidates):
+            np.add(recip[:, : 1 << bit], candidate, out=recip[:, 1 << bit : 2 << bit])
+        terms = _jamming_terms(sd[chunk], se[chunk], recip[:, 1:], gamma)
+        np.copysign(terms, sign, out=terms)  # exact: every term is positive
         # A memoryview yields plain floats: no numpy scalar per term, no list copy.
         values += [math.fsum(memoryview(row)) for row in terms]
     return values
@@ -253,7 +259,7 @@ def _ojs_trapezoid_step(n_pairs: int) -> float:
     return 0.45 / max(math.log(n_pairs - 1), 2.25)
 
 
-def _ojs_trapezoid(config: SystemConfig, gamma: float):
+def _ojs_trapezoid(gains, gamma: float):
     """Every pair's OJS value by the trapezoidal rule on one lattice, as a pair_values.
 
     Pair i's value is se/(sd + se) * integral of sigma'(s) * prod_j (1 - exp(-e^(s - ln kappa_j)))
@@ -264,7 +270,7 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
     of equal sigma2_se, gain g_l and c_l pairs each, in sorted order.  So log G is summed once
     per call, one class at a time into one float per node, on the integer multiples of h that
     cover every pair's knees (t = -b_i and ln g_l) +-50; T_{h/2} has every node of T_h.  The
-    returned pair_values(config, rows, gamma) takes its rows as (rows x nodes) blocks: for each
+    returned pair_values(rows, gamma) takes its rows as (rows x nodes) blocks: for each
     row i it subtracts pair i's own factor, adds log sigma'(t + b_i), and scales the nodes to
     the row's largest before the row's fsum, so no node that matters over- or underflows.  A
     candidate's kappa_j, or a step toward it, that over- or underflows (subnormal included), or
@@ -292,8 +298,8 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
     |T_h - T_{h/2}| stayed under 4e-16 * T_h for gamma 1e-3..1e9, 2e-15 at 1e+-100 and 3.2e-15
     at 1e300, where rounding b_i alone moves the value that much.
     """
-    sd, se = _gains(config)
-    gains, own, counts = np.unique(se, return_inverse=True, return_counts=True)
+    sd, se, _ = gains
+    classes, own, counts = np.unique(se, return_inverse=True, return_counts=True)
     outer = np.sort(se)  # each pair's candidates: every gain but one instance of its own
     try:
         with np.errstate(over="raise", under="raise"):
@@ -303,28 +309,28 @@ def _ojs_trapezoid(config: SystemConfig, gamma: float):
     except FloatingPointError:
         raise _snr_range_error(gamma, "the jamming scale") from None
     shift = np.log(scale)
-    log_gains = np.log(gains)
-    h = _ojs_trapezoid_step(config.n_pairs)
+    log_gains = np.log(classes)
+    h = _ojs_trapezoid_step(len(se))
     lo, hi = min(-shift.max(), log_gains[0]) - 50.0, max(-shift.min(), log_gains[-1]) + 50.0
     t = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1) * h
     log_g = sum(c * _log_jamming_factors(t - log_gain) for log_gain, c in zip(log_gains, counts))
 
-    def pair_values(config, rows, gamma):
+    def pair_values(rows, gamma):
         values = []
         for chunk in _chunks(rows, t.size):
-            width = np.abs(t + shift[chunk, None])
+            width = np.abs(t + shift[chunk])
             # log f(s) = -|s| + rest(s); rest: the jamming factors and the logistic's O(1) part
-            rest = (log_g - _log_jamming_factors(t - log_gains[own[chunk], None])
+            rest = (log_g - _log_jamming_factors(t - log_gains[own[chunk]])
                     - 2.0 * np.log1p(np.exp(-width)))
             # scaled to the peak node; |s_peak| - |s| is exact near the peak (Sterbenz)
-            peak = np.argmax(rest - width, axis=1)[:, None]
-            width_peak = np.take_along_axis(width, peak, axis=1)
-            rest_peak = np.take_along_axis(rest, peak, axis=1)
+            at = np.arange(len(chunk))[:, None], np.argmax(rest - width, axis=1)[:, None]
+            width_peak, rest_peak = width[at], rest[at]
             scaled = (width_peak - width) + (rest - rest_peak)
             # nodes under e^-60 of the peak add under 1e-22 in all, but one fsum partial each
             kept = scaled > -60.0
             nodes = np.exp(scaled)
-            for i, row, keep, w, r in zip(chunk, nodes, kept, width_peak[:, 0], rest_peak[:, 0]):
+            peaks = zip(width_peak[:, 0].tolist(), rest_peak[:, 0].tolist())
+            for i, row, keep, (w, r) in zip(chunk[:, 0], nodes, kept, peaks):
                 total = math.fsum(memoryview(row[keep]))
                 value = se[i] / (sd[i] + se[i]) * h * total * math.exp(-w) * math.exp(r)
                 if not value >= sys.float_info.min:
@@ -375,15 +381,17 @@ def intercepts(config: SystemConfig, schemes: Sequence[str], gamma: float) -> li
     gamma = require_snr(gamma)
     values = {NONCOOP: intercept_noncoop(config)}
     if SC_RJS in schemes or SC_OJS in schemes:
+        gains = _gains(config)
         try:
-            values[SC_RJS] = min(_cooperative(config, gamma, _rjs_values), values[NONCOOP])
+            rjs = _cooperative(config, gamma, functools.partial(_rjs_values, gains))
+            values[SC_RJS] = min(rjs, values[NONCOOP])
         except ValueError:  # rjs refuses where one of its intermediates over- or underflows
             if SC_RJS in schemes:
                 raise
             values[SC_RJS] = values[NONCOOP]
     if SC_OJS in schemes:
-        pair_values = (_ojs_subset_values if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS
-                       else _ojs_trapezoid(config, gamma))
+        pair_values = (functools.partial(_ojs_subset_values, gains)
+                       if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS else _ojs_trapezoid(gains, gamma))
         values[SC_OJS] = min(_cooperative(config, gamma, pair_values), values[SC_RJS])
     return [InterceptValue(values[s], config.n_pairs == 1 and s != NONCOOP) for s in schemes]
 
@@ -444,14 +452,14 @@ def _jammed_oracle(config: SystemConfig, i: int, jammers: Iterable[int], gamma: 
 
 def intercept_sc_rjs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system RJS intercept probability assembled from quadrature."""
-    return _cooperative(config, gamma, lambda cfg, rows, g: [math.fsum(
-        _jammed_oracle(cfg, i, [j], g) for j in _candidates(cfg, i)
-    ) / (cfg.n_pairs - 1) for i in rows])
+    return _cooperative(config, gamma, lambda rows, g: [math.fsum(
+        _jammed_oracle(config, i, [j], g) for j in _candidates(config, i)
+    ) / (config.n_pairs - 1) for i in rows])
 
 
 def intercept_sc_ojs_oracle(config: SystemConfig, gamma: float) -> float:
     """Whole-system OJS intercept probability assembled from quadrature."""
     return _cooperative(
-        config, gamma, lambda cfg, rows, g: [_jammed_oracle(cfg, i, _candidates(cfg, i), g)
-                                             for i in rows]
+        config, gamma, lambda rows, g: [_jammed_oracle(config, i, _candidates(config, i), g)
+                                        for i in rows]
     )

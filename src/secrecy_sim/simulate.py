@@ -87,11 +87,11 @@ def draws_per_trial(n_pairs: int) -> int:
 
 
 def _runs(jammer_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and length of each run of equal jammer means, in config order."""
+    """First column and length of each run of equal jammer means, in config order."""
     edge = np.ones(len(jammer_means) + 1, dtype=bool)
     np.not_equal(jammer_means[1:], jammer_means[:-1], out=edge[1:-1])
     at = np.flatnonzero(edge)
-    return jammer_means[at[:-1]], at[1:] - at[:-1]
+    return at[:-1], at[1:] - at[:-1]
 
 
 def _estimate_words(se_means: np.ndarray) -> np.ndarray:
@@ -294,32 +294,31 @@ def _rjs_gain(means: np.ndarray, counts: np.ndarray, w: np.ndarray, live: np.nda
 
 def _batch_events(
     pair: PairParams,
-    runs: tuple[np.ndarray, np.ndarray],
+    jammer_means: np.ndarray,
     schemes: Sequence[str],
     gamma: float,
     w: np.ndarray,
 ) -> list[np.ndarray]:
     """Boolean intercept indicators of each scheme for one layout-v2 word batch of one pair.
 
-    `runs` are the mean and length of each run of the pair's jammer means,
-    as `_runs` gives them.  Computes g_sd and g_se once; the nonc event is
-    g_sd < g_se.  On a row where it fails no jammer can give an intercept,
-    since g_je*gamma*g_sd is >= 0 (or NaN) and rounded doubling and addition
-    are monotone, so rjs and ojs convert words only on the rows where nonc
-    holds.  Returns one array per entry of `schemes`, in order; `w` is left
-    as it was.
+    Computes g_sd and g_se once; the nonc event is g_sd < g_se.  On a row
+    where it fails no jammer can give an intercept, since g_je*gamma*g_sd is
+    >= 0 (or NaN) and rounded doubling and addition are monotone, so rjs
+    and ojs convert words only on the rows where nonc holds.  Returns one
+    array per entry of `schemes`, in order; `w` is left as it was.
     """
     g_sd, g_se = _uniform(w[:, 0]), _uniform(w[:, 1])
     _exp_gain(pair.sigma2_sd, g_sd, out=g_sd)
     _exp_gain(pair.sigma2_se, g_se, out=g_se)
     events = {NONCOOP: g_sd < g_se}
     jammed = [s for s in (SC_RJS, SC_OJS) if s in schemes]
-    means, counts = runs
-    if not len(counts):
+    if not len(jammer_means):
         events |= dict.fromkeys(jammed, events[NONCOOP])
     elif jammed:
         live = np.flatnonzero(events[NONCOOP])
         g_sd, g_se = g_sd[live], g_se[live]
+        starts, counts = _runs(jammer_means)
+        means = jammer_means[starts]
         jammer_gain = {}
         if SC_RJS in jammed:
             jammer_gain[SC_RJS] = _rjs_gain(means, counts, w, live)
@@ -351,19 +350,16 @@ def _run_batches(
     workers: int,
     count,
     words: Callable[[np.ndarray], np.ndarray],
-    plan: Callable[[np.ndarray], object],
 ):
-    """Sum `count(pair, plan(jammer_means), w)` over every word batch of every pair.
+    """Sum `count(pair, jammer_means, w)` over every word batch of every pair.
 
+    `jammer_means` holds the other pairs' sigma2_se in config order, and
     `words(se_means)` gives every pair's words per trial from all pairs'
-    sigma2_se.  A pair's `jammer_means` holds the other pairs' sigma2_se in
-    config order; its plan is made when its first batch runs and handed to
-    its other batches from a cache of at most `workers` plans, so no table
-    grows as N^2.  `w` is one batch's (rows, words) block of the
-    pair's stream as raw uint64 Philox words, which `count` may overwrite;
-    `count` returns a number or a numpy count vector.  Each pair runs
-    ceil(trials / N) trials; returns the per-pair sums and that trial count.
-    Checks every argument but the config, valid by type.
+    sigma2_se.  `w` is one batch's (rows, words) block of the pair's stream
+    as raw uint64 Philox words, which `count` may overwrite; `count` returns
+    a number or a numpy count vector.  Each pair runs ceil(trials / N)
+    trials; returns the per-pair sums and that trial count.  Checks every
+    argument but the config, valid by type.
     """
     require_snr(gamma)
     trials = operator.index(trials)
@@ -377,17 +373,13 @@ def _run_batches(
     per_pair = -(-trials // n)
     se_means = np.array([p.sigma2_se for p in config.pairs])
     widths = words(se_means).tolist()
-    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, widths[i])]
-    workers = min(workers, len(tasks))
-    # workers take the batches in order, so a pair's batches run close together and find its
-    # plan here; one that has left the cache is made again, the same
-    plans = functools.lru_cache(maxsize=workers)(lambda pair: plan(np.delete(se_means, pair)))
 
     def run_batch(pair: int, start: int, stop: int):
-        jammers = plans(pair)
         w = _pair_stream(seed, pair, widths[pair], start).random_raw((stop - start, widths[pair]))
-        return count(config.pairs[pair], jammers, w)
+        return count(config.pairs[pair], np.delete(se_means, pair), w)
 
+    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, widths[i])]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(lambda t: run_batch(*t), tasks))
@@ -424,11 +416,10 @@ def estimate_intercepts(
         raise ValueError("need at least one scheme")
     successes, per_pair = _run_batches(
         config, gamma, trials, rng, workers,
-        lambda pair, runs, w: np.array(
-            [np.count_nonzero(e) for e in _batch_events(pair, runs, schemes, gamma, w)]
+        lambda pair, means, w: np.array(
+            [np.count_nonzero(e) for e in _batch_events(pair, means, schemes, gamma, w)]
         ),
         _estimate_words,
-        _runs,
     )
     n = config.n_pairs
     estimates = []
@@ -504,7 +495,5 @@ def coupled_dominance_check(
     if config.n_pairs < 2:
         raise ValueError("dominance check needs at least two pairs")
     count = functools.partial(_chain_violations, gamma)
-    counts, _ = _run_batches(
-        config, gamma, trials, rng, 1, count, _dominance_words, lambda means: means
-    )
+    counts, _ = _run_batches(config, gamma, trials, rng, 1, count, _dominance_words)
     return sum(counts)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -237,6 +238,11 @@ def test_ojs_four_pair_reference_value():
     assert intercept_sc_ojs(cfg, 10.0) == pytest.approx(0.11476304684707683, rel=1e-12, abs=0.0)
 
 
+def _subset_value(config, i, gamma):
+    """Pair i's OJS subset sum, asked for alone."""
+    return analytic._ojs_subset_values(analytic._gains(config), [i], gamma)[0]
+
+
 def test_ojs_matches_subset_iterator_form():
     # independent slow path: explicit subsets via SubsetIterator and phi_ojs
     gamma = 25.0
@@ -251,7 +257,7 @@ def test_ojs_matches_subset_iterator_form():
                 2.0 * se / (sd * ASYMMETRIC.pairs[j].sigma2_se * gamma) for j in subset
             )
             total += (-1.0) ** (len(subset) + 1) * inner * e1_scaled(phi)
-        assert analytic._ojs_subset_values(ASYMMETRIC, [i], gamma)[0] == pytest.approx(
+        assert _subset_value(ASYMMETRIC, i, gamma) == pytest.approx(
             total, rel=1e-12, abs=0.0
         )
 
@@ -279,7 +285,7 @@ def test_ojs_bracket_with_repeated_gain_classes():
                 * e1_scaled(phi_ojs(cfg, i, subset, gamma))
                 for subset in SubsetIterator(candidates)
             )
-            assert analytic._ojs_subset_values(cfg, [i], gamma)[0] == pytest.approx(
+            assert _subset_value(cfg, i, gamma) == pytest.approx(
                 explicit, rel=1e-12, abs=0.0
             )
     for gamma in (0.5, 50.0, 5e4, 1e6):
@@ -293,8 +299,10 @@ def test_ojs_bracket_with_repeated_gain_classes():
 @pytest.mark.parametrize(
     "evaluate, pair_values, rel",
     [
-        (intercept_sc_rjs, analytic._rjs_values, 0.0),
-        (intercept_sc_ojs, analytic._ojs_subset_values, 0.0),
+        (intercept_sc_rjs,
+         lambda cfg, rows, g: analytic._rjs_values(analytic._gains(cfg), rows, g), 0.0),
+        (intercept_sc_ojs,
+         lambda cfg, rows, g: analytic._ojs_subset_values(analytic._gains(cfg), rows, g), 0.0),
         (
             intercept_sc_rjs_oracle,
             lambda cfg, rows, g: [math.fsum(
@@ -523,9 +531,9 @@ def test_intercepts_evaluate_each_distinct_rjs_pair_once(monkeypatch):
     seen = []
     rjs_values = analytic._rjs_values
 
-    def spy(cfg, rows, gamma):
+    def spy(gains, rows, gamma):
         seen.append(rows)
-        return rjs_values(cfg, rows, gamma)
+        return rjs_values(gains, rows, gamma)
 
     monkeypatch.setattr(analytic, "_rjs_values", spy)
     intercepts(REPEATED_CLASSES, SCHEMES, 25.0)
@@ -752,10 +760,10 @@ def _trapezoid(config, i, gamma):
     The estimate is an estimate, not a bound: T_{h/2} adds the midpoints to T_h's nodes.  Both
     are the pair values intercept_sc_ojs sums, before its min with intercept_sc_rjs.
     """
-    [value] = analytic._ojs_trapezoid(config, gamma)(config, [i], gamma)
+    [value] = analytic._ojs_trapezoid(analytic._gains(config), gamma)([i], gamma)
     half = analytic._ojs_trapezoid_step(config.n_pairs) / 2.0
     with mock.patch.object(analytic, "_ojs_trapezoid_step", lambda n_pairs: half):
-        [refined] = analytic._ojs_trapezoid(config, gamma)(config, [i], gamma)
+        [refined] = analytic._ojs_trapezoid(analytic._gains(config), gamma)([i], gamma)
     assert refined == pytest.approx(value, rel=1e-13, abs=0.0)
     return value
 
@@ -818,7 +826,7 @@ def test_ojs_subset_sum_and_trapezoid_agree_past_the_switch(n):
     cfg = _distinct_config(np.random.default_rng(n), n, 1.0)
     for gamma in (10.0, 1e6):
         for i in (0, n - 1):
-            assert analytic._ojs_subset_values(cfg, [i], gamma)[0] == pytest.approx(
+            assert _subset_value(cfg, i, gamma) == pytest.approx(
                 _trapezoid(cfg, i, gamma), rel=1e-8, abs=0.0
             )
 
@@ -836,7 +844,7 @@ def test_ojs_subset_sum_and_trapezoid_agree_on_repeated_gains(n):
                 _alternating_config(n)):
         for gamma in (10.0, 1e6):
             for i in (0, n - 1):
-                assert analytic._ojs_subset_values(cfg, [i], gamma)[0] == pytest.approx(
+                assert _subset_value(cfg, i, gamma) == pytest.approx(
                     _trapezoid(cfg, i, gamma), rel=1e-8, abs=0.0
                 )
 
@@ -876,7 +884,7 @@ def test_ojs_trapezoid_working_set_is_bounded():
     cfg = _spread_config(1024)
     tracemalloc.start()
     try:
-        [value] = analytic._ojs_trapezoid(cfg, 10.0)(cfg, [0], 10.0)
+        [value] = analytic._ojs_trapezoid(analytic._gains(cfg), 10.0)([0], 10.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -955,8 +963,8 @@ _BATCH_CONFIGS = {
     "distinct13": _distinct_config(np.random.default_rng(13), 13, 2.0),
 }
 _EVALUATORS = {
-    "rjs": lambda cfg, gamma: analytic._rjs_values,
-    "subset": lambda cfg, gamma: analytic._ojs_subset_values,
+    "rjs": lambda gains, gamma: functools.partial(analytic._rjs_values, gains),
+    "subset": lambda gains, gamma: functools.partial(analytic._ojs_subset_values, gains),
     "trapezoid": analytic._ojs_trapezoid,
 }
 
@@ -971,9 +979,9 @@ def test_batched_values_equal_one_row_calls(monkeypatch, cfg, evaluator, one_row
         monkeypatch.setattr(analytic, "_CHUNK_BYTES", 1)
     rows = list(range(cfg.n_pairs)) + list(range(cfg.n_pairs))[::-1]
     for gamma in (0.5, 10.0, 1e6):
-        pair_values = _EVALUATORS[evaluator](cfg, gamma)
-        batched = pair_values(cfg, rows, gamma)
-        assert [repr(v) for v in batched] == [repr(pair_values(cfg, [i], gamma)[0]) for i in rows]
+        pair_values = _EVALUATORS[evaluator](analytic._gains(cfg), gamma)
+        batched = pair_values(rows, gamma)
+        assert [repr(v) for v in batched] == [repr(pair_values([i], gamma)[0]) for i in rows]
 
 
 @pytest.mark.parametrize("chunk_bytes, calls", [(None, 2), (1, 8)], ids=["default", "one-row"])

@@ -394,13 +394,14 @@ def test_validate_catches_a_wrong_candidate_list(monkeypatch):
     # same, so only the asymmetric row sees it.
     exact = analytic._ojs_subset_values
 
-    def wrong_candidates(config, rows, gamma):
-        k = max(range(config.n_pairs), key=lambda j: config.pairs[j].sigma2_se)
+    def wrong_candidates(gains, rows, gamma):
+        k = int(gains[1].argmax())  # the first pair of largest sigma2_se
         values = []
         for i in rows:
-            pairs = list(config.pairs)
-            pairs[k] = pairs[i]
-            values += exact(SystemConfig(tuple(pairs)), [k], gamma)
+            swapped = [column.copy() for column in gains]
+            for column in swapped:
+                column[k] = column[i]
+            values += exact(swapped, [k], gamma)
         return values
 
     monkeypatch.setattr(analytic, "_ojs_subset_values", wrong_candidates)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -71,8 +70,7 @@ def _gain_rows(rows, means):
 
 def _events(u, means, scheme, gamma):
     """Kernel events for a unit-mean active pair with the given jammer means."""
-    runs = simulate._runs(np.asarray(means, dtype=float))
-    return _batch_events(UNIT_PAIR, runs, (scheme,), gamma, _words(u))[0]
+    return _batch_events(UNIT_PAIR, np.asarray(means, dtype=float), (scheme,), gamma, _words(u))[0]
 
 
 def _rjs_picks(u, means):
@@ -412,12 +410,12 @@ def test_event_inclusion_chain_on_arbitrary_draws(block, gamma):
     assert not (e_sc & ~e_nonc[:, None]).any()
     assert _chain_violations(gamma, pair, means, dominance) == 0
     # layout v2 reads one word per run; the picked gain never exceeds the strongest
-    runs = simulate._runs(means)
-    v2 = w[:, : 4 + len(runs[1])].copy()
-    nonc, rjs, ojs = _batch_events(pair, runs, SCHEMES, gamma, v2)
+    starts, counts = simulate._runs(means)
+    v2 = w[:, : 4 + len(counts)].copy()
+    nonc, rjs, ojs = _batch_events(pair, means, SCHEMES, gamma, v2)
     assert not (ojs & ~rjs).any() and not (rjs & ~nonc).any()
-    g_rjs = simulate._rjs_gain(*runs, v2, np.arange(len(w)))
-    g_ojs = simulate._ojs_gain(*runs, _uniform(v2[:, 4:]))
+    g_rjs = simulate._rjs_gain(means[starts], counts, v2, np.arange(len(w)))
+    g_ojs = simulate._ojs_gain(means[starts], counts, _uniform(v2[:, 4:]))
     assert np.isfinite(g_ojs).all() and (g_rjs >= 0.0).all() and (g_rjs <= g_ojs).all()
 
 
@@ -462,11 +460,11 @@ def test_select_jammer_optimal_permutation_equivariance():
     u = _block(8, 0, n + 3, 4000)
     means = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
     pair = PairParams(1.0, 2.0, 1.0 / n)
-    base = _batch_events(pair, simulate._runs(means), ("ojs",), 10.0, _words(u))[0]
+    base = _batch_events(pair, means, ("ojs",), 10.0, _words(u))[0]
     for perm in (np.arange(n - 1)[::-1], rng.permutation(n - 1), rng.permutation(n - 1)):
         shuffled = u.copy()
         shuffled[:, 4 : n + 3] = u[:, 4 + perm]
-        got = _batch_events(pair, simulate._runs(means[perm]), ("ojs",), 10.0, _words(shuffled))[0]
+        got = _batch_events(pair, means[perm], ("ojs",), 10.0, _words(shuffled))[0]
         assert np.array_equal(got, base)
 
 
@@ -511,8 +509,7 @@ def test_ojs_runs_of_equal_jammer_means_match_reference(n, kind):
     wide_beside_other = beside_single = False
     for i in sorted({0, n // 2, n - 1}):
         means = _jammer_means(cfg, i)
-        runs = simulate._runs(means)
-        counts = runs[1]
+        counts = simulate._runs(means)[1]
         wide_beside_other |= 1 < len(counts) < len(means)
         beside_single |= 1 == counts.min() < counts.max()
         u = _block(50 + i, i, 4 + len(counts), 2000)
@@ -522,7 +519,7 @@ def test_ojs_runs_of_equal_jammer_means_match_reference(n, kind):
         u[300:400, 3] = MAX_UNIFORM
         for gamma in (0.3, 3.0):
             want = _decoded_events(cfg.pairs[i], means, gamma, u)
-            got = _batch_events(cfg.pairs[i], runs, SCHEMES, gamma, _words(u))
+            got = _batch_events(cfg.pairs[i], means, SCHEMES, gamma, _words(u))
             for scheme, events in zip(SCHEMES, got):
                 assert np.array_equal(events, want[scheme]), (i, gamma, scheme)
             assert want["ojs"].any() and not want["ojs"].all()
@@ -612,27 +609,9 @@ def test_wide_system_batches_match_single_block(scheme):
     hits = []
     for i in range(n):
         w = _pair_stream(5, i, draws_per_trial(n), 0).random_raw((per_pair, draws_per_trial(n)))
-        runs = simulate._runs(_jammer_means(cfg, i))
-        events = _batch_events(cfg.pairs[i], runs, (scheme,), gamma, w)[0]
+        events = _batch_events(cfg.pairs[i], _jammer_means(cfg, i), (scheme,), gamma, w)[0]
         hits.append(int(events.sum()))
     assert one.p_hat == math.fsum(p.alpha * h / per_pair for p, h in zip(cfg.pairs, hits))
-
-
-@pytest.mark.parametrize("kind", ["interleaved", "all distinct"])
-def test_workers_sharing_pair_plans_match_one_worker(monkeypatch, kind):
-    # more workers than cores, a dozen small batches per pair and a short switch interval: the
-    # workers share one cache of pair plans, and every batch must still read its own pair's
-    # runs, so four workers give the estimates of one, field for field
-    monkeypatch.setattr(simulate, "BATCH_BYTES", 1 << 12)
-    cfg = _repeated_gain_config(9, kind)
-    one = estimate_intercepts(cfg, SCHEMES, 3.0, 9 * 500, 21, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        four = estimate_intercepts(cfg, SCHEMES, 3.0, 9 * 500, 21, workers=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert four == one
 
 
 def test_estimator_memory_grows_with_n_not_n_squared():
@@ -744,11 +723,10 @@ def test_batch_events_match_all_columns_reference(n):
         means = _jammer_means(cfg, i)
         decoded = _decoded_events(pair, means, gamma, u)
         expected = [decoded[scheme] for scheme in SCHEMES]
-        runs = simulate._runs(means)
         for scheme, want in zip(SCHEMES, expected):
-            got = _batch_events(pair, runs, (scheme,), gamma, _words(u))[0]
+            got = _batch_events(pair, means, (scheme,), gamma, _words(u))[0]
             assert np.array_equal(got, want), (scheme, gamma)
-        together = _batch_events(pair, runs, SCHEMES, gamma, _words(u))
+        together = _batch_events(pair, means, SCHEMES, gamma, _words(u))
         for scheme, got, want in zip(SCHEMES, together, expected):
             assert np.array_equal(got, want), (scheme, gamma)
     # the boundary survives the snap: ties and rows within 1e-12 either side
