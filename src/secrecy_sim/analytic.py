@@ -31,14 +31,16 @@ integral below, at step h(N) = min(0.2, 0.45/ln(N-1)) (derived in
 _ojs_trapezoid).  With kappa_j = e^(b_i) * sigma2_se_j, every pair's jamming
 product is one function of t = s - b_i less its own factor, so one lattice serves
 every pair: O(nodes x classes) once per call plus O(nodes) per distinct pair,
-with no cancellation.  Each closed form takes its distinct pairs as the rows of
-one call and evaluates them together, one e1_scaled call or one block of
-trapezoid rows per chunk of rows, each chunk's arrays at most 64 KiB
-(_CHUNK_BYTES); the fixed cost of a numpy call is paid per chunk, not per pair,
-and no array grows as N^2.  It was within 9e-16 of a cancellation-free reference
+with no cancellation.  It was within 9e-16 of a cancellation-free reference
 for symmetric N up to 200 and within 1.1e-14 of the oracle on symmetric N up to
 1024 and spread N up to 32; its a-posteriori estimate |T_h - T_{h/2}| stayed
 under 4e-16 relative for gamma 1e-3..1e9 and under 3.2e-15 out to 1e300.
+
+Each closed form is one function f(gains, rows, gamma) -> list[float] that
+evaluates every distinct pair as a row of one block, RJS and the subset sum
+over the candidates _row_candidates gives each row.  RJS and the trapezoid
+take their rows in chunks of at most 64 KiB per array (_CHUNK_BYTES), so no
+array grows as N^2; the subset sum's block, at most 11 rows of 1023 subsets, is one.
 
 Every closed form has an independent oracle here that integrates the
 underlying probability directly by adaptive quadrature, never touching E1.
@@ -82,9 +84,9 @@ __all__ = [
 
 # intercept_sc_ojs answers up to this many pairs by the subset sum, beyond by the trapezoid.
 _OJS_SUBSET_MAX_PAIRS = 11
-# The closed forms take their distinct pairs in chunks of rows whose float arrays hold at most
-# this many bytes each, at least one row, so no array grows as N^2.  Every row is computed
-# alone, so the chunking changes memory and speed, never a bit.
+# RJS and the trapezoid take their rows in chunks whose float arrays hold at most this many
+# bytes each, at least one row; every row is computed alone, so chunking never moves a bit.
+# The subset sum is not chunked: _OJS_SUBSET_MAX_PAIRS bounds its one block.
 _CHUNK_BYTES = 64 << 10
 _LN2 = math.log(2.0)
 
@@ -180,15 +182,22 @@ def intercept_noncoop(config: SystemConfig) -> float:
     )
 
 
+def _row_candidates(inv, rows):
+    """Each (rows, 1) index column's candidates: every pair's 1/sigma2_se in ascending order,
+    less one instance of row i's own, as a (rows, N-1) block, whatever the order of the pairs."""
+    jammers = np.sort(inv)
+    cols = np.arange(len(jammers) - 1)
+    own = np.searchsorted(jammers, inv[rows])  # the first equal to row i's
+    return jammers[cols + (cols >= own)]
+
+
 def _rjs_values(gains, rows, gamma: float) -> list[float]:
-    """Each row i's mean of its N-1 singleton jamming terms, its candidates in config order."""
+    """Each row i's mean of its N-1 singleton jamming terms, one (rows x N-1) block per chunk."""
     sd, se, inv = gains
     m = len(inv) - 1
-    cols = np.arange(m)
     values = []
     for chunk in _chunks(rows, m):
-        recip = inv[cols + (cols >= chunk)]  # row i skips column i
-        terms = _jamming_terms(sd[chunk], se[chunk], recip, gamma)
+        terms = _jamming_terms(sd[chunk], se[chunk], _row_candidates(inv, chunk), gamma)
         values += [math.fsum(memoryview(row)) / m for row in terms]
     return values
 
@@ -205,34 +214,27 @@ def intercept_sc_rjs(config: SystemConfig, gamma: float) -> float:
 
 
 def _ojs_subset_values(gains, rows, gamma: float) -> list[float]:
-    """Each row i's alternating subset sum under optimal selection.
+    """Each row i's alternating subset sum under optimal selection, one (rows x 2^(N-1)-1) block.
 
-    Row i's candidates are every pair's 1/sigma2_se in ascending order, less one equal to pair
-    i's, so the reciprocal sums, and with them the bits, depend on the gains but not on the
-    order of the pairs.  Their 2^(N-1) - 1 non-empty subsets run in binary-counter order,
-    candidate l as bit l, each one term added for odd sizes and subtracted for even.  fsum
-    over a row's terms is exactly rounded; at high SNR it cancels O(1/gamma) terms to an
-    O(ln(gamma)/gamma) total.  tests/ojs_subsets.py holds the explicit-subset slow path that
-    checks it.
+    Row i's candidates come from _row_candidates, so the reciprocal sums, and with them the
+    bits, do not depend on the order of the pairs.  Their 2^(N-1) - 1 non-empty subsets run in
+    binary-counter order, candidate l as bit l, each one term added for odd sizes and
+    subtracted for even.  intercepts sends at most 11 rows of 1023 subsets, 88 KiB per array,
+    so the block is not chunked.  fsum over a row's terms is exactly rounded; at high SNR it
+    cancels O(1/gamma) terms to an O(ln(gamma)/gamma) total.  tests/ojs_subsets.py holds the
+    explicit-subset slow path that checks it.
     """
     sd, se, inv = gains
     m = len(inv) - 1
-    jammers = np.sort(inv)
+    rows = np.asarray(rows)[:, None]
     odd = np.bitwise_count(np.arange(1, 1 << m)) & 1  # each non-empty subset's size parity
-    sign = np.where(odd, 1.0, -1.0)
-    cols = np.arange(m)
-    values = []
-    for chunk in _chunks(rows, 1 << m):
-        own = np.searchsorted(jammers, inv[chunk])  # the first equal to row i's
-        candidates = jammers[(cols + (cols >= own)).T[..., None]]  # bit l's as a (rows, 1) column
-        recip = np.zeros((len(chunk), 1 << m))  # column 0 is the empty set
-        for bit, candidate in enumerate(candidates):
-            np.add(recip[:, : 1 << bit], candidate, out=recip[:, 1 << bit : 2 << bit])
-        terms = _jamming_terms(sd[chunk], se[chunk], recip[:, 1:], gamma)
-        np.copysign(terms, sign, out=terms)  # exact: every term is positive
-        # A memoryview yields plain floats: no numpy scalar per term, no list copy.
-        values += [math.fsum(memoryview(row)) for row in terms]
-    return values
+    recip = np.zeros((len(rows), 1 << m))  # column 0 is the empty set
+    for bit, candidate in enumerate(_row_candidates(inv, rows).T[..., None]):
+        np.add(recip[:, : 1 << bit], candidate, out=recip[:, 1 << bit : 2 << bit])
+    terms = _jamming_terms(sd[rows], se[rows], recip[:, 1:], gamma)
+    np.copysign(terms, np.where(odd, 1.0, -1.0), out=terms)  # exact: every term is positive
+    # A memoryview yields plain floats: no numpy scalar per term, no list copy.
+    return [math.fsum(memoryview(row)) for row in terms]
 
 
 def _log_jamming_factors(t):
@@ -259,8 +261,8 @@ def _ojs_trapezoid_step(n_pairs: int) -> float:
     return 0.45 / max(math.log(n_pairs - 1), 2.25)
 
 
-def _ojs_trapezoid(gains, gamma: float):
-    """Every pair's OJS value by the trapezoidal rule on one lattice, as a pair_values.
+def _ojs_trapezoid(gains, rows, gamma: float) -> list[float]:
+    """Each row i's OJS value by the trapezoidal rule, every row on one lattice per call.
 
     Pair i's value is se/(sd + se) * integral of sigma'(s) * prod_j (1 - exp(-e^(s - ln kappa_j)))
     over the real line: sigma' is the logistic density, and candidate j jams at scale kappa_j =
@@ -270,9 +272,9 @@ def _ojs_trapezoid(gains, gamma: float):
     of equal sigma2_se, gain g_l and c_l pairs each, in sorted order.  So log G is summed once
     per call, one class at a time into one float per node, on the integer multiples of h that
     cover every pair's knees (t = -b_i and ln g_l) +-50; T_{h/2} has every node of T_h.  The
-    returned pair_values(rows, gamma) takes its rows as (rows x nodes) blocks: for each
-    row i it subtracts pair i's own factor, adds log sigma'(t + b_i), and scales the nodes to
-    the row's largest before the row's fsum, so no node that matters over- or underflows.  A
+    rows then go in (rows x nodes) blocks, one per chunk: for each row i it subtracts pair
+    i's own factor, adds log sigma'(t + b_i), and scales the nodes to the row's largest
+    before the row's fsum, so no node that matters over- or underflows.  A
     candidate's kappa_j, or a step toward it, that over- or underflows (subnormal included), or
     a value that is not a normal float, is an SNR range error; kappa_j grows with sigma2_se_j,
     so each pair's smallest and largest candidate gain decide.  The cost is
@@ -315,30 +317,27 @@ def _ojs_trapezoid(gains, gamma: float):
     t = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1) * h
     log_g = sum(c * _log_jamming_factors(t - log_gain) for log_gain, c in zip(log_gains, counts))
 
-    def pair_values(rows, gamma):
-        values = []
-        for chunk in _chunks(rows, t.size):
-            width = np.abs(t + shift[chunk])
-            # log f(s) = -|s| + rest(s); rest: the jamming factors and the logistic's O(1) part
-            rest = (log_g - _log_jamming_factors(t - log_gains[own[chunk]])
-                    - 2.0 * np.log1p(np.exp(-width)))
-            # scaled to the peak node; |s_peak| - |s| is exact near the peak (Sterbenz)
-            at = np.arange(len(chunk))[:, None], np.argmax(rest - width, axis=1)[:, None]
-            width_peak, rest_peak = width[at], rest[at]
-            scaled = (width_peak - width) + (rest - rest_peak)
-            # nodes under e^-60 of the peak add under 1e-22 in all, but one fsum partial each
-            kept = scaled > -60.0
-            nodes = np.exp(scaled)
-            peaks = zip(width_peak[:, 0].tolist(), rest_peak[:, 0].tolist())
-            for i, row, keep, (w, r) in zip(chunk[:, 0], nodes, kept, peaks):
-                total = math.fsum(memoryview(row[keep]))
-                value = se[i] / (sd[i] + se[i]) * h * total * math.exp(-w) * math.exp(r)
-                if not value >= sys.float_info.min:
-                    raise _snr_range_error(gamma, "the trapezoidal sum")
-                values.append(value)
-        return values
-
-    return pair_values
+    values = []
+    for chunk in _chunks(rows, t.size):
+        width = np.abs(t + shift[chunk])
+        # log f(s) = -|s| + rest(s); rest: the jamming factors and the logistic's O(1) part
+        rest = (log_g - _log_jamming_factors(t - log_gains[own[chunk]])
+                - 2.0 * np.log1p(np.exp(-width)))
+        # scaled to the peak node; |s_peak| - |s| is exact near the peak (Sterbenz)
+        at = np.arange(len(chunk))[:, None], np.argmax(rest - width, axis=1)[:, None]
+        width_peak, rest_peak = width[at], rest[at]
+        scaled = (width_peak - width) + (rest - rest_peak)
+        # nodes under e^-60 of the peak add under 1e-22 in all, but one fsum partial each
+        kept = scaled > -60.0
+        nodes = np.exp(scaled)
+        peaks = zip(width_peak[:, 0].tolist(), rest_peak[:, 0].tolist())
+        for i, row, keep, (w, r) in zip(chunk[:, 0], nodes, kept, peaks):
+            total = math.fsum(memoryview(row[keep]))
+            value = se[i] / (sd[i] + se[i]) * h * total * math.exp(-w) * math.exp(r)
+            if not value >= sys.float_info.min:
+                raise _snr_range_error(gamma, "the trapezoidal sum")
+            values.append(value)
+    return values
 
 
 def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
@@ -357,8 +356,8 @@ def intercept_sc_ojs(config: SystemConfig, gamma: float) -> float:
     0.08 vs 0.19 / 0.13 vs 0.37, N=6 0.10 vs 0.19 / 0.15 vs 0.48, N=8 0.16 vs 0.19 / 0.40 vs
     0.58, N=9 0.23 vs 0.19 / 0.77 vs 0.64, N=10 0.35 vs 0.20 / 1.5 vs 0.66, N=11 0.58 vs 0.19
     / 3.3 vs 0.71; so the two break even between 8 and 9 pairs.  Above the switch an
-    all-distinct call takes 0.8-1.4 ms at N=12 to 18, 6 ms at N=64 and 0.39 s at N=1024, three
-    quarters of it the RJS sum; symmetric N=1024 takes 1.3 ms.  The trapezoid was within 9e-16
+    all-distinct call takes 0.8-1.4 ms at N=12 to 18, 6 ms at N=64 and 0.33 s at N=1024, two
+    thirds of it the RJS sum; symmetric N=1024 takes 1.3 ms.  The trapezoid was within 9e-16
     of the symmetric reference up to N=200 and within 1.1e-14 of intercept_sc_ojs_oracle on
     symmetric N up to 1024 and spread N up to 32 (the oracle refuses all-distinct N of about 290
     or more).  Two pairs equal intercept_sc_rjs bit for bit; one pair degrades to
@@ -390,9 +389,9 @@ def intercepts(config: SystemConfig, schemes: Sequence[str], gamma: float) -> li
                 raise
             values[SC_RJS] = values[NONCOOP]
     if SC_OJS in schemes:
-        pair_values = (functools.partial(_ojs_subset_values, gains)
-                       if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS else _ojs_trapezoid(gains, gamma))
-        values[SC_OJS] = min(_cooperative(config, gamma, pair_values), values[SC_RJS])
+        ojs = _ojs_subset_values if config.n_pairs <= _OJS_SUBSET_MAX_PAIRS else _ojs_trapezoid
+        values[SC_OJS] = min(_cooperative(config, gamma, functools.partial(ojs, gains)),
+                             values[SC_RJS])
     return [InterceptValue(values[s], config.n_pairs == 1 and s != NONCOOP) for s in schemes]
 
 

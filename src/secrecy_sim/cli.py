@@ -55,13 +55,13 @@ def _parse_grid(text: str) -> list[float]:
         if not (step > 0 and hi >= lo):
             raise ValueError(f"bad grid bounds in {text!r}")
         span = (hi - lo) / step
-        if not span <= _MAX_GRID_POINTS:
-            raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        count = int(round(span))
-        values = [lo + k * step for k in range(count + 1)]
-        if values[-1] > hi + 1e-9:
-            values.pop()
-        return values
+        if span <= _MAX_GRID_POINTS:  # bounds the list before it is built
+            values = [lo + k * step for k in range(int(round(span)) + 1)]
+            if values[-1] > hi + 1e-9:
+                values.pop()
+            if len(values) <= _MAX_GRID_POINTS:
+                return values
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     return [float(text)]
 
 
@@ -168,7 +168,9 @@ def run_grid(args) -> int:
     The system comes from --config or --symmetric when the SNR is the only
     axis; otherwise each point is a symmetric system whose pair count and
     MER come from the swept axes, the rest from --symmetric (default N=4,
-    MER=1).  A flag the experiment would ignore is refused.
+    MER=1).  A flag the experiment would ignore, or a grid of more than
+    _MAX_GRID_POINTS points on one axis or in all, is refused before any
+    point runs.
     """
     grid = _GRIDS[args.experiment]
     _refuse_unread(args, {
@@ -183,6 +185,8 @@ def run_grid(args) -> int:
     grids = {"gamma_db": args.gamma_db or grid.gamma_db, "mer_db": args.mer_db or grid.mer_db}
     first_gamma_db = _parse_grid(grids["gamma_db"])[0]
     axes = [range(1, 9) if axis == "n" else _parse_grid(grids[axis]) for axis in grid.axes]
+    if math.prod(map(len, axes)) > _MAX_GRID_POINTS:
+        raise ValueError(f"{args.experiment} grid has more than {_MAX_GRID_POINTS} points")
     schemes = _selected_schemes(args)
     rows = []
     for point in itertools.product(*axes):

@@ -38,10 +38,8 @@ SC_RJS = "rjs"
 SC_OJS = "ojs"
 SCHEMES = (NONCOOP, SC_RJS, SC_OJS)
 
-# Largest pair count accepted, a bound on time: no step holds an N x N table.  Here, on
-# distinct gains, an rjs closed form (N*(N-1) E1 terms) takes 0.4-0.6 s, an ojs one about
-# 0.2 s more (it evaluates the rjs one too, to keep ojs <= rjs), and a nonc,rjs fig2
-# point of 1000 trials 1.5 s at 82 MiB resident, 81 MiB of it imports.
+# Largest pair count accepted, a bound on time: no step holds an N x N table.  The README's
+# paragraph on this limit gives what a closed form and a fig2 point cost at this N.
 MAX_PAIRS = 1024
 
 

@@ -760,10 +760,10 @@ def _trapezoid(config, i, gamma):
     The estimate is an estimate, not a bound: T_{h/2} adds the midpoints to T_h's nodes.  Both
     are the pair values intercept_sc_ojs sums, before its min with intercept_sc_rjs.
     """
-    [value] = analytic._ojs_trapezoid(analytic._gains(config), gamma)([i], gamma)
+    [value] = analytic._ojs_trapezoid(analytic._gains(config), [i], gamma)
     half = analytic._ojs_trapezoid_step(config.n_pairs) / 2.0
     with mock.patch.object(analytic, "_ojs_trapezoid_step", lambda n_pairs: half):
-        [refined] = analytic._ojs_trapezoid(analytic._gains(config), gamma)([i], gamma)
+        [refined] = analytic._ojs_trapezoid(analytic._gains(config), [i], gamma)
     assert refined == pytest.approx(value, rel=1e-13, abs=0.0)
     return value
 
@@ -879,17 +879,24 @@ def test_ojs_matches_oracle_on_wide_gain_spreads_above_the_switch(seed, n, gamma
 
 
 def test_ojs_trapezoid_working_set_is_bounded():
-    # all-distinct N=1024: 1024 classes at about 1700 nodes would be 13 MiB in one array;
-    # the shared lattice holds one float per node, and a pair's arrays are node-sized
-    cfg = _spread_config(1024)
-    tracemalloc.start()
-    try:
-        [value] = analytic._ojs_trapezoid(analytic._gains(cfg), 10.0)([0], 10.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.0 < value < cfg.pairs[0].sigma2_se / (cfg.pairs[0].sigma2_sd + cfg.pairs[0].sigma2_se)
-    assert peak < 4 * 2**20
+    # trapezoid, all-distinct N=1024: 1024 classes at about 1700 nodes would be 13 MiB in one
+    # array; the shared lattice holds one float per node, and a pair's arrays are node-sized.
+    # Subset sum, all-distinct N=11, every pair a row: one unchunked block of 11 rows x 1023
+    # subsets, 88 KiB per array (0.52 MiB peak measured)
+    for cfg, evaluate, rows, bound in [
+        (_spread_config(1024), analytic._ojs_trapezoid, [0], 4 * 2**20),
+        (_spread_config(11), analytic._ojs_subset_values, list(range(11)), 2**20),
+    ]:
+        tracemalloc.start()
+        try:
+            values = evaluate(analytic._gains(cfg), rows, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for i, value in zip(rows, values, strict=True):
+            pair = cfg.pairs[i]
+            assert 0.0 < value < pair.sigma2_se / (pair.sigma2_sd + pair.sigma2_se)
+        assert peak < bound, evaluate
 
 
 def test_ojs_trapezoid_refuses_out_of_range_snr():
@@ -963,8 +970,8 @@ _BATCH_CONFIGS = {
     "distinct13": _distinct_config(np.random.default_rng(13), 13, 2.0),
 }
 _EVALUATORS = {
-    "rjs": lambda gains, gamma: functools.partial(analytic._rjs_values, gains),
-    "subset": lambda gains, gamma: functools.partial(analytic._ojs_subset_values, gains),
+    "rjs": analytic._rjs_values,
+    "subset": analytic._ojs_subset_values,
     "trapezoid": analytic._ojs_trapezoid,
 }
 
@@ -979,15 +986,15 @@ def test_batched_values_equal_one_row_calls(monkeypatch, cfg, evaluator, one_row
         monkeypatch.setattr(analytic, "_CHUNK_BYTES", 1)
     rows = list(range(cfg.n_pairs)) + list(range(cfg.n_pairs))[::-1]
     for gamma in (0.5, 10.0, 1e6):
-        pair_values = _EVALUATORS[evaluator](analytic._gains(cfg), gamma)
+        pair_values = functools.partial(_EVALUATORS[evaluator], analytic._gains(cfg))
         batched = pair_values(rows, gamma)
         assert [repr(v) for v in batched] == [repr(pair_values([i], gamma)[0]) for i in rows]
 
 
-@pytest.mark.parametrize("chunk_bytes, calls", [(None, 2), (1, 8)], ids=["default", "one-row"])
+@pytest.mark.parametrize("chunk_bytes, calls", [(None, 2), (1, 5)], ids=["default", "one-row"])
 def test_intercepts_make_one_e1_call_per_chunk(monkeypatch, chunk_bytes, calls):
-    # four distinct pairs: one rjs and one subset-sum call, each one e1_scaled call per chunk,
-    # and the same bits however the rows are chunked
+    # four distinct pairs: one rjs call, one e1_scaled call per chunk, and one subset-sum call,
+    # one e1_scaled call for all its rows; the same bits however the rows are chunked
     expected = intercepts(REPEATED_CLASSES, SCHEMES, 25.0)
     if chunk_bytes is not None:
         monkeypatch.setattr(analytic, "_CHUNK_BYTES", chunk_bytes)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -64,3 +65,16 @@ def test_no_module_imports_the_cli():
             else:
                 continue
             assert "secrecy_sim.cli" not in names, (path.name, names)
+
+
+def test_names_the_benchmark_wraps_exist(monkeypatch):
+    # perfbench/tracing.py wraps these attributes by name and imports draws_per_trial; a
+    # refactor that drops one would pass here and fail only when the benchmark runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for module, attr, _ in tracing.WRAPPED:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)

@@ -39,6 +39,21 @@ def test_parse_grid_range_and_single():
     for text in ("nan:10:2", "0:10:nan"):
         with pytest.raises(ValueError, match="bad grid bounds"):
             _parse_grid(text)
+    # at most 1000000 points, endpoints included
+    assert len(_parse_grid("0:999999:1")) == 1_000_000
+    with pytest.raises(ValueError, match="has more than 1000000 points"):
+        _parse_grid("0:1000000:1")
+
+
+def test_grid_of_too_many_points_in_all_is_refused_before_any_point(monkeypatch, capsys):
+    # 1001 MER x 1001 SNR values: each axis fits, their product of 1002001 points does not
+    def unreachable(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(analytic, "intercepts", unreachable)
+    argv = ["--experiment", "fig5", "--mer-db=-5:5:0.01", "--gamma-db", "0:1000:1", "--trials", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: fig5 grid has more than 1000000 points\n"
 
 
 def test_parse_symmetric_order_insensitive():
