@@ -168,7 +168,8 @@ def _cooperative(config: SystemConfig, gamma: float, pair_values) -> float:
         return intercept_noncoop(config)
     rows = {(p.sigma2_sd, p.sigma2_se): i for i, p in enumerate(config.pairs)}
     shared = dict(zip(rows, pair_values(list(rows.values()), gamma)))
-    return math.fsum(p.alpha * shared[p.sigma2_sd, p.sigma2_se] for p in config.pairs)
+    # duty cycles may sum to 1 + 1e-12 (SystemConfig), which can carry the sum past 1
+    return min(math.fsum(p.alpha * shared[p.sigma2_sd, p.sigma2_se] for p in config.pairs), 1.0)
 
 
 def _candidates(config: SystemConfig, i: int) -> list[int]:
@@ -177,9 +178,10 @@ def _candidates(config: SystemConfig, i: int) -> list[int]:
 
 def intercept_noncoop(config: SystemConfig) -> float:
     """Intercept probability without cooperation; independent of SNR."""
-    return math.fsum(
+    # duty cycles may sum to 1 + 1e-12 (SystemConfig), which can carry the sum past 1
+    return min(math.fsum(
         p.alpha * p.sigma2_se / (p.sigma2_sd + p.sigma2_se) for p in config.pairs
-    )
+    ), 1.0)
 
 
 def _row_candidates(inv, rows):

@@ -30,7 +30,6 @@ __all__ = ["main"]
 CSV_VERSION_LINE = "# secrecy-sim v2"
 
 _MIN_MC_TRIALS = 1000
-_MAX_WORKERS = 64
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help=f"Monte Carlo worker threads, 1..{_MAX_WORKERS}; never changes results",
+        help=f"Monte Carlo worker threads, 1..{simulate.MAX_WORKERS}; never changes results",
     )
     return parser
 
@@ -280,8 +279,8 @@ def main(argv=None) -> int:
     if args.trials != 0 and args.trials < _MIN_MC_TRIALS:
         print(f"--trials must be 0 or >= {_MIN_MC_TRIALS}", file=sys.stderr)
         return 2
-    if not 1 <= args.workers <= _MAX_WORKERS:
-        print(f"--workers must be between 1 and {_MAX_WORKERS}", file=sys.stderr)
+    if not 1 <= args.workers <= simulate.MAX_WORKERS:
+        print(f"--workers must be between 1 and {simulate.MAX_WORKERS}", file=sys.stderr)
         return 2
     try:
         require_seed(args.seed)

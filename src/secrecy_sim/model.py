@@ -90,7 +90,7 @@ class SystemConfig:
                 refuse(f"pair {i}: duty cycle {p.alpha} outside [0, 1]")
         total = sum(p.alpha for p in self.pairs)
         if total > 1.0 + 1e-12:
-            refuse(f"duty cycles sum {total:g} > 1")
+            refuse(f"duty cycles sum {total!r} > 1")
 
     @property
     def n_pairs(self) -> int:

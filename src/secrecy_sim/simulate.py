@@ -23,9 +23,11 @@ uniformly with the pick word, and so its run.  In a run of one its uniform
 is the run word.  In a run of k > 1 it is the run's largest uniform M with
 probability 1/k, and otherwise M*W with W uniform on [0, 1): given M, the
 other k - 1 uniforms are i.i.d. uniform below M.  The rjs word decides
-both.  The picked gain is computed so that it never exceeds its run's
-strongest gain, so on every trial the events nest, ojs within rjs within
-nonc, and so do the estimates of one seed.
+both.  ojs and rjs share one run-gain function and one run-shape dispatch:
+the picked gain is the strongest gain's formula with one term >= 0 added
+inside its logarithm, so it never exceeds its run's strongest gain.  On
+every trial the events therefore nest by construction, ojs within rjs
+within nonc, and so do the estimates of one seed.
 
 The dominance check needs every jammer on every trial and has its own
 layout: g_sd, g_se and one word per jammer, W = N + 1.
@@ -71,6 +73,10 @@ __all__ = [
 # all-distinct 64-pair one.  Every trial reads a fixed slot of its pair's
 # stream, so the batch size changes memory and speed, never a result.
 BATCH_BYTES = 4 << 20
+
+# Most worker threads one call may start.  Without it a huge `workers` would
+# start one thread per batch, thousands of them on a large trial count.
+MAX_WORKERS = 64
 
 # Words at the head of every estimation trial: g_sd, g_se, the pick word and
 # the rjs word.  The run words follow.
@@ -194,46 +200,31 @@ def _sc_intercept(g_je, gamma: float, g_sd, g_se):
         return np.fmax(g_je * gamma * g_sd + floor, floor) < 2.0 * g_se
 
 
-def _slack(k, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 - u**(1/k), the gap below 1 of the largest of k uniforms, as -expm1(log(u)/k).
+def _run_gain(mean, k, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """A run's strongest gain from its uniform u, or with the rjs uniform v the picked jammer's.
 
-    Keeps its relative precision as u nears 1, where 1 - u**(1/k) would
-    cancel.  u = 0 has log -inf and slack 1, with no warning.  k > 1, a
-    scalar or one per element; works in one array, `out` if given.
+    The run holds k > 1 i.i.d. exponential gains of the given mean(s).  The gap below 1 of the run's largest uniform M = u**(1/k) is d = -expm1(log(u)/k), which
+    keeps its relative precision as u nears 1; u = 0 gives d = 1, with no warning.  The
+    strongest gain is -mean*log(d).  v*k < 1 picks M; otherwise the picked uniform is M*W
+    with W = (v*k - 1)/(k - 1).  Its gain -mean*log(1 - M*W) is computed as
+    -mean*log(d + q*(1 - d)) with q = 1 - W, which is 0 when M is picked.  The rounded sum
+    of d and a term >= 0 is >= d and at most 1, so the picked gain lies between 0 and the
+    strongest gain, and equals it bit for bit when q = 0.  Works in `u` and overwrites `v`.
     """
     with np.errstate(divide="ignore"):
-        d = np.log(u, out=out)
+        d = np.log(u, out=u)
     d /= k
     np.expm1(d, out=d)
-    return np.negative(d, out=d)
-
-
-def _run_max_gain(mean, k, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Strongest of k > 1 i.i.d. exponential gains of the given mean(s), from one uniform u."""
-    d = _slack(k, u, out)
+    np.negative(d, out=d)
+    if v is not None:
+        q = np.multiply(v, k, out=v)
+        largest = q < 1.0
+        np.subtract(k, q, out=q)
+        q /= k - 1
+        q[largest] = 0.0
+        q *= 1.0 - d
+        d += q
     return np.multiply(-mean, np.log(d, out=d), out=d)
-
-
-def _picked_gain(mean, k, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gain of a jammer picked uniformly from a run of k > 1, from run word u and rjs word v.
-
-    v*k < 1 picks the run's largest uniform M; otherwise the picked uniform
-    is M*W with W = (v*k - 1)/(k - 1).  Its gain -mean*log(1 - M*W) is
-    computed as -mean*log(d + q*(1 - d)) with d = 1 - M and q = 1 - W,
-    which is 0 when the largest is picked.  The rounded sum of d and a term
-    >= 0 is >= d and at most 1, so the gain lies between 0 and the run's
-    strongest gain -mean*log(d), and equals it bit for bit when q = 0.
-    Overwrites `u` and `v`.
-    """
-    d = _slack(k, u, out=u)
-    t = np.multiply(v, k, out=v)
-    largest = t < 1.0
-    q = np.subtract(k, t, out=t)
-    q /= k - 1
-    q[largest] = 0.0
-    q *= 1.0 - d
-    q += d
-    return np.multiply(-mean, np.log(q, out=q), out=q)
 
 
 def _row_max(g: np.ndarray) -> np.ndarray:
@@ -248,27 +239,36 @@ def _row_max(g: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, g.T)
 
 
+def _jammer_gain(counts: np.ndarray, mean, k, u: np.ndarray, v: np.ndarray | None = None):
+    """Gains from run uniforms `u`, of runs of means `mean` and lengths `k` along its last axis.
+
+    Without the rjs words `v` (raw, one per element of `u`) each run's strongest gain, with
+    them the picked jammer's gain; a run of one gives its own word's gain either way.  The
+    path follows the pair's run lengths `counts`: all runs of one, all longer, or mixed.
+    Overwrites `u` and `v`.
+    """
+    if counts.max() == 1:
+        return _exp_gain(mean, u, out=u)
+    if counts.min() > 1:
+        return _run_gain(mean, k, u, None if v is None else _uniform(v, out=v))
+    # every element as a run of one, then the longer runs' elements, taken out first
+    many = np.flatnonzero(k > 1)
+    top = _run_gain(mean[many], k[many], u[..., many], None if v is None else _uniform(v[many]))
+    g = _exp_gain(mean, u, out=u)
+    g[..., many] = top
+    return g
+
+
 def _ojs_gain(means: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Each row's strongest jammer gain from one uniform per run; overwrites `u`."""
-    if counts.max() == 1:
-        g = _exp_gain(means, u, out=u)
-    elif counts.min() > 1:
-        g = _run_max_gain(means, counts, u, out=u)
-    else:
-        # every column as a run of one, then the longer runs' columns, taken out first
-        many = np.flatnonzero(counts > 1)
-        top = _run_max_gain(means[many], counts[many], u[:, many])
-        g = _exp_gain(means, u, out=u)
-        g[:, many] = top
-    return _row_max(g)
+    return _row_max(_jammer_gain(counts, means, counts, u))
 
 
 def _rjs_gain(means: np.ndarray, counts: np.ndarray, w: np.ndarray, live: np.ndarray) -> np.ndarray:
     """The picked jammer's gain on each `live` row of word batch `w`.
 
     The pick word chooses one of the m jammers uniformly and so fixes its
-    run; with one run it decides nothing and is not read.  A run of one
-    gives the gain of its own word, as ojs reads it.
+    run; with one run it decides nothing and is not read.
     """
     if len(counts) == 1:
         run = 0
@@ -278,18 +278,7 @@ def _rjs_gain(means: np.ndarray, counts: np.ndarray, w: np.ndarray, live: np.nda
         pick = np.minimum((_uniform(w[live, 2]) * m).astype(np.int64), m - 1)
         run = pick if len(counts) == m else np.repeat(np.arange(len(counts)), counts).take(pick)
         u = _uniform(w.ravel().take(live * w.shape[1] + _HEAD_WORDS + run))
-    mean = means.take(run)
-    if counts.max() == 1:
-        return _exp_gain(mean, u, out=u)
-    k = counts.take(run)
-    if counts.min() > 1:
-        return _picked_gain(mean, k, u, _uniform(w[live, 3]))
-    # every row as a run of one, then the rows of longer runs, taken out first
-    many = np.flatnonzero(k > 1)
-    top = _picked_gain(mean[many], k[many], u[many], _uniform(w[live[many], 3]))
-    g = _exp_gain(mean, u, out=u)
-    g[many] = top
-    return g
+    return _jammer_gain(counts, means.take(run), counts.take(run), u, w[live, 3])
 
 
 def _batch_events(
@@ -367,8 +356,8 @@ def _run_batches(
         raise ValueError("need at least one trial")
     seed = require_seed(rng)
     workers = operator.index(workers)
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"need at least one worker and at most {MAX_WORKERS}, got {workers}")
     n = config.n_pairs
     per_pair = -(-trials // n)
     se_means = np.array([p.sigma2_se for p in config.pairs])
@@ -425,7 +414,8 @@ def estimate_intercepts(
     estimates = []
     for k, scheme in enumerate(schemes):
         rates = [int(successes[i][k]) / per_pair for i in range(n)]
-        p_hat = math.fsum(config.pairs[i].alpha * rates[i] for i in range(n))
+        # duty cycles may sum to 1 + 1e-12 (SystemConfig), which can carry the sum past 1
+        p_hat = min(math.fsum(config.pairs[i].alpha * rates[i] for i in range(n)), 1.0)
         variance = math.fsum(
             config.pairs[i].alpha ** 2 * rates[i] * (1.0 - rates[i]) / per_pair
             for i in range(n)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from secrecy_sim import analytic, special, validation
+from secrecy_sim import analytic, simulate, special, validation
 from secrecy_sim.cli import _parse_grid, _parse_symmetric, build_parser, main
 from secrecy_sim.model import MAX_PAIRS, SystemConfig, load_config, make_symmetric_config
 from secrecy_sim.special import e1_scaled
@@ -455,7 +455,21 @@ def test_rejects_small_nonzero_trials(capsys):
         assert capsys.readouterr().err == "--trials must be 0 or >= 1000\n"
 
 
-def test_rejects_bad_worker_count(capsys, tmp_path):
+def test_duty_cycle_slack_config_gets_estimates_of_at_most_one(tmp_path, capsys):
+    # duty cycles summing to 1 + 4e-13, which the config accepts, used to stop the estimate
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("1e-17 1 0.1000000000000399\n" * 10)
+    out = tmp_path / "fig2.csv"
+    flags = ["--experiment", "fig2", "--config", str(cfg), "--gamma-db", "10", "--seed", "1"]
+    assert main(flags + ["--trials", "1000", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _rows(out)
+    assert [(r["scheme"], float(r["p_analytic"]), float(r["p_mc"])) for r in rows] == [
+        (scheme, 1.0, 1.0) for scheme in ("nonc", "rjs", "ojs")
+    ]
+
+
+def test_rejects_bad_worker_count(capsys, tmp_path, monkeypatch):
     assert main(["--experiment", "fig2", "--workers", "0"]) == 2
     capsys.readouterr()
     # refused before any thread could start
@@ -464,6 +478,10 @@ def test_rejects_bad_worker_count(capsys, tmp_path):
     out = tmp_path / "fig2.csv"
     flags = ["--experiment", "fig2", "--workers", "64", "--trials", "0", "--out", str(out)]
     assert main(flags) == 0
+    # the bound is the one of the module that starts the threads
+    monkeypatch.setattr(simulate, "MAX_WORKERS", 3)
+    assert main(["--experiment", "fig2", "--workers", "4", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "--workers must be between 1 and 3\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from secrecy_sim.analytic import intercepts
+from secrecy_sim.analytic import intercept_sc_ojs_oracle, intercept_sc_rjs_oracle, intercepts
 from secrecy_sim.model import (
     MAX_PAIRS,
     SCHEMES,
@@ -67,6 +67,22 @@ def test_symmetric_always_validates():
 def test_validate_reports_duty_cycle_sum():
     with pytest.raises(ValueError, match=r"duty cycles sum 1\.2 > 1"):
         SystemConfig(pairs=(PairParams(1.0, 1.0, 0.6), PairParams(1.0, 1.0, 0.6)))
+    # a sum just past the slack is printed in full, not rounded to "1 > 1"
+    with pytest.raises(ValueError, match=r"duty cycles sum 1\.0000000002 > 1$"):
+        SystemConfig((PairParams(1.0, 1.0, 0.5000000001),) * 2)
+
+
+def test_duty_cycle_slack_gives_no_probability_above_one():
+    # the config accepts duty cycles summing to 1 + 1e-12; with pairs the eavesdropper
+    # always beats, every duty-weighted sum would carry that slack past 1
+    cfg = SystemConfig((PairParams(1e-17, 1.0, 0.1000000000000399),) * 10)
+    assert math.fsum(p.alpha for p in cfg.pairs) > 1.0
+    for gamma in (1e-3, 10.0):
+        assert [v.value for v in intercepts(cfg, SCHEMES, gamma)] == [1.0, 1.0, 1.0]
+        estimates = estimate_intercepts(cfg, SCHEMES, gamma, 1000, 1)
+        assert [(e.p_hat, e.std_err) for e in estimates] == [(1.0, 0.0)] * 3
+        assert intercept_sc_rjs_oracle(cfg, gamma) <= 1.0
+        assert intercept_sc_ojs_oracle(cfg, gamma) <= 1.0
 
 
 def test_validate_reports_nonpositive_gain():

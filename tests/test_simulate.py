@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -256,10 +257,10 @@ def test_extreme_words_give_extreme_finite_gains():
     g = _exp_gain(2.0, u)
     assert g[0] == 0.0 and np.isfinite(g[1]) and g[1] == pytest.approx(2.0 * 53 * math.log(2.0))
     for k in (2, 3, 1023):
-        top = simulate._run_max_gain(2.0, k, u.copy())
+        top = simulate._run_gain(2.0, k, u.copy())
         assert top[0] == 0.0 and top[1] == pytest.approx(2.0 * math.log(k * 2.0**53), rel=1e-12)
         for v in u:
-            picked = simulate._picked_gain(2.0, k, u.copy(), np.full(2, v))
+            picked = simulate._run_gain(2.0, k, u.copy(), np.full(2, v))
             assert picked[0] == 0.0 and np.isfinite(picked[1]) and 0.0 <= picked[1] <= top[1]
             assert (picked[1] == top[1]) == (v == 0.0)
 
@@ -429,8 +430,8 @@ def test_run_word_gains_follow_the_order_statistic_law(k):
     n, mean = 20_000, 2.0
     explicit = rng.exponential(mean, size=(n, k))
     u, v = rng.random(n), rng.random(n)
-    top = simulate._run_max_gain(mean, k, u.copy())
-    picked = simulate._picked_gain(mean, k, u, v)
+    top = simulate._run_gain(mean, k, u.copy())
+    picked = simulate._run_gain(mean, k, u, v)
     assert (picked <= top).all()
     assert stats.ks_2samp(top, explicit.max(axis=1)).pvalue > 1e-3
     assert stats.ks_2samp(picked, explicit[:, 0]).pvalue > 1e-3
@@ -685,13 +686,24 @@ def test_estimate_intercepts_rejects_bad_scheme_lists():
             estimate_intercepts(cfg, schemes, 10.0, 100, 0)
 
 
-def test_rejects_bad_worker_count():
+def test_rejects_bad_worker_count(monkeypatch):
     cfg = make_symmetric_config(3, 1.0)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="at least one worker"):
             estimate_intercept(cfg, "rjs", 10.0, 3000, 1, workers=workers)
     with pytest.raises(TypeError):
         estimate_intercept(cfg, "rjs", 10.0, 3000, 1, workers=2.5)
+
+    # above the bound, refused before any pool is built, however many batches there are
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was built")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", NoPool)
+    assert simulate.MAX_WORKERS == 64
+    for workers in (65, 10**6):
+        with pytest.raises(ValueError, match=f"at most 64, got {workers}$"):
+            estimate_intercepts(cfg, SCHEMES, 10.0, 10**9, 5, workers=workers)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 14, 23, 40, 64, 79])
@@ -751,7 +763,7 @@ def test_estimator_clamps_workers_to_task_count(monkeypatch):
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
     cfg = make_symmetric_config(3, 1.0)
-    est = estimate_intercept(cfg, "rjs", 10.0, 300, 5, workers=1_000_000)
+    est = estimate_intercept(cfg, "rjs", 10.0, 300, 5, workers=64)
     assert pool_sizes == [3]  # one batch per pair
     trials = cfg.n_pairs * (2 * _batch_trials(5) + 1)
     estimate_intercept(cfg, "rjs", 10.0, trials, 5, workers=4)
@@ -950,3 +962,42 @@ def test_dominance_check_counts_mutant_violations(condition, chain_holds, monkey
         expected = _reference_violations(cfg, gamma, n * per_pair, seed)
         assert coupled_dominance_check(cfg, gamma, n * per_pair, seed) == expected
         assert (expected == 0) == chain_holds, (n, expected)
+
+
+def _seeded_config(n, se_gains):
+    """N pairs of duty cycle 1/N, main gains 10^U(-1, 1) from default_rng(n), the given eavesdropper gains."""
+    sd_gains = 10.0 ** np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+    return SystemConfig(tuple(PairParams(sd, se, 1.0 / n) for sd, se in zip(sd_gains, se_gains)))
+
+
+def _pinned_estimate_lines():
+    """repr of estimates and dominance counts over every run shape a pair's jammers can take.
+
+    Symmetric systems give runs all longer than one (a run of one at N = 2), validate's
+    contiguous- and interleaved-run gains and the three-valued systems give mixed runs, and
+    all-distinct systems give runs all of one.  Each point asks for all schemes, rjs alone
+    and ojs alone.
+    """
+    configs = [make_symmetric_config(n, 1.0) for n in range(1, 9)]
+    configs += [_seeded_config(8, se) for se in (
+        (0.25, 0.25, 0.25, 1.0, 1.0, 4.0, 4.0, 4.0), (0.25, 4.0, 0.25, 4.0, 1.0, 0.25, 4.0, 1.0))]
+    for n in (3, 7, 16, 40):
+        rng = np.random.default_rng(100 + n)
+        configs.append(_seeded_config(n, 10.0 ** rng.uniform(-1.0, 1.0, size=n)))
+        configs.append(_seeded_config(n, rng.choice((0.25, 1.0, 4.0), size=n)))
+    for k, (cfg, gamma) in enumerate(itertools.product(configs, (0.3, 10.0, 1e4))):
+        trials = 1000 * cfg.n_pairs
+        for schemes in (SCHEMES, ("rjs",), ("ojs",)):
+            answer = estimate_intercepts(cfg, schemes, gamma, trials, k)
+            yield f"{cfg.pairs!r} {gamma!r} {schemes}: {answer!r}"
+        if cfg.n_pairs > 1:
+            yield f"dominance: {coupled_dominance_check(cfg, gamma, trials, k)}"
+
+
+def test_estimates_bits_are_pinned():
+    # every bit of every estimate on symmetric, mixed-run and all-distinct systems; the
+    # symmetric digests of the CLI tests leave the mixed-run and all-distinct paths open
+    lines = list(_pinned_estimate_lines())
+    assert len(lines) == 18 * 3 * 3 + 17 * 3
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bd40c5c2a643af703ad264407d63879927e9923de83c2d6e8320c50751f0e7d5"
