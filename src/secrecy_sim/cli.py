@@ -56,7 +56,9 @@ def _parse_grid(text: str) -> list[float]:
         span = (hi - lo) / step
         if span <= _MAX_GRID_POINTS:  # bounds the list before it is built
             values = [lo + k * step for k in range(int(round(span)) + 1)]
-            if values[-1] > hi + 1e-9:
+            # drop a point past hi by more than rounding: k*step carries at most 1e6
+            # roundings of step, and lo, hi and their sum about one ulp each
+            if values[-1] > hi + 1e-9 * step + 4 * math.ulp(max(-lo, hi)):
                 values.pop()
             if len(values) <= _MAX_GRID_POINTS:
                 return values

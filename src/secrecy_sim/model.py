@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ class SystemConfig:
             for name, gain in (("sigma2_sd", p.sigma2_sd), ("sigma2_se", p.sigma2_se)):
                 if not gain > 0.0:
                     refuse(f"pair {i}: nonpositive gain {name}={gain}")
-                if gain == math.inf:
+                if gain > sys.float_info.max:  # inf, or an int that overflows a double
                     refuse(f"pair {i}: infinite gain {name}={gain}")
             if not 0.0 <= p.alpha <= 1.0:
                 refuse(f"pair {i}: duty cycle {p.alpha} outside [0, 1]")
@@ -108,7 +109,7 @@ def make_symmetric_config(n: int, mer: float) -> SystemConfig:
     n = operator.index(n)
     if not 1 <= n <= MAX_PAIRS:
         raise ValueError(f"number of pairs must be between 1 and {MAX_PAIRS}, got {n}")
-    if not 0.0 < mer < math.inf:
+    if not 0.0 < mer <= sys.float_info.max:
         raise ValueError(f"MER must be positive and finite, got {mer}")
     pair = PairParams(sigma2_sd=float(mer), sigma2_se=1.0, alpha=1.0 / n)
     return SystemConfig(pairs=(pair,) * n)
@@ -123,7 +124,10 @@ def require_scheme(name: str) -> str:
 
 def require_snr(gamma: float) -> float:
     """Return the SNR as a float; raise ValueError unless it is positive and finite."""
-    g = float(gamma)
+    try:
+        g = float(gamma)
+    except OverflowError:  # an int too large for a double
+        g = math.inf
     if not 0.0 < g < math.inf:
         raise ValueError(f"SNR must be positive and finite, got {gamma}")
     return g

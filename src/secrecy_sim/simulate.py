@@ -13,7 +13,8 @@ estimators read W = 4 + R words per trial, where R is the number of runs
 of equal eavesdropper gains among the active pair's jammers (the other
 pairs, in config order): the main gain g_sd, the eavesdropper gain g_se,
 the pick word, the rjs word, then one word per run.  A symmetric system
-draws 5 words per trial at any N, an all-distinct one N + 3.
+draws 5 words per trial at any N, an all-distinct one N + 3.  `_runs`
+alone finds runs: a batch's, and every pair's count from the config's own.
 
 One word per run suffices because the largest of k i.i.d. uniforms has the
 law of U**(1/k) (Devroye, "Non-Uniform Random Variate Generation", 1986).
@@ -35,8 +36,8 @@ layout: g_sd, g_se and one word per jammer, W = N + 1.
 Reproducibility contract: the seed is an integer in [0, 2**64).  The stream
 for pair i is the counter-based generator Philox keyed by (seed, i) (Salmon
 et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Trial t
-reads words t*W .. t*W + W - 1 of it; a batch starts there by advancing
-the counter floor(t*W / 4) blocks of four words and dropping t*W mod 4
+reads words t*W .. t*W + W - 1 of it; a batch opens the stream at Philox
+counter floor(t*W / 4), four words per counter step, and drops t*W mod 4
 words.  An estimate is therefore a pure function of (seed, config, scheme,
 gamma, trials) no matter how trials are batched or how many workers run
 them.  The layout does not depend on the scheme, so every scheme reads the
@@ -92,29 +93,26 @@ def draws_per_trial(n_pairs: int) -> int:
     return _HEAD_WORDS + n_pairs - 1
 
 
-def _runs(jammer_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First column and length of each run of equal jammer means, in config order."""
-    edge = np.ones(len(jammer_means) + 1, dtype=bool)
-    np.not_equal(jammer_means[1:], jammer_means[:-1], out=edge[1:-1])
+def _runs(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and length of each run of equal means, in order."""
+    edge = np.ones(len(means) + 1, dtype=bool)
+    np.not_equal(means[1:], means[:-1], out=edge[1:-1])
     at = np.flatnonzero(edge)
-    return at[:-1], at[1:] - at[:-1]
+    return means[at[:-1]], at[1:] - at[:-1]
 
 
 def _estimate_words(se_means: np.ndarray) -> np.ndarray:
     """Each pair's words per estimation trial: the head words and one per run of its jammers.
 
-    Pair i's jammers are the other pairs' means in config order.  Taking pair i
-    out of the means removes the run edges on either side of it and adds one
-    between its neighbours where they differ.
+    Pair i's jammers are the other pairs' means in config order, so they keep
+    the config's runs, less pair i's own run if pair i is alone in it, and
+    less one more when the runs on either side of that run then join.
     """
-    n = len(se_means)
-    if n == 1:
-        return np.array([_HEAD_WORDS])
-    edge = np.zeros(n + 1, dtype=np.int64)  # edge[k]: means k - 1 and k differ
-    edge[1:-1] = se_means[1:] != se_means[:-1]
-    bridge = np.zeros(n, dtype=np.int64)  # bridge[k]: means k - 1 and k + 1 differ
-    bridge[1:-1] = se_means[2:] != se_means[:-2]
-    return _HEAD_WORDS + 1 + edge.sum() - edge[:-1] - edge[1:] + bridge
+    means, counts = _runs(se_means)
+    alone = counts == 1
+    join = np.zeros_like(alone)
+    join[1:-1] = means[2:] == means[:-2]
+    return _HEAD_WORDS + np.repeat(len(means) - alone * (1 + join), counts)
 
 
 def _dominance_words(se_means: np.ndarray) -> np.ndarray:
@@ -125,14 +123,11 @@ def _dominance_words(se_means: np.ndarray) -> np.ndarray:
 def _pair_stream(seed: int, pair_index: int, words: int, start_trial: int) -> Philox:
     """Philox at trial `start_trial` of pair `pair_index`'s stream of `words` words per trial.
 
-    Philox makes four words per counter step, so the stream advances whole
-    steps and drops the words left before the trial's first.
+    Philox makes four words per counter step, so the stream opens at the
+    step that holds the trial's first word and drops the words before it.
     """
-    key = np.array([seed, pair_index], dtype=np.uint64)
-    bit_gen = Philox(key=key)
     steps, skip = divmod(start_trial * words, 4)
-    if steps:
-        bit_gen.advance(steps)
+    bit_gen = Philox(key=np.array([seed, pair_index], dtype=np.uint64), counter=steps)
     if skip:
         bit_gen.random_raw(skip)
     return bit_gen
@@ -259,11 +254,6 @@ def _jammer_gain(counts: np.ndarray, mean, k, u: np.ndarray, v: np.ndarray | Non
     return g
 
 
-def _ojs_gain(means: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Each row's strongest jammer gain from one uniform per run; overwrites `u`."""
-    return _row_max(_jammer_gain(counts, means, counts, u))
-
-
 def _rjs_gain(means: np.ndarray, counts: np.ndarray, w: np.ndarray, live: np.ndarray) -> np.ndarray:
     """The picked jammer's gain on each `live` row of word batch `w`.
 
@@ -306,14 +296,14 @@ def _batch_events(
     elif jammed:
         live = np.flatnonzero(events[NONCOOP])
         g_sd, g_se = g_sd[live], g_se[live]
-        starts, counts = _runs(jammer_means)
-        means = jammer_means[starts]
+        means, counts = _runs(jammer_means)
         jammer_gain = {}
         if SC_RJS in jammed:
             jammer_gain[SC_RJS] = _rjs_gain(means, counts, w, live)
         if SC_OJS in jammed:
             top = w[live, _HEAD_WORDS:]
-            jammer_gain[SC_OJS] = _ojs_gain(means, counts, _uniform(top, out=top))
+            g = _jammer_gain(counts, means, counts, _uniform(top, out=top))
+            jammer_gain[SC_OJS] = _row_max(g)
         for scheme, g_j in jammer_gain.items():
             events[scheme] = np.zeros(len(w), dtype=bool)
             events[scheme][live] = _sc_intercept(g_j, gamma, g_sd, g_se)
@@ -333,7 +323,6 @@ def _batch_ranges(trials_per_pair: int, words: int):
 
 def _run_batches(
     config: SystemConfig,
-    gamma: float,
     trials: int,
     rng: int,
     workers: int,
@@ -350,7 +339,6 @@ def _run_batches(
     trials; returns the per-pair sums and that trial count.  Checks every
     argument but the config, valid by type.
     """
-    require_snr(gamma)
     trials = operator.index(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -403,8 +391,9 @@ def estimate_intercepts(
     schemes = tuple(map(require_scheme, schemes))
     if not schemes:
         raise ValueError("need at least one scheme")
+    gamma = require_snr(gamma)
     successes, per_pair = _run_batches(
-        config, gamma, trials, rng, workers,
+        config, trials, rng, workers,
         lambda pair, means, w: np.array(
             [np.count_nonzero(e) for e in _batch_events(pair, means, schemes, gamma, w)]
         ),
@@ -484,6 +473,6 @@ def coupled_dominance_check(
     """
     if config.n_pairs < 2:
         raise ValueError("dominance check needs at least two pairs")
-    count = functools.partial(_chain_violations, gamma)
-    counts, _ = _run_batches(config, gamma, trials, rng, 1, count, _dominance_words)
+    count = functools.partial(_chain_violations, require_snr(gamma))
+    counts, _ = _run_batches(config, trials, rng, 1, count, _dominance_words)
     return sum(counts)

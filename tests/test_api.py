@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +48,14 @@ def test_package_imports_only_declared_runtime_dependencies():
                 top = name.partition(".")[0]
                 allowed = top in sys.stdlib_module_names or top in RUNTIME_DEPENDENCIES
                 assert allowed or top == "secrecy_sim", (path.name, name)
+
+
+def test_pyproject_declares_the_numpy_floor_the_code_needs():
+    # analytic's subset sum calls np.bitwise_count, new in NumPy 2.0; a regex, not
+    # tomllib, which Python 3.10 lacks
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0), floor
 
 
 def test_no_module_imports_the_cli():

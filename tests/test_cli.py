@@ -30,6 +30,10 @@ def test_parse_grid_range_and_single():
     assert _parse_grid("-5:5:10") == [-5.0, 5.0]
     # the rounded point count overshoots hi, so the last point is dropped
     assert _parse_grid("0:1:0.6") == [0.0, 0.6]
+    # the overshoot allowance scales with the step, so a fine grid stops at hi too,
+    # and keeps an endpoint that only rounding puts past hi
+    assert _parse_grid("0:1e-10:6e-11") == [0.0, 6e-11]
+    assert len(_parse_grid("588.11:588.111512:0.000036")) == 43
     with pytest.raises(ValueError):
         _parse_grid("0:40")
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from secrecy_sim.analytic import intercept_sc_ojs_oracle, intercept_sc_rjs_oracle, intercepts
+from secrecy_sim.diversity import fit_diversity
 from secrecy_sim.model import (
     MAX_PAIRS,
     SCHEMES,
@@ -15,6 +16,7 @@ from secrecy_sim.model import (
     parse_config_text,
     load_config,
     require_scheme,
+    require_snr,
 )
 from secrecy_sim.simulate import estimate_intercepts
 
@@ -99,6 +101,29 @@ def test_validate_reports_infinite_gain():
         SystemConfig(pairs=(PairParams(1.0, 1.0, 0.5), PairParams(math.inf, 1.0, 0.5)))
     with pytest.raises(ValueError, match="pair 0: infinite gain sigma2_se=inf"):
         SystemConfig(pairs=(PairParams(1.0, math.inf, 0.5), PairParams(1.0, 1.0, 0.5)))
+
+
+def test_huge_int_inputs_get_a_one_line_value_error():
+    # an int past the largest double compares below inf, but float() of it overflows
+    huge = 10**400
+    cfg = make_symmetric_config(4, 1.0)
+    snr = "SNR must be positive and finite"
+    refusals = [
+        (lambda: SystemConfig((PairParams(huge, 1.0, 0.5), PairParams(1.0, 1.0, 0.5))),
+         "pair 0: infinite gain sigma2_sd=1000"),
+        (lambda: SystemConfig((PairParams(1.0, 1.0, 0.5), PairParams(1.0, huge, 0.5))),
+         "pair 1: infinite gain sigma2_se=1000"),
+        (lambda: make_symmetric_config(4, huge), "MER must be positive and finite"),
+        (lambda: require_snr(huge), snr),
+        (lambda: require_snr(-huge), snr),
+        (lambda: intercepts(cfg, SCHEMES, huge), snr),
+        (lambda: fit_diversity("rjs", cfg, (10.0, huge)), snr),
+        (lambda: estimate_intercepts(cfg, SCHEMES, huge, 100, 1), snr),
+    ]
+    for build, problem in refusals:
+        with pytest.raises(ValueError, match=problem) as info:
+            build()
+        assert "\n" not in str(info.value)
 
 
 def test_validate_reports_alpha_out_of_range():

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.random import Generator
 from scipy import stats
 
-from secrecy_sim.analytic import intercept_noncoop, intercept_sc_ojs, intercept_sc_rjs
+from secrecy_sim.analytic import intercept_noncoop, intercept_sc_ojs, intercept_sc_rjs, intercepts
 from secrecy_sim import simulate
 from secrecy_sim.model import SCHEMES, PairParams, SystemConfig, make_symmetric_config
 from secrecy_sim.simulate import (
@@ -381,6 +381,22 @@ def test_event_sc_rejects_bad_gamma():
             coupled_dominance_check(cfg, gamma, 100, 0)
 
 
+def test_estimators_read_the_snr_require_snr_returns():
+    # each estimator converts the SNR once, as the closed forms do, and every
+    # kernel and estimate gets that float
+    cfg = SystemConfig(
+        (PairParams(1.0, 1.0, 0.3), PairParams(2.0, 0.5, 0.3), PairParams(1.0, 0.5, 0.4))
+    )
+    want = estimate_intercepts(cfg, SCHEMES, 10.0, 3000, 5)
+    violations = coupled_dominance_check(cfg, 10.0, 3000, 5)
+    for gamma in (10, np.int64(10), np.float32(10), "10"):
+        got = estimate_intercepts(cfg, SCHEMES, gamma, 3000, 5)
+        assert got == want, gamma
+        assert all(type(e.gamma) is float and e.gamma == 10.0 for e in got), gamma
+        assert coupled_dominance_check(cfg, gamma, 3000, 5) == violations
+        assert intercepts(cfg, SCHEMES, gamma) == intercepts(cfg, SCHEMES, 10.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.sampled_from((1e-3, 0.5, 1.0, 2.0, 1e3)), min_size=1, max_size=7).flatmap(
@@ -411,12 +427,12 @@ def test_event_inclusion_chain_on_arbitrary_draws(block, gamma):
     assert not (e_sc & ~e_nonc[:, None]).any()
     assert _chain_violations(gamma, pair, means, dominance) == 0
     # layout v2 reads one word per run; the picked gain never exceeds the strongest
-    starts, counts = simulate._runs(means)
+    run_means, counts = simulate._runs(means)
     v2 = w[:, : 4 + len(counts)].copy()
     nonc, rjs, ojs = _batch_events(pair, means, SCHEMES, gamma, v2)
     assert not (ojs & ~rjs).any() and not (rjs & ~nonc).any()
-    g_rjs = simulate._rjs_gain(means[starts], counts, v2, np.arange(len(w)))
-    g_ojs = simulate._ojs_gain(means[starts], counts, _uniform(v2[:, 4:]))
+    g_rjs = simulate._rjs_gain(run_means, counts, v2, np.arange(len(w)))
+    g_ojs = simulate._row_max(simulate._jammer_gain(counts, run_means, counts, _uniform(v2[:, 4:])))
     assert np.isfinite(g_ojs).all() and (g_rjs >= 0.0).all() and (g_rjs <= g_ojs).all()
 
 
