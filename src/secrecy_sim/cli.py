@@ -263,9 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--gamma-db",
         help="SNR grid 'lo:hi:step' in dB, or one value; fixed-SNR "
-        "experiments (fig3/fig4/fig6) use the first grid value",
+        "experiments (fig3/fig4/fig6) use the first grid value; a negative grid "
+        "needs '=', as in --gamma-db=-10:0:5",
     )
-    parser.add_argument("--mer-db", help="MER grid 'lo:hi:step' in dB, or one value")
+    parser.add_argument(
+        "--mer-db",
+        help="MER grid 'lo:hi:step' in dB, or one value; a negative grid needs '=', "
+        "as in --mer-db=-10:30:2",
+    )
     parser.add_argument("--schemes", help="comma list from: nonc,rjs,ojs")
     parser.add_argument(
         "--workers",

@@ -44,6 +44,14 @@ SCHEMES = (NONCOOP, SC_RJS, SC_OJS)
 MAX_PAIRS = 1024
 
 
+def _shown(value) -> str:
+    """`value` as a refusal shows it: str() of it, or the size of an int too long for str()."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 @dataclass(frozen=True)
 class PairParams:
     """Per-pair channel statistics and medium share.
@@ -84,11 +92,11 @@ class SystemConfig:
         for i, p in enumerate(self.pairs):
             for name, gain in (("sigma2_sd", p.sigma2_sd), ("sigma2_se", p.sigma2_se)):
                 if not gain > 0.0:
-                    refuse(f"pair {i}: nonpositive gain {name}={gain}")
+                    refuse(f"pair {i}: nonpositive gain {name}={_shown(gain)}")
                 if gain > sys.float_info.max:  # inf, or an int that overflows a double
-                    refuse(f"pair {i}: infinite gain {name}={gain}")
+                    refuse(f"pair {i}: infinite gain {name}={_shown(gain)}")
             if not 0.0 <= p.alpha <= 1.0:
-                refuse(f"pair {i}: duty cycle {p.alpha} outside [0, 1]")
+                refuse(f"pair {i}: duty cycle {_shown(p.alpha)} outside [0, 1]")
         total = sum(p.alpha for p in self.pairs)
         if total > 1.0 + 1e-12:
             refuse(f"duty cycles sum {total!r} > 1")
@@ -108,9 +116,9 @@ def make_symmetric_config(n: int, mer: float) -> SystemConfig:
     """
     n = operator.index(n)
     if not 1 <= n <= MAX_PAIRS:
-        raise ValueError(f"number of pairs must be between 1 and {MAX_PAIRS}, got {n}")
+        raise ValueError(f"number of pairs must be between 1 and {MAX_PAIRS}, got {_shown(n)}")
     if not 0.0 < mer <= sys.float_info.max:
-        raise ValueError(f"MER must be positive and finite, got {mer}")
+        raise ValueError(f"MER must be positive and finite, got {_shown(mer)}")
     pair = PairParams(sigma2_sd=float(mer), sigma2_se=1.0, alpha=1.0 / n)
     return SystemConfig(pairs=(pair,) * n)
 
@@ -129,7 +137,7 @@ def require_snr(gamma: float) -> float:
     except OverflowError:  # an int too large for a double
         g = math.inf
     if not 0.0 < g < math.inf:
-        raise ValueError(f"SNR must be positive and finite, got {gamma}")
+        raise ValueError(f"SNR must be positive and finite, got {_shown(gamma)}")
     return g
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -266,7 +267,7 @@ def _rjs_gain(means: np.ndarray, counts: np.ndarray, w: np.ndarray, live: np.nda
     else:
         m = int(counts.sum())
         pick = np.minimum((_uniform(w[live, 2]) * m).astype(np.int64), m - 1)
-        run = pick if len(counts) == m else np.repeat(np.arange(len(counts)), counts).take(pick)
+        run = np.repeat(np.arange(len(counts)), counts).take(pick)
         u = _uniform(w.ravel().take(live * w.shape[1] + _HEAD_WORDS + run))
     return _jammer_gain(counts, means.take(run), counts.take(run), u, w[live, 3])
 
@@ -315,20 +316,7 @@ def _batch_trials(words: int) -> int:
     return max(1, BATCH_BYTES // (words * 8))
 
 
-def _batch_ranges(trials_per_pair: int, words: int):
-    step = _batch_trials(words)
-    for start in range(0, trials_per_pair, step):
-        yield start, min(start + step, trials_per_pair)
-
-
-def _run_batches(
-    config: SystemConfig,
-    trials: int,
-    rng: int,
-    workers: int,
-    count,
-    words: Callable[[np.ndarray], np.ndarray],
-):
+def _run_batches(config: SystemConfig, trials: int, rng: int, workers: int, count, words: Callable):
     """Sum `count(pair, jammer_means, w)` over every word batch of every pair.
 
     `jammer_means` holds the other pairs' sigma2_se in config order, and
@@ -337,7 +325,9 @@ def _run_batches(
     as raw uint64 Philox words, which `count` may overwrite; `count` returns
     a number or a numpy count vector.  Each pair runs ceil(trials / N)
     trials; returns the per-pair sums and that trial count.  Checks every
-    argument but the config, valid by type.
+    argument but the config, valid by type.  Workers share the batches one
+    at a time into integer sums, so no split moves a bit, and free each block
+    before the next is drawn, so a worker holds one block at any trial count.
     """
     trials = operator.index(trials)
     if trials < 1:
@@ -350,22 +340,32 @@ def _run_batches(
     per_pair = -(-trials // n)
     se_means = np.array([p.sigma2_se for p in config.pairs])
     widths = words(se_means).tolist()
+    batches = ((i, a) for i in range(n) for a in range(0, per_pair, _batch_trials(widths[i])))
+    lock = threading.Lock()
 
-    def run_batch(pair: int, start: int, stop: int):
-        w = _pair_stream(seed, pair, widths[pair], start).random_raw((stop - start, widths[pair]))
+    def run_batch(pair: int, start: int):
+        rows = min(_batch_trials(widths[pair]), per_pair - start)
+        w = _pair_stream(seed, pair, widths[pair], start).random_raw((rows, widths[pair]))
         return count(config.pairs[pair], np.delete(se_means, pair), w)
 
-    tasks = [(i, a, b) for i in range(n) for a, b in _batch_ranges(per_pair, widths[i])]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda t: run_batch(*t), tasks))
-    else:
-        counts = [run_batch(*t) for t in tasks]
-    sums = [0] * n
-    for (i, _, _), c in zip(tasks, counts):
-        sums[i] += c
-    return sums, per_pair
+    def worker_sums(_=None) -> list:
+        sums = [0] * n
+        while True:
+            with lock:  # a generator may not run in two threads at once
+                batch = next(batches, None)
+            if batch is None:
+                return sums
+            sums[batch[0]] += run_batch(*batch)
+
+    workers = min(workers, sum(-(-per_pair // _batch_trials(w)) for w in widths))
+    if workers == 1:
+        return worker_sums(), per_pair
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            return [sum(c) for c in zip(*pool.map(worker_sums, range(workers)))], per_pair
+        finally:  # after an error or an interrupt the other workers take no further batch
+            with lock:
+                batches.close()
 
 
 def estimate_intercepts(

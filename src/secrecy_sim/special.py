@@ -27,6 +27,7 @@ diversity argument:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import special
@@ -87,9 +88,18 @@ def e1_scaled(x):
 def e1_bounds(x: float) -> tuple[float, float]:
     """Analytic bracket (lower, upper) = (0.5 e^-x ln(1+2/x), e^-x ln(1+1/x)) around E1(x).
 
-    Both endpoints underflow to 0.0 together with E1 itself once exp(-x) does.
+    Above x ~ 708 E1 and both endpoints are subnormal, and the bracket is
+    narrower than one subnormal step, so rounding alone could put `e1(x)`
+    outside it.  There an endpoint below `sys.float_info.min` is moved one
+    step outward: the lower one floored at 0.0, the upper one also when it
+    underflowed to 0.0.  Where both endpoints are normal no bit moves.
     """
     xf = float(x)
     _check_domain(np.asarray(xf))
     damp = math.exp(-xf)
-    return 0.5 * damp * math.log1p(2.0 / xf), damp * math.log1p(1.0 / xf)
+    lo, hi = 0.5 * damp * math.log1p(2.0 / xf), damp * math.log1p(1.0 / xf)
+    if lo < sys.float_info.min:
+        lo = math.nextafter(lo, 0.0)
+    if hi < sys.float_info.min:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi

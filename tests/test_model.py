@@ -120,6 +120,17 @@ def test_huge_int_inputs_get_a_one_line_value_error():
         (lambda: fit_diversity("rjs", cfg, (10.0, huge)), snr),
         (lambda: estimate_intercepts(cfg, SCHEMES, huge, 100, 1), snr),
     ]
+    # past str()'s 4300-digit limit the value is shown by its size, not as Python's own error
+    huger = 10**5000
+    refusals += [
+        (lambda: SystemConfig((PairParams(huger, 1.0, 0.5),)),
+         "pair 0: infinite gain sigma2_sd=an int of 16610 bits$"),
+        (lambda: SystemConfig((PairParams(1.0, 1.0, huger),)),
+         r"pair 0: duty cycle an int of 16610 bits outside \[0, 1\]$"),
+        (lambda: make_symmetric_config(huger, 1.0), "between 1 and 1024, got an int of 16610 bits$"),
+        (lambda: make_symmetric_config(4, huger), "MER must be positive and finite, got an int"),
+        (lambda: require_snr(-huger), "SNR must be positive and finite, got a negative int"),
+    ]
     for build, problem in refusals:
         with pytest.raises(ValueError, match=problem) as info:
             build()

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -786,6 +788,65 @@ def test_estimator_clamps_workers_to_task_count(monkeypatch):
     assert pool_sizes == [3, 4]
     assert est == estimate_intercept(cfg, "rjs", 10.0, 300, 5, workers=1)
     assert pool_sizes == [3, 4]
+
+
+class _Stop(Exception):
+    pass
+
+
+class _ZeroStream:
+    """Stands in for a pair's Philox stream: every block is one row of zero words."""
+
+    def random_raw(self, shape):
+        return np.zeros((1, shape[1]), dtype=np.uint64)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_bookkeeping_stays_bounded_at_any_trial_count(workers, monkeypatch):
+    # 10**9 trials on 4 pairs are 9540 batches.  With 1-row zero blocks and a count
+    # that stops every worker after 50 batches, what is traced is the driver's own
+    # bookkeeping, which must not grow with the number of batches.
+    monkeypatch.setattr(simulate, "_pair_stream", lambda *args: _ZeroStream())
+    calls = threading.local()
+
+    def count(pair, means, w):
+        calls.n = getattr(calls, "n", 0) + 1
+        if calls.n > 50:
+            raise _Stop
+        return 0
+
+    cfg = make_symmetric_config(4, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            simulate._run_batches(cfg, 10**9, 5, workers, count, simulate._estimate_words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
+
+
+def test_an_error_in_one_worker_stops_the_others(monkeypatch):
+    # once both workers run, one raises; the other must not go on to run the rest
+    # of the 9540 batches, each at least 0.1 ms here, before the error reaches the caller
+    monkeypatch.setattr(simulate, "_pair_stream", lambda *args: _ZeroStream())
+    both = threading.Barrier(2)
+    started = threading.local()
+    calls = []
+
+    def count(pair, means, w):
+        if not hasattr(started, "rank"):
+            started.rank = both.wait(timeout=30)
+            if started.rank == 0:
+                raise _Stop
+        calls.append(pair)
+        time.sleep(1e-4)
+        return 0
+
+    with pytest.raises(_Stop):
+        simulate._run_batches(make_symmetric_config(4, 1.0), 10**9, 5, 2, count,
+                              simulate._estimate_words)
+    assert len(calls) < 1000
 
 
 def test_noncoop_estimates_do_not_read_gamma():
